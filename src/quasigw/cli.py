@@ -52,6 +52,7 @@ from .simulate import (
 from .spectral import (
     ConvergenceError,
     extinction_probabilities,
+    fitness_vector,
     mean_matrix,
     perron,
     perron_bounds_check,
@@ -250,9 +251,9 @@ def cmd_kernel(resolved: dict):
 
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
-    kernel = lumped_kernel_matrix(params)
-    pair = perron(mean_matrix(params, kernel), resolved["tol"], resolved["max_iter"])
-    bounds = perron_bounds_check(pair, params, kernel=kernel, k_max=resolved["k_report"])
+    w = mean_matrix(params)
+    pair = perron(w, resolved["tol"], resolved["max_iter"])
+    bounds = perron_bounds_check(pair, params, mean=w, k_max=resolved["k_report"])
     identity_gap = abs(pair.lam - ((params.sigma - 1.0) * float(pair.rho[0]) + 1.0))
     k_top = min(resolved["k_report"], params.ell)
     columns = ["k", "rho"]
@@ -390,8 +391,7 @@ def cmd_extinction(resolved: dict):
     params = _model_params(resolved)
     kernel = lumped_kernel_matrix(params)
     s = extinction_probabilities(params, resolved["tol"], resolved["max_iter"], kernel=kernel)
-    fit = np.ones(params.ell + 1)
-    fit[0] = params.sigma
+    fit = fitness_vector(params)
     residual = float(np.max(np.abs(np.exp(fit * (kernel @ s - 1.0)) - s)))
     columns = ["k", "p_extinct"]
     rows = [{"k": k, "p_extinct": float(s[k])} for k in range(params.ell + 1)]

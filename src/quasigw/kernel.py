@@ -176,19 +176,59 @@ def lumped_kernel_entry(b: int, c: int, params: ModelParams) -> float:
     return math.exp(m) * math.fsum(math.exp(t - m) for t in terms)
 
 
-def _binom_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf on 0..n, computed through log-gamma."""
-    if n == 0:
-        return np.ones(1)
+# exp() of a log-probability below this is 0.0 in float64 (the smallest
+# subnormal is exp(-745.13)), so such pmf entries need not be computed.
+_LOG_UNDERFLOW = -746.0
+# Zeros kept on each side of a window.  np.convolve's BLAS dot products add
+# their last few terms one by one; padding makes those terms 0 * x instead
+# of products of subnormal pmf tails, which are slow to compute.
+_PAD = 16
+
+
+def _binom_windows(n: np.ndarray, p: float, log_fact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends lo, hi of the windows of the Binomial(n[i], p) pmfs, padded by _PAD.
+
+    The window is the set where logpmf >= _LOG_UNDERFLOW, outside of which
+    exp(logpmf) is 0.0.  The pmf is unimodal, so that set is an interval
+    around the mode, and each end is found by bisection on its monotone
+    side, for all rows at once.
+    """
+    if p == 0.0 or n.max() <= _PAD:
+        # A point mass at 0, or rows the padding covers whole.
+        return np.zeros_like(n), np.minimum(_PAD, n)
+    log_p, log_1mp = math.log(p), math.log1p(-p)
+
+    def inside(k):
+        logpmf = log_fact[n] - log_fact[k] - log_fact[n - k] + k * log_p + (n - k) * log_1mp
+        return logpmf >= _LOG_UNDERFLOW
+
+    mode = np.minimum(np.floor((n + 1) * p).astype(n.dtype), n)
+    # Invariant: hi is inside, out > hi is not (out = n + 1 is past the end).
+    # Finished rows (out = hi + 1) probe mid = hi and stay put; likewise below.
+    hi, out = mode, n + 1
+    while np.any(out - hi > 1):
+        mid = (hi + out) // 2
+        keep = inside(mid)
+        hi, out = np.where(keep, mid, hi), np.where(keep, out, mid)
+    lo, out = mode, np.full_like(n, -1)
+    while np.any(lo - out > 1):
+        mid = (lo + out + 1) // 2
+        keep = inside(mid)
+        lo, out = np.where(keep, mid, lo), np.where(keep, out, mid)
+    return np.maximum(lo - _PAD, 0), np.minimum(hi + _PAD, n)
+
+
+def _binom_window_pmf(n: int, p: float, lo: int, hi: int, log_fact: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) pmf on lo..hi, from the log-factorial table log_fact."""
+    k = np.arange(lo, hi + 1)
     if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    k = np.arange(n + 1)
+        return (k == 0).astype(float)
+    # log_fact[j] = gammaln(j + 1); in this order the values equal a full-length
+    # gammaln evaluation of the pmf bit for bit.
     logpmf = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
+        log_fact[n]
+        - log_fact[lo : hi + 1]
+        - log_fact[n - hi : n - lo + 1][::-1]
         + k * math.log(p)
         + (n - k) * math.log1p(-p)
     )
@@ -203,14 +243,31 @@ def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:
     mutated loci that revert.  The row is assembled as the convolution of
     the two binomial pmfs, which is term-for-term the same sum as
     lumped_kernel_entry but vectorized over whole rows.
+
+    Each pmf is evaluated only on its window where exp(logpmf) is not 0.0
+    in float64 (logpmf >= -746), widened by a few zeros, from one
+    log-factorial table per build.  Outside the windows the full-length
+    pmfs are exactly zero, so the result matches a full-length build up
+    to summation order and has the same zero pattern.  With pmf windows
+    of width w the build costs O(ell * w^2) instead of O(ell^3); w grows
+    like sqrt(ell q) at fixed q and stays bounded at fixed a = ell q.
+    The output is still the dense matrix, zero outside the band.
     """
     ell, kappa, q = params.ell, params.kappa, params.q
-    m = np.empty((ell + 1, ell + 1))
+    q_back = q / (kappa - 1)
+    log_fact = gammaln(np.arange(ell + 1) + 1)
+    classes = np.arange(ell + 1)
+    g_lo, g_hi = (e.tolist() for e in _binom_windows(ell - classes, q, log_fact))
+    l_lo, l_hi = (e.tolist() for e in _binom_windows(classes, q_back, log_fact))
+    m = np.zeros((ell + 1, ell + 1))
     for b in range(ell + 1):
-        gain = _binom_pmf(ell - b, q)
-        loss = _binom_pmf(b, q / (kappa - 1))
-        # conv(gain, loss[::-1])[c] = sum_{k-l=c-b} P(G=k) P(L=l)
-        m[b] = np.convolve(gain, loss[::-1])
+        gain = _binom_window_pmf(ell - b, q, g_lo[b], g_hi[b], log_fact)
+        loss = _binom_window_pmf(b, q_back, l_lo[b], l_hi[b], log_fact)
+        # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
+        # which lands in class c = b + k - l.
+        row = np.convolve(gain, loss[::-1])
+        c0 = b + g_lo[b] - l_hi[b]
+        m[b, c0 : c0 + row.size] = row
     return m
 
 

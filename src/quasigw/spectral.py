@@ -55,9 +55,12 @@ def fitness_vector(params: ModelParams) -> np.ndarray:
 
 
 def mean_matrix(params: ModelParams, kernel: np.ndarray | None = None) -> np.ndarray:
-    """W(i, j) = A(i) * M(i, j); pass a precomputed kernel to skip rebuilding it."""
-    m = lumped_kernel_matrix(params) if kernel is None else np.asarray(kernel, dtype=float)
-    w = m.copy()
+    """W(i, j) = A(i) * M(i, j); pass a precomputed kernel to skip rebuilding it.
+
+    A kernel built here is scaled in place; a kernel passed in is copied and
+    left unchanged.
+    """
+    w = lumped_kernel_matrix(params) if kernel is None else np.array(kernel, dtype=float)
     w[0] *= params.sigma
     return w
 
@@ -72,7 +75,7 @@ def perron(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronPa
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"matrix must be square, got shape {w.shape}")
-    if np.any(w < 0):
+    if w.min() < 0:
         raise ValueError("matrix must be entrywise nonnegative")
     n = w.shape[0]
     v = np.full(n, 1.0 / n)
@@ -117,7 +120,7 @@ class BoundsReport:
 def perron_bounds_check(
     pair: PerronPair,
     params: ModelParams,
-    kernel: np.ndarray | None = None,
+    mean: np.ndarray | None = None,
     k_max: int = 10,
     rtol: float = 1e-11,
 ) -> BoundsReport:
@@ -129,15 +132,18 @@ def perron_bounds_check(
     max_{i>k} M(i,k) (upper bound, since the dropped rho mass is < 1).
     For q = 0 the brackets collapse to equalities, so the comparison
     allows a small slack proportional to lam.
+
+    Pass mean = mean_matrix(params) to reuse the matrix the Perron pair
+    came from; W(0,k) = sigma M(0,k) and W(i,k) = M(i,k) for i >= 1.
     """
-    m = lumped_kernel_matrix(params) if kernel is None else np.asarray(kernel, dtype=float)
+    w = mean_matrix(params) if mean is None else np.asarray(mean, dtype=float)
     lam = pair.lam
     rho = np.asarray(pair.rho, dtype=float)
     slack = rtol * max(1.0, lam)
     rows = []
     for k in range(min(k_max, params.ell) + 1):
-        lower = params.sigma * rho[0] * m[0, k] + float(rho[1 : k + 1] @ m[1 : k + 1, k])
-        above = m[k + 1 :, k]
+        lower = rho[0] * w[0, k] + float(rho[1 : k + 1] @ w[1 : k + 1, k])
+        above = w[k + 1 :, k]
         upper = lower + (float(above.max()) if above.size else 0.0)
         value = lam * rho[k]
         ok = (lower - slack <= value) and (value <= upper + slack)

@@ -1,10 +1,15 @@
 """Tests for the genotype-level mutation law and its class-level lumping."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
+from scipy.stats import binom
 
 from quasigw import (
     ModelParams,
@@ -35,6 +40,67 @@ def brute_force_class_row(u, params):
     for v in genotypes(params.ell, params.kappa):
         row[hamming_class(v)] += mutation_prob_genotype(u, v, params)
     return row
+
+
+def full_length_binom_pmf(n, p):
+    """Binomial(n, p) pmf on 0..n through log-gamma, with no window."""
+    if n == 0:
+        return np.ones(1)
+    if p == 0.0:
+        out = np.zeros(n + 1)
+        out[0] = 1.0
+        return out
+    k = np.arange(n + 1)
+    logpmf = (
+        gammaln(n + 1)
+        - gammaln(k + 1)
+        - gammaln(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+    return np.exp(logpmf)
+
+
+def full_length_pmfs(b, params):
+    """Full-length gain and loss pmfs of row b."""
+    gain = full_length_binom_pmf(params.ell - b, params.q)
+    loss = full_length_binom_pmf(b, params.q / (params.kappa - 1))
+    return gain, loss
+
+
+def full_length_kernel_row(b, params):
+    """Row b of the class kernel built from full-length pmfs.
+
+    Oracle for lumped_kernel_matrix: the same convolution over every
+    0..n, so it costs O(ell^2) per row and O(ell^3) per matrix.
+    """
+    gain, loss = full_length_pmfs(b, params)
+    return np.convolve(gain, loss[::-1])
+
+
+def exact_convolution_entry(b, c, params):
+    """Entry (b, c) of the full-length convolution, summed exactly.
+
+    The products of the float pmf values are summed as fractions and
+    rounded once, so no summation order enters.
+    """
+    gain, loss = full_length_pmfs(b, params)
+    total = sum(
+        Fraction(float(gain[k])) * Fraction(float(loss[k + b - c]))
+        for k in range(max(0, c - b), min(params.ell - b, c) + 1)
+    )
+    return float(total)
+
+
+def scipy_binom_kernel(params):
+    """Independent dense reference: scipy.stats.binom.pmf rows, convolved."""
+    ell, kappa, q = params.ell, params.kappa, params.q
+    m = np.empty((ell + 1, ell + 1))
+    for b in range(ell + 1):
+        gain = binom.pmf(np.arange(ell - b + 1), ell - b, q)
+        loss = binom.pmf(np.arange(b + 1), b, q / (kappa - 1))
+        m[b] = np.convolve(gain, loss[::-1])
+    return m
 
 
 class TestModelParams:
@@ -265,6 +331,67 @@ class TestLumpedKernelMatrix:
     def test_strictly_positive_inside_open_interval(self):
         p = ModelParams(sigma=2.0, ell=6, kappa=2, q=0.4)
         assert np.all(lumped_kernel_matrix(p) > 0.0)
+
+
+def assert_matches_full_length_rows(m, rows, params, rtol=1e-15):
+    """Rows of m equal the full-length oracle rows: same zero pattern, and
+    each nonzero entry within rtol, or at least as close to the exactly
+    summed value as the oracle is (both round ~10^3-term sums)."""
+    for b in rows:
+        ref = full_length_kernel_row(b, params)
+        assert np.array_equal(m[b] == 0.0, ref == 0.0), f"zero pattern differs in row {b}"
+        nz = np.flatnonzero(ref)
+        rel = np.abs(m[b, nz] - ref[nz]) / ref[nz]
+        for c in nz[rel > rtol]:
+            exact = exact_convolution_entry(b, c, params)
+            assert abs(m[b, c] - exact) <= abs(ref[c] - exact), (b, c, m[b, c], ref[c], exact)
+
+
+class TestKernelWindows:
+    """The windowed build against the full-length construction it replaces."""
+
+    @pytest.mark.parametrize("q", [1e-4, 1e-2, 0.1, 0.5])
+    @pytest.mark.parametrize("ell", [10, 100, 500, 2000])
+    def test_acceptance_grid_matches_full_length_build(self, ell, q):
+        p = ModelParams(sigma=2.0, ell=ell, kappa=2, q=q)
+        assert_matches_full_length_rows(lumped_kernel_matrix(p), range(ell + 1), p)
+
+    def test_long_sequence_rows_match_full_length_build(self):
+        ell = 5000
+        p = ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell)
+        rows = np.random.default_rng(5000).choice(ell + 1, size=18, replace=False)
+        assert_matches_full_length_rows(lumped_kernel_matrix(p), [0, ell, *rows.tolist()], p)
+
+    @pytest.mark.parametrize("q", [0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("ell", [300, 1000, 2000])
+    def test_end_rows_are_the_binomial_pmfs_bit_for_bit(self, ell, q):
+        """Rows 0 and ell convolve with a point mass, so they are the gain and
+        loss pmfs themselves, down to the last subnormal before underflow."""
+        p = ModelParams(sigma=2.0, ell=ell, kappa=3, q=q)
+        m = lumped_kernel_matrix(p)
+        assert np.array_equal(m[0], full_length_binom_pmf(ell, q))
+        assert np.array_equal(m[ell], full_length_binom_pmf(ell, q / 2)[::-1])
+
+    @pytest.mark.parametrize("kappa,q", [(2, 0.99), (4, 0.99), (3, 0.7)])
+    def test_high_mutation_rates_match_full_length_build(self, kappa, q):
+        p = ModelParams(sigma=2.0, ell=300, kappa=kappa, q=q)
+        assert_matches_full_length_rows(lumped_kernel_matrix(p), range(301), p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=400),
+        kappa=st.sampled_from([2, 3, 4]),
+        # scipy's binom.pmf raises OverflowError for some q near 1e-308
+        q=st.just(0.0) | st.floats(min_value=1e-300, max_value=0.99),
+    )
+    def test_matches_scipy_binomial_reference(self, ell, kappa, q):
+        p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
+        m = lumped_kernel_matrix(p)
+        ref = scipy_binom_kernel(p)
+        big = ref > 1e-300
+        assert np.all(np.abs(m[big] - ref[big]) <= 1e-11 * ref[big])
+        assert np.all(ref[m == 0.0] < 1e-300)
+        assert np.all(m[ref == 0.0] < 1e-300)
 
 
 class TestLimitKernel:

@@ -69,7 +69,9 @@ class TestMeanMatrix:
     def test_precomputed_kernel_shortcut(self):
         p = ModelParams(sigma=2.0, ell=4, kappa=2, q=0.2)
         m = lumped_kernel_matrix(p)
+        kept = m.copy()
         assert np.array_equal(mean_matrix(p, kernel=m), mean_matrix(p))
+        assert np.array_equal(m, kept)
 
 
 class TestPerron:
@@ -172,6 +174,12 @@ class TestPerronBoundsCheck:
         # identity kernel: the k=0 sandwich pins lambda*rho(0) = sigma*rho(0)
         row0 = report.rows[0]
         assert row0.value == pytest.approx(row0.lower, abs=1e-9)
+
+    def test_reuses_the_mean_matrix(self):
+        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
+        w = mean_matrix(p)
+        pair = perron(w)
+        assert perron_bounds_check(pair, p, mean=w) == perron_bounds_check(pair, p)
 
     def test_failure_injection(self):
         """A distorted eigenvector must be caught by at least one inequality."""
