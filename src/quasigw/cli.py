@@ -108,7 +108,6 @@ _TABLES = {
         "sigma": (float, _REQUIRED, "master-class fitness, > 1"),
         "a": (float, _REQUIRED, "mutation pressure"),
         "kmax": (int, 30, "evaluate classes 0..kmax"),
-        "tol": (float, 1e-15, "relative series truncation tolerance"),
         **_OUT_OPTS,
     },
     "converge": {
@@ -135,8 +134,9 @@ _TABLES = {
     },
     "extinction": {
         **_MODEL_OPTS,
-        "tol": (float, 1e-12, "fixed-point tolerance"),
-        "max_iter": (int, 10**5, "fixed-point iteration budget"),
+        "tol": (float, 1e-12, "Newton tolerance on the survival probabilities (absolute, "
+                              "on both the last step and the residual)"),
+        "max_iter": (int, 100, "Newton step budget"),
         "mc": (int, 0, "if > 0, Monte Carlo replicas per starting class"),
         "n_gens": (int, 100, "Monte Carlo horizon"),
         "escape_cap": (_big_int, 10**6, "population size at which a run counts as surviving"),
@@ -272,7 +272,7 @@ def cmd_perron(resolved: dict):
 def cmd_quasispecies(resolved: dict):
     qp = QuasispeciesParams(sigma=resolved["sigma"], a=resolved["a"])
     regime = classify_regime(qp)
-    kmax, tol = resolved["kmax"], resolved["tol"]
+    kmax = resolved["kmax"]
     columns = ["k", "closed_form", "recurrence", "abs_diff", "running_sum"]
     diagnostics = {"regime": regime.value, "threshold": qp.threshold}
     if regime is Regime.DISORDERED:
@@ -286,9 +286,9 @@ def cmd_quasispecies(resolved: dict):
             for k in range(kmax + 1)
         ]
         return columns, rows, diagnostics, 0
-    closed = [qs_pmf(qp, k, tol) for k in range(kmax + 1)]
+    closed = [qs_pmf(qp, k) for k in range(kmax + 1)]
     rec = qs_pmf_by_recurrence(qp, kmax)
-    partial, tail = qs_normalization_check(qp, kmax, tol)
+    partial, tail = qs_normalization_check(qp, kmax)
     rows = []
     running = 0.0
     for k in range(kmax + 1):
@@ -398,6 +398,7 @@ def cmd_extinction(resolved: dict):
     diagnostics = {"fixed_point_residual": residual}
     if resolved["mc"] > 0:
         columns += ["mc_freq", "mc_se"]
+        w = mean_matrix(params, kernel=kernel)
         for k in range(params.ell + 1):
             rep = extinction_mc(
                 params,
@@ -407,6 +408,7 @@ def cmd_extinction(resolved: dict):
                 escape_cap=resolved["escape_cap"],
                 seed=resolved["seed"],
                 stream=k,
+                mean=w,
             )
             rows[k]["mc_freq"] = rep.extinct_fraction
             rows[k]["mc_se"] = rep.se

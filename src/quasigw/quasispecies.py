@@ -60,48 +60,45 @@ def classify_regime(params: QuasispeciesParams) -> Regime:
     return Regime.QUASISPECIES if params.threshold > 1.0 else Regime.DISORDERED
 
 
-def _logaddexp(x: float, y: float) -> float:
-    if x < y:
-        x, y = y, x
-    if y == -math.inf:
-        return x
-    return x + math.log1p(math.exp(y - x))
+def _log_power_series(n: int, log_base: float) -> float:
+    """log of sum_{i >= 1} i^n * x^i with x = exp(-log_base), for log_base > 0.
 
+    Uses the closed form x * A_n(x) / (1 - x)^(n+1), where A_n is the
+    Eulerian polynomial, sum_m A(n, m) x^m over m < n (A_0 = 1).  The
+    Eulerian numbers come row by row from
 
-def _log_power_series(k: int, log_base: float, rel_tol: float) -> float:
-    """log of sum_{i >= 1} i^k * exp(-i * log_base), for log_base > 0.
+        A(j, m) = (m+1) A(j-1, m) + (j-m) A(j-1, m-1),
 
-    Terms are accumulated in log space.  Once the term ratio
-    ((i+1)/i)^k * exp(-log_base) falls below one it keeps falling, so the
-    remaining tail is dominated by a geometric series; the loop stops as
-    soon as that bound is below rel_tol times the partial sum.
+    in log space so that n > 170 does not overflow.  With the symmetry
+    A(j-1, m-1) = A(j-1, j-1-m), the second term is the first one read
+    backwards.  Every term is positive, so nothing cancels, and the cost
+    is O(n^2) whatever the base; a direct sum would need about
+    n / log_base terms, which grows without bound as the base nears 1.
     """
     if log_base <= 0.0:
         raise ValueError("series requires log_base > 0")
-    total = -math.inf
-    i = 0
-    while i < 50_000_000:
-        i += 1
-        total = _logaddexp(total, k * math.log(i) - i * log_base)
-        ratio = math.exp(k * math.log1p(1.0 / i) - log_base)
-        if ratio < 1.0:
-            log_next = k * math.log(i + 1) - (i + 1) * log_base
-            log_tail = log_next - math.log1p(-ratio)
-            if log_tail <= math.log(rel_tol) + total:
-                return total
-    raise RuntimeError("series failed to terminate; parameters out of sensible range")
+    log_m1 = np.log(np.arange(1, n + 1))  # log(m + 1) for m = 0..n-1
+    row = np.zeros(max(n, 1))  # log A(1, 0) in row[:1]; also stands for A_0 = 1
+    grown = np.full(max(n, 1), -np.inf)  # log((m+1) A(j-1, m)), -inf at m = j-1
+    for j in range(2, n + 1):
+        np.add(log_m1[: j - 1], row[: j - 1], out=grown[: j - 1])
+        np.logaddexp(grown[:j], grown[j - 1 :: -1], out=row[:j])
+    terms = row - log_base * np.arange(row.size)
+    top = float(terms.max())
+    log_eulerian = top + math.log(float(np.exp(terms - top).sum()))
+    return -log_base + log_eulerian - (n + 1) * math.log(-math.expm1(-log_base))
 
 
-def power_sigma_series(k: int, sigma: float, tol: float = 1e-15) -> float:
-    """sum_{i >= 1} i^k / sigma^i for sigma > 1, truncated at relative error tol."""
+def power_sigma_series(k: int, sigma: float) -> float:
+    """sum_{i >= 1} i^k / sigma^i for sigma > 1, in closed form."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if not sigma > 1.0:
         raise ValueError(f"series diverges unless sigma > 1, got {sigma}")
-    return math.exp(_log_power_series(k, math.log(sigma), tol))
+    return math.exp(_log_power_series(k, math.log(sigma)))
 
 
-def qs_pmf(params: QuasispeciesParams, k: int, tol: float = 1e-15) -> float:
+def qs_pmf(params: QuasispeciesParams, k: int) -> float:
     """Limiting probability of class k.
 
     Returns 0 for every k in the disordered regime.  The Poisson-like
@@ -118,7 +115,7 @@ def qs_pmf(params: QuasispeciesParams, k: int, tol: float = 1e-15) -> float:
         math.log(params.threshold - 1.0)
         + k * math.log(params.a)
         - math.lgamma(k + 1)
-        + _log_power_series(k, math.log(params.sigma), tol)
+        + _log_power_series(k, math.log(params.sigma))
     )
     return math.exp(log_val)
 
@@ -163,9 +160,7 @@ def qs_pmf_by_recurrence(params: QuasispeciesParams, k_max: int) -> np.ndarray:
     return pmf
 
 
-def qs_normalization_check(
-    params: QuasispeciesParams, k_max: int, tol: float = 1e-15
-) -> tuple[float, float]:
+def qs_normalization_check(params: QuasispeciesParams, k_max: int) -> tuple[float, float]:
     """(partial sum of the pmf up to k_max, analytic bound on the missing tail).
 
     Writing the tail as (sigma e^{-a} - 1) sum_i (sigma e^{-a})^{-i}
@@ -184,7 +179,7 @@ def qs_normalization_check(
     """
     if classify_regime(params) is Regime.DISORDERED:
         raise ValueError("normalization check applies to the quasispecies regime only")
-    partial = math.fsum(qs_pmf(params, k, tol) for k in range(k_max + 1))
+    partial = math.fsum(qs_pmf(params, k) for k in range(k_max + 1))
     if params.a == 0.0:
         return partial, 0.0
     a, thr = params.a, params.threshold
@@ -193,14 +188,14 @@ def qs_normalization_check(
         math.log(thr - 1.0)
         + n * math.log(a)
         - math.lgamma(n + 1)
-        + _log_power_series(n, math.log(thr), tol)
+        + _log_power_series(n, math.log(thr))
     )
     plain = math.exp(log_plain) if log_plain < 700.0 else math.inf
     i0 = max(1, math.floor(n / (2.0 * a)))
     log_chernoff = (
         math.log(thr - 1.0)
         + n * (1.0 + math.log(a) - math.log(n))
-        + _log_power_series(n, math.log(params.sigma), tol)
+        + _log_power_series(n, math.log(params.sigma))
     )
     chernoff = (math.exp(log_chernoff) if log_chernoff < 700.0 else math.inf) + thr**-i0
     return partial, min(plain, chernoff)

@@ -384,6 +384,7 @@ def extinction_mc(
     escape_cap: int = 10**6,
     seed: int = 0,
     stream: int = 0,
+    mean: np.ndarray | None = None,
 ) -> ExtinctionMCReport:
     """Fraction of replicas (one class-k founder each) that die out.
 
@@ -394,12 +395,15 @@ def extinction_mc(
     once its population reaches escape_cap (from that size, eventual
     extinction has negligible probability); replicas still undecided at
     the horizon are counted as survivors and reported.
+
+    Pass mean = mean_matrix(params) to amortize the kernel build across
+    calls.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if not 0 <= start_class <= params.ell:
         raise ValueError("start_class outside [0, ell]")
-    w = mean_matrix(params)
+    w = mean_matrix(params) if mean is None else mean
     rng = RngSpec(seed, stream).generator()
     z = np.zeros((n_replicas, params.ell + 1), dtype=np.int64)
     z[:, start_class] = 1

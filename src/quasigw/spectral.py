@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from .kernel import ModelParams, lumped_kernel_matrix
 
@@ -154,34 +156,63 @@ def perron_bounds_check(
 def extinction_probabilities(
     params: ModelParams,
     tol: float = 1e-12,
-    max_iter: int = 10**5,
+    max_iter: int = 100,
     kernel: np.ndarray | None = None,
 ) -> np.ndarray:
     """Extinction probability per starting class.
 
     The generating function of the class-k offspring vector is
     f_k(s) = exp(A(k) * (sum_l M(k,l) s(l) - 1)), and the extinction
-    vector is its minimal fixed point, reached by iterating from the
-    zero vector (the iterates increase monotonically).
+    vector s is its minimal fixed point.  It is computed through the
+    survival probabilities u = 1 - s, the maximal root in [0, 1] of
 
-    Near-critical classes converge slowly: stopping when successive
-    iterates differ by less than tol leaves those entries roughly
-    sqrt(2 * tol) short of 1, and reaching that point takes about
-    sqrt(2 / tol) iterations, so pick tol and max_iter together.
+        F(u) = u + expm1(-A * (M u)) = 0,
+
+    by Newton's method from u = 1: each step solves
+    (I - diag(A exp(-A M u)) M) delta = F(u) with one dense LU.  F is
+    convex and its Jacobian an M-matrix above the root, so the exact
+    iterates decrease monotonically to it and the number of steps does
+    not grow with closeness to criticality the way a fixed-point
+    iteration's does (Hautphenne, Latouche & Remiche 2008).
+
+    A class from which class 0 cannot be reached (at q = 0, every class
+    but class 0), and every class when sigma = 1, starts a critical
+    process that dies out surely: its u is 0 exactly, set before the
+    first step and never solved for (Etessami & Yannakakis 2009).
+    Iterates are clamped at 0, which removes only LU rounding on classes
+    whose survival probability is far below tol, and each step solves
+    only for the classes where u > 0.
+
+    Stops once both the last Newton step and the residual max|F(u)| are
+    at most tol, absolute in u; max_iter bounds the number of Newton
+    steps.  Survival probabilities much smaller than tol are accurate to
+    tol in absolute terms only.
     """
     m = lumped_kernel_matrix(params) if kernel is None else np.asarray(kernel, dtype=float)
     a = fitness_vector(params)
-    s = np.zeros(params.ell + 1)
-    diff = np.inf
-    for _ in range(max_iter):
-        s_next = np.exp(a * (m @ s - 1.0))
-        diff = float(np.max(np.abs(s_next - s)))
-        s = s_next
-        if diff < tol:
-            return s
+    u = np.zeros(params.ell + 1)
+    if params.sigma > 1.0:
+        u[breadth_first_order(csr_array(m.T), 0, return_predecessors=False)] = 1.0
+    step = residual = np.inf
+    for it in range(max_iter + 1):
+        mu = m @ u
+        f = u + np.expm1(-a * mu)
+        residual = float(np.max(np.abs(f)))
+        if residual <= tol and step <= tol:
+            return 1.0 - u
+        if it == max_iter:
+            break
+        live = np.flatnonzero(u)
+        # a plain copy is several times faster than the gather when all are live
+        jac = m.copy() if live.size == u.size else m[np.ix_(live, live)]
+        jac *= -(a[live] * np.exp(-a[live] * mu[live]))[:, None]
+        jac.flat[:: live.size + 1] += 1.0
+        u_live = np.maximum(u[live] - np.linalg.solve(jac, f[live]), 0.0)
+        step = float(np.max(np.abs(u_live - u[live]), initial=0.0))
+        u[live] = u_live
     raise ConvergenceError(
-        f"extinction fixed point not reached in {max_iter} iterations "
-        f"(last sup-change {diff:.3e})",
-        residual=diff,
+        f"extinction Newton iteration did not converge in {max_iter} steps "
+        f"(last residual {residual:.3e}, last step {step:.3e})",
+        residual=residual,
         iterations=max_iter,
     )

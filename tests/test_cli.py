@@ -12,6 +12,8 @@ import sys
 import numpy as np
 import pytest
 
+import quasigw.cli
+import quasigw.spectral
 from quasigw.cli import main
 
 LN2 = math.log(2.0)
@@ -307,17 +309,42 @@ class TestExtinctionCommand:
             p_fp, p_mc, se = float(r[1]), float(r[2]), float(r[3])
             assert abs(p_fp - p_mc) < 4.0 * se
 
-    def test_critical_classes_need_adjusted_budget(self, tmp_path, capsys):
-        # default tol/max_iter cannot resolve the critical q=0 classes
-        args = ["extinction", "--sigma", "2", "--ell", "2", "--q", "0"]
-        assert main(args) == 2
-        assert "iterations" in capsys.readouterr().err
+    def test_critical_classes_solved_at_defaults(self, tmp_path):
+        # at q = 0 classes k >= 1 never reach the master class: extinction is certain
         code, _, _, rows = run_csv(
-            [*args, "--tol", "1e-10", "--max-iter", "1000000"], tmp_path / "e.csv"
+            ["extinction", "--sigma", "2", "--ell", "2", "--q", "0"], tmp_path / "e.csv"
         )
         assert code == 0
-        assert float(rows[0][1]) == pytest.approx(0.2031878699799799, abs=1e-6)
-        assert float(rows[1][1]) > 0.9999
+        assert float(rows[0][1]) == pytest.approx(0.2031878699799799, abs=1e-12)
+        assert [float(r[1]) for r in rows[1:]] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("args", [
+        ["--sigma", "2", "--ell", "100", "--a", "0.69"],
+        ["--sigma", "2", "--ell", "200", "--a", "0.1"],
+    ])
+    def test_near_threshold_at_defaults(self, tmp_path, args):
+        code, meta, _, rows = run_csv(["extinction", *args], tmp_path / "e.csv")
+        assert code == 0
+        assert float(meta["diagnostics.fixed_point_residual"]) <= 1e-12
+        assert all(0.0 < float(r[1]) <= 1.0 for r in rows)
+
+    def test_mc_builds_the_kernel_once(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counting(params, _build=quasigw.spectral.lumped_kernel_matrix):
+            builds.append(params)
+            return _build(params)
+
+        monkeypatch.setattr(quasigw.cli, "lumped_kernel_matrix", counting)
+        monkeypatch.setattr(quasigw.spectral, "lumped_kernel_matrix", counting)
+        code, _, header, _ = run_csv(
+            ["extinction", "--sigma", "4", "--ell", "20", "--a", "0.6931",
+             "--mc", "10", "--n-gens", "5"],
+            tmp_path / "e.csv",
+        )
+        assert code == 0
+        assert header == ["k", "p_extinct", "mc_freq", "mc_se"]
+        assert len(builds) == 1
 
     def test_json_structure(self, tmp_path):
         code, doc = run_json(

@@ -1,6 +1,7 @@
 """Tests for the limiting class distribution and its two computation routes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from quasigw import (
     qs_pmf,
     qs_pmf_by_recurrence,
 )
+from quasigw.quasispecies import _log_power_series
 
 LN2 = math.log(2.0)
 
@@ -51,6 +53,28 @@ class TestParamsAndRegime:
         assert classify_regime(QuasispeciesParams(2.0, LN2)) is Regime.DISORDERED
 
 
+def exact_log_power_series(n, sigma):
+    """log of sum_{i >= 1} i^n / sigma^i for rational sigma, in exact arithmetic.
+
+    Oracle for the Eulerian closed form x A_n(x) / (1 - x)^(n+1) with
+    x = 1/sigma: the Eulerian numbers come from the explicit alternating
+    sum A(n, m) = sum_j (-1)^j C(n+1, j) (m+1-j)^n in integers, not from
+    the recurrence the package runs in floating point.
+    """
+    x = 1 / Fraction(sigma)
+    if n == 0:
+        value = x / (1 - x)
+    else:
+        eulerian = [
+            sum((-1) ** j * math.comb(n + 1, j) * (m + 1 - j) ** n for j in range(m + 1))
+            for m in range(n)
+        ]
+        value = x * sum(c * x**m for m, c in enumerate(eulerian)) / (1 - x) ** (n + 1)
+    # scale by a power of two before rounding, so the log keeps full precision
+    shift = value.numerator.bit_length() - value.denominator.bit_length()
+    return math.log(float(value / Fraction(2) ** shift)) + shift * math.log(2.0)
+
+
 class TestPowerSigmaSeries:
     """S_k(sigma) = sum_{i>=1} i^k sigma^{-i} against closed rational forms.
 
@@ -70,6 +94,16 @@ class TestPowerSigmaSeries:
         }
         for k, value in expected.items():
             assert power_sigma_series(k, s) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", ["1.00005", "1.001", "1.5", "4", "1000000"])
+    @pytest.mark.parametrize("n,rel", [(0, 1e-14), (1, 1e-14), (7, 3e-14), (31, 1e-13),
+                                       (171, 2e-12), (250, 2e-12)])
+    def test_matches_exact_closed_form(self, sigma, n, rel):
+        """Relative accuracy at bases close to 1, where a direct sum needs
+        about n / log(sigma) terms, and past n = 170, where n! overflows."""
+        sigma = float(sigma)
+        got = _log_power_series(n, math.log(sigma))  # the sum itself overflows past n ~ 150
+        assert abs(math.expm1(got - exact_log_power_series(n, Fraction(sigma)))) <= rel
 
     def test_brute_force_partial_sum(self):
         # direct summation oracle, long enough for the geometric tail to vanish

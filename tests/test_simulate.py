@@ -323,3 +323,9 @@ class TestExtinctionMC:
         a = extinction_mc(p, n_replicas=3000, seed=9)
         b = extinction_mc(p, n_replicas=3000, seed=9)
         assert a == b
+
+    def test_precomputed_mean_matrix(self):
+        p = ModelParams(sigma=2.0, ell=3, kappa=2, q=0.05)
+        a = extinction_mc(p, n_replicas=3000, start_class=1, seed=4)
+        b = extinction_mc(p, n_replicas=3000, start_class=1, seed=4, mean=mean_matrix(p))
+        assert a == b

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasigw import (
     ConvergenceError,
@@ -253,6 +255,45 @@ class TestExtinctionProbabilities:
         assert np.max(np.abs(np.exp(a * (m @ s - 1.0)) - s)) < 1e-12
 
     def test_nonconvergence_raises(self):
-        p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.0)
-        with pytest.raises(ConvergenceError):
-            extinction_probabilities(p, tol=1e-12, max_iter=100)
+        p = ModelParams(sigma=2.0, ell=10, kappa=2, q=0.05)
+        with pytest.raises(ConvergenceError) as err:
+            extinction_probabilities(p, tol=1e-12, max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-12
+
+    def test_q_zero_critical_classes_are_exact(self):
+        # classes k >= 1 cannot reach the master class at q = 0
+        s = extinction_probabilities(ModelParams(sigma=2.0, ell=2, kappa=2, q=0.0))
+        assert s[0] == pytest.approx(scalar_master_extinction(2.0), abs=1e-15)
+        assert np.all(s[1:] == 1.0)
+
+    @pytest.mark.parametrize("sigma,ell,a", [(2.0, 100, 0.69), (2.0, 200, 0.1), (4.0, 200, LN2)])
+    def test_near_critical_classes_at_defaults(self, sigma, ell, a):
+        """Instances the fixed-point iteration could not finish in 10^5 steps."""
+        p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
+        m = lumped_kernel_matrix(p)
+        s = extinction_probabilities(p, kernel=m)
+        u = 1.0 - s
+        assert np.max(np.abs(u + np.expm1(-fitness_vector(p) * (m @ u)))) <= 1e-12
+        assert np.all(np.diff(s) >= -1e-12)
+        assert 0.0 < s[0] < 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigma=st.floats(min_value=1.0, max_value=10.0),
+        ell=st.integers(min_value=1, max_value=60),
+        kappa=st.sampled_from([2, 3]),
+        q=st.just(0.0) | st.floats(min_value=1e-6, max_value=0.5),
+    )
+    def test_minimal_fixed_point_property(self, sigma, ell, kappa, q):
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
+        m = lumped_kernel_matrix(p)
+        a = fitness_vector(p)
+        s = extinction_probabilities(p, kernel=m)
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        assert np.max(np.abs(np.exp(a * (m @ s - 1.0)) - s)) <= 1e-12
+        # the fixed-point iterates from 0 increase to the minimal fixed point
+        lower = np.zeros(ell + 1)
+        for _ in range(200):
+            lower = np.exp(a * (m @ lower - 1.0))
+        assert np.all(s >= lower - 1e-12)
