@@ -36,6 +36,7 @@ from .spectral import (
     mean_matrix,
     perron,
     perron_bounds_check,
+    power_iteration,
 )
 from .quasispecies import (
     QuasispeciesParams,
@@ -83,6 +84,7 @@ __all__ = [
     "fitness_vector",
     "mean_matrix",
     "perron",
+    "power_iteration",
     "perron_bounds_check",
     "extinction_probabilities",
     "QuasispeciesParams",

@@ -99,8 +99,9 @@ _TABLES = {
     "kernel": {**_MODEL_OPTS, **_OUT_OPTS},
     "perron": {
         **_MODEL_OPTS,
-        "tol": (float, 1e-12, "relative convergence tolerance"),
-        "max_iter": (int, 10**6, "iteration budget"),
+        "tol": (float, 1e-12, "bound on the last Newton step in lambda and on the residual "
+                              "||rho W - lambda rho||_1, both relative to lambda"),
+        "max_iter": (int, 100, "Newton step budget (one banded elimination each)"),
         "k_report": (int, 10, "report classes 0..k_report"),
         **_OUT_OPTS,
     },
@@ -116,8 +117,9 @@ _TABLES = {
         "kappa": (int, 2, "alphabet size, >= 2"),
         "ell_grid": (_int_list, _REQUIRED, "comma-separated sequence lengths"),
         "k_report": (int, 5, "compare classes 0..k_report"),
-        "tol": (float, 1e-12, "power iteration tolerance"),
-        "max_iter": (int, 10**6, "power iteration budget"),
+        "tol": (float, 1e-12, "Perron solve tolerance per length: bound on the last Newton "
+                              "step and on the residual, relative to lambda"),
+        "max_iter": (int, 100, "Newton step budget per length"),
         **_OUT_OPTS,
     },
     "simulate": {
@@ -129,7 +131,6 @@ _TABLES = {
         "n_replicas": (int, 200, "replicas (frequencies mode)"),
         "pop_cap": (_big_int, 10**12, "stop a run once the population exceeds this"),
         "seed": (int, 0, "master seed"),
-        "threads": (int, 1, "worker threads (frequencies mode)"),
         **_OUT_OPTS,
     },
     "extinction": {
@@ -252,7 +253,7 @@ def cmd_kernel(resolved: dict):
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
     w = mean_matrix(params)
-    pair = perron(w, resolved["tol"], resolved["max_iter"])
+    pair = perron(params, mean=w, tol=resolved["tol"], max_iter=resolved["max_iter"])
     bounds = perron_bounds_check(pair, params, mean=w, k_max=resolved["k_report"])
     identity_gap = abs(pair.lam - ((params.sigma - 1.0) * float(pair.rho[0]) + 1.0))
     k_top = min(resolved["k_report"], params.ell)
@@ -261,6 +262,7 @@ def cmd_perron(resolved: dict):
     diagnostics = {
         "lambda": pair.lam,
         "residual": pair.residual,
+        "method": pair.method,
         "iterations": pair.iterations,
         "identity_gap": identity_gap,
         "lambda_in_range": bool(1.0 < pair.lam < params.sigma),
@@ -321,25 +323,28 @@ def cmd_converge(resolved: dict):
         raise ValueError("--ell-grid must list at least one length")
     k_top = min(resolved["k_report"], min(grid))
     q_limit = [qs_pmf(qp, k) for k in range(k_top + 1)]
-    columns = ["ell", "q", "lambda", "lambda_gap"]
+    columns = ["ell", "q", "lambda", "lambda_gap", "iterations"]
     columns += [f"rho{k}" for k in range(k_top + 1)]
     columns += [f"gap{k}" for k in range(k_top + 1)]
     rows = []
     for ell in grid:
         params = ModelParams(sigma=resolved["sigma"], ell=ell, kappa=resolved["kappa"],
                              q=resolved["a"] / ell)
-        pair = perron(mean_matrix(params), resolved["tol"], resolved["max_iter"])
+        pair = perron(params, mean=mean_matrix(params), tol=resolved["tol"],
+                      max_iter=resolved["max_iter"])
         row = {
             "ell": ell,
             "q": params.q,
             "lambda": pair.lam,
             "lambda_gap": abs(pair.lam - lam_limit),
+            "iterations": pair.iterations,
         }
         for k in range(k_top + 1):
             row[f"rho{k}"] = float(pair.rho[k])
             row[f"gap{k}"] = abs(float(pair.rho[k]) - q_limit[k])
         rows.append(row)
-    diagnostics = {"regime": regime.value, "threshold": qp.threshold, "lambda_limit": lam_limit}
+    diagnostics = {"regime": regime.value, "threshold": qp.threshold, "lambda_limit": lam_limit,
+                   "method": pair.method}
     return columns, rows, diagnostics, 0
 
 
@@ -372,7 +377,6 @@ def cmd_simulate(resolved: dict):
         n_replicas=resolved["n_replicas"],
         seed=resolved["seed"],
         pop_cap=resolved["pop_cap"],
-        n_threads=resolved["threads"],
     )
     columns = ["k", "mean_freq", "se"]
     rows = [

@@ -34,6 +34,7 @@ __all__ = [
     "mutation_prob_genotype",
     "lumped_kernel_entry",
     "lumped_kernel_matrix",
+    "kernel_band",
     "limit_kernel",
 ]
 
@@ -185,22 +186,28 @@ _LOG_UNDERFLOW = -746.0
 _PAD = 16
 
 
-def _binom_windows(n: np.ndarray, p: float, log_fact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ends lo, hi of the windows of the Binomial(n[i], p) pmfs, padded by _PAD.
+def _binom_windows(
+    n: np.ndarray,
+    p: float,
+    log_fact: np.ndarray,
+    log_min: float = _LOG_UNDERFLOW,
+    pad: int = _PAD,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ends lo, hi of the windows of the Binomial(n[i], p) pmfs, padded by pad.
 
-    The window is the set where logpmf >= _LOG_UNDERFLOW, outside of which
-    exp(logpmf) is 0.0.  The pmf is unimodal, so that set is an interval
-    around the mode, and each end is found by bisection on its monotone
-    side, for all rows at once.
+    The window is the set where logpmf >= log_min (by default the set
+    outside of which exp(logpmf) is 0.0).  The pmf is unimodal, so that
+    set is an interval around the mode, and each end is found by bisection
+    on its monotone side, for all rows at once.
     """
-    if p == 0.0 or n.max() <= _PAD:
+    if p == 0.0 or n.max() <= pad:
         # A point mass at 0, or rows the padding covers whole.
-        return np.zeros_like(n), np.minimum(_PAD, n)
+        return np.zeros_like(n), np.minimum(pad, n)
     log_p, log_1mp = math.log(p), math.log1p(-p)
 
     def inside(k):
         logpmf = log_fact[n] - log_fact[k] - log_fact[n - k] + k * log_p + (n - k) * log_1mp
-        return logpmf >= _LOG_UNDERFLOW
+        return logpmf >= log_min
 
     mode = np.minimum(np.floor((n + 1) * p).astype(n.dtype), n)
     # Invariant: hi is inside, out > hi is not (out = n + 1 is past the end).
@@ -215,7 +222,30 @@ def _binom_windows(n: np.ndarray, p: float, log_fact: np.ndarray) -> tuple[np.nd
         mid = (lo + out + 1) // 2
         keep = inside(mid)
         lo, out = np.where(keep, mid, lo), np.where(keep, out, mid)
-    return np.maximum(lo - _PAD, 0), np.minimum(hi + _PAD, n)
+    return np.maximum(lo - pad, 0), np.minimum(hi + pad, n)
+
+
+# Kernel entries below this (the square root of the smallest normal float)
+# are left out of the band: products of two of them are subnormal or zero.
+BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
+def kernel_band(params: ModelParams, floor: float = BAND_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+    """Column range lo[b]..hi[b] of row b of the class kernel holding every entry >= floor.
+
+    M(b, c) sums at most ell + 1 products P(G = k) P(L = l) with k - l = c - b
+    (see lumped_kernel_matrix), so an entry >= floor has a term >= floor /
+    (ell + 1), and both its factors are at least that.  The range is read
+    off the windows of the two pmfs at that level, in O(ell log ell)
+    without building the kernel.
+    """
+    ell, kappa, q = params.ell, params.kappa, params.q
+    log_min = math.log(floor) - math.log(ell + 1)
+    log_fact = gammaln(np.arange(ell + 1) + 1)
+    classes = np.arange(ell + 1)
+    g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min, pad=0)
+    l_lo, l_hi = _binom_windows(classes, q / (kappa - 1), log_fact, log_min, pad=0)
+    return classes + g_lo - l_hi, classes + g_hi - l_lo
 
 
 def _binom_window_pmf(n: int, p: float, lo: int, hi: int, log_fact: np.ndarray) -> np.ndarray:

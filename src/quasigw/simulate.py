@@ -12,14 +12,12 @@ compares the two routes empirically.
 
 Randomness comes from numpy Generators.  ``RngSpec(master_seed, stream)``
 derives statistically independent, byte-reproducible streams, one per
-replica, so parallel replicas aggregate to the same result in any
-execution order.
+replica.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,15 +240,13 @@ def conditioned_frequencies(
     n_replicas: int,
     seed: int = 0,
     pop_cap: int = 10**12,
-    n_threads: int = 1,
 ) -> FrequencyEstimate:
     """Class frequencies at the horizon, averaged over surviving replicas.
 
     Replica i runs on the stream RngSpec(seed, i), so the estimate is
-    reproducible and independent of how replicas are scheduled.  A
-    replica counts as surviving when it is not extinct by n_gens; a
-    capped replica contributes the frequencies of its last recorded
-    generation.  Raises AllExtinctError when no replica survives (use a
+    reproducible.  A replica counts as surviving when it is not extinct by
+    n_gens; a capped replica contributes the frequencies of its last
+    recorded generation.  Raises AllExtinctError when no replica survives (use a
     larger starting population or more replicas).
     """
     if n_replicas < 1:
@@ -265,13 +261,7 @@ def conditioned_frequencies(
         final = t.counts[-1].astype(float)
         return final / final.sum()
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(one, range(n_replicas)))
-    else:
-        results = [one(i) for i in range(n_replicas)]
-
-    rows = [r for r in results if r is not None]
+    rows = [r for r in map(one, range(n_replicas)) if r is not None]
     if not rows:
         raise AllExtinctError(
             f"all {n_replicas} replicas extinct by generation {n_gens}; "

@@ -9,13 +9,15 @@ class-frequency profile on survival.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order
+from scipy.special import gammaln
 
-from .kernel import ModelParams, lumped_kernel_matrix
+from .kernel import BAND_FLOOR, ModelParams, kernel_band, lumped_kernel_matrix
 
 __all__ = [
     "ConvergenceError",
@@ -25,9 +27,19 @@ __all__ = [
     "fitness_vector",
     "mean_matrix",
     "perron",
+    "power_iteration",
     "perron_bounds_check",
     "extinction_probabilities",
 ]
+
+
+# Smallest block of the banded elimination: fewer, larger blocks when the
+# band is narrow (q near 0).
+_MIN_BLOCK = 16
+# lam is kept this many ulps of 1 above the Perron root of the class kernel.
+_FLOOR_ULPS = 16
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class ConvergenceError(RuntimeError):
@@ -47,6 +59,7 @@ class PerronPair:
     rho: np.ndarray
     residual: float
     iterations: int
+    method: str
 
 
 def fitness_vector(params: ModelParams) -> np.ndarray:
@@ -67,12 +80,15 @@ def mean_matrix(params: ModelParams, kernel: np.ndarray | None = None) -> np.nda
     return w
 
 
-def perron(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronPair:
+def power_iteration(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronPair:
     """Left power iteration for the Perron eigenpair of a nonnegative matrix.
 
     Starts from the uniform distribution, renormalizes in 1-norm each
     step, and stops once both the change in the eigenvalue estimate and
     the residual ||rho W - lam rho||_1 drop below tol (relative to lam).
+    The number of steps grows like 1 / log(lam / |lam_2|), so near the
+    survival threshold it takes thousands; ``perron`` is the solver for
+    the model's mean matrix, and this generic one is kept as its oracle.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -90,7 +106,8 @@ def perron(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronPa
             raise ValueError("power iteration hit a zero vector; matrix has a zero row sum")
         residual = float(np.abs(y - lam * v).sum())
         if residual < tol * lam and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return PerronPair(lam=lam, rho=v, residual=residual, iterations=it)
+            return PerronPair(lam=lam, rho=v, residual=residual, iterations=it,
+                              method="power iteration")
         lam_prev = lam
         v = y / lam
     raise ConvergenceError(
@@ -99,6 +116,285 @@ def perron(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronPa
         residual=residual,
         iterations=max_iter,
     )
+
+
+def _log_stationary_law(params: ModelParams) -> np.ndarray:
+    """Log pmf of Binomial(ell, 1 - 1/kappa), the stationary law of the class kernel."""
+    ell, kappa = params.ell, params.kappa
+    j = np.arange(ell + 1)
+    log_fact = gammaln(j + 1.0)
+    return (log_fact[ell] - log_fact - log_fact[::-1]
+            + j * math.log(kappa - 1) - ell * math.log(kappa))
+
+
+def _secular_root(params: ModelParams, log_p: np.ndarray, lo: float, hi: float) -> float:
+    """Root mu = lam - 1 in [lo, hi] of the closed-form secular equation.
+
+    Loci mutate independently, so (M^n)(0,0) = (1/kappa + (1 - 1/kappa)
+    theta^n)^ell with theta = 1 - q kappa / (kappa - 1), and
+
+        [r (lam I - M)^-1]_0 = sum_j p_j theta^j / (1 + mu - theta^j),
+
+    p_j = exp(log_p[j]) the stationary law.  For theta > 0, the only case
+    this is called for, every term is positive and the sum phi(mu)
+    decreases from +inf at mu = 0; lam solves (sigma - 1) phi = 1.  Newton
+    runs on 1 / phi - (sigma - 1), which the pole at mu = 0 makes nearly
+    linear, inside the bracket [lo, hi] (bisection when a step leaves it).
+    Returns lo when the root lies at or below lo.  Costs O(ell) per step.
+    """
+    kappa, q, sigma = params.kappa, params.q, params.sigma
+    jt = np.arange(1, params.ell + 1) * math.log1p(-q * kappa / (kappa - 1))
+    weight = np.exp(log_p[1:] + jt)            # p_j theta^j, j >= 1
+    gap = -np.expm1(jt)                        # 1 - theta^j
+
+    def excess(mu):  # 1 / phi - (sigma - 1) and its derivative; increasing in mu
+        d = mu + gap
+        pole = math.exp(log_p[0] - math.log(mu))
+        phi = pole + float(np.sum(weight / d))
+        if phi == 0.0:  # every term underflows: the root lies far below mu
+            return math.inf, 1.0
+        slope = pole / mu + float(np.sum(weight / (d * d)))
+        return 1.0 / phi - (sigma - 1.0), slope / phi / phi
+
+    mu = lo
+    g, dg = excess(mu)
+    if g >= 0.0:
+        return lo
+    for _ in range(200):
+        if g < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        new = mu - g / dg
+        if not lo <= new <= hi:
+            new = math.sqrt(lo * hi)
+        if abs(new - mu) <= 4 * _EPS * new:
+            return new
+        mu = new
+        g, dg = excess(mu)
+    return mu
+
+
+class _BandSolver:
+    """Solves x A = b for A = (1 + mu) I - M, M the class kernel read from W.
+
+    M is banded (``kernel_band``), so A is block tridiagonal for blocks as
+    wide as the band.  ``factor`` runs block LU without pivoting across
+    blocks (numpy.linalg inverts each pivot block) and keeps the inverse
+    pivot blocks, about (ell + 1) x block width floats; ``solve`` then
+    costs two sweeps of block products.  Kernel entries below BAND_FLOOR
+    are left out: their products are subnormal or zero and slow to form.
+    """
+
+    def __init__(self, params: ModelParams, w: np.ndarray):
+        lo, hi = kernel_band(params)
+        classes = np.arange(params.ell + 1)
+        width = max(int(np.max(classes - lo)), int(np.max(hi - classes)), _MIN_BLOCK)
+        self.n = params.ell + 1
+        self.edges = list(range(0, self.n, width)) + [self.n]
+        self.w, self.sigma = w, params.sigma
+        self.inv: list[np.ndarray] = []
+        n_blocks = len(self.edges) - 1
+        self.row_excess = np.concatenate([
+            sum(self.block(i, k, raw=True).sum(axis=1)
+                for k in range(max(i - 1, 0), min(i + 2, n_blocks)))
+            for i in range(n_blocks)
+        ]) - 1.0
+
+    def block(self, i: int, k: int, raw: bool = False) -> np.ndarray:
+        """Block (i, k) of M; unless raw, with entries below BAND_FLOOR set to 0.
+
+        The matrix products of ``factor`` need the zeros (products of the
+        tiny entries are subnormal and slow); the vector products of
+        ``solve`` are faster on the plain view.
+        """
+        e = self.edges
+        b = self.w[e[i] : e[i + 1], e[k] : e[k + 1]]
+        if not raw:
+            b = np.where(b >= BAND_FLOOR, b, 0.0)
+        elif i == 0:
+            b = b.copy()
+        if i == 0:
+            b[0] /= self.sigma
+        return b
+
+    def factor(self, mu: float) -> None:
+        self.inv = []
+        for i in range(len(self.edges) - 1):
+            t = -self.block(i, i)
+            t.flat[:: t.shape[0] + 1] += 1.0 + mu
+            if i:
+                t -= self.block(i, i - 1) @ (self.inv[-1] @ self.block(i - 1, i))
+            inv = np.linalg.inv(t)
+            inv[np.abs(inv) < BAND_FLOOR] = 0.0
+            self.inv.append(inv)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with x A = b, from the last factor()."""
+        e, n_blocks = self.edges, len(self.edges) - 1
+        x = np.empty(self.n)
+        v = np.zeros(0)
+        for i in range(n_blocks):
+            rhs = b[e[i] : e[i + 1]].copy()
+            if i:
+                rhs += v @ self.block(i - 1, i, raw=True)   # A(i-1, i) = -M(i-1, i)
+            v = rhs @ self.inv[i]
+            x[e[i] : e[i + 1]] = v
+        for i in range(n_blocks - 2, -1, -1):
+            below = x[e[i + 1] : e[i + 2]] @ self.block(i + 1, i, raw=True)
+            x[e[i] : e[i + 1]] += below @ self.inv[i]
+        return x
+
+
+def perron(
+    params: ModelParams,
+    mean: np.ndarray | None = None,
+    tol: float = 1e-12,
+    max_iter: int = 100,
+) -> PerronPair:
+    """Perron eigenvalue and left eigenvector of the mean matrix W.
+
+    W = M + (sigma - 1) e_0 r with r = M(0, :) and M the stochastic class
+    kernel, so from rho W = lam rho, rho is proportional to
+    x = r (lam I - M)^-1 and lam is the root in (1, sigma] of the secular
+    equation f(lam) = (sigma - 1) x_0 - 1 = 0 (Golub 1973).  f decreases
+    in lam, and its root does not get harder to find as the spectral gap
+    closes near the threshold sigma e^-a = 1.
+
+    lam starts at the root of the closed-form secular equation
+    (``_secular_root``); for q >= (kappa - 1) / kappa its terms alternate
+    in sign and lam starts at sigma instead.  Newton steps on the
+    numerical kernel refine it: each factors lam I - M once by banded
+    block elimination (``_BandSolver``) and gives x and
+    y = x (lam I - M)^-1 = -dx/dlam; the step is delta = f x_0 / y_0
+    (Newton on 1 / x_0), kept inside the bracket the signs of f give
+    (bisection otherwise), and the new pair is lam + delta with rho
+    proportional to x - delta y.
+
+    lam is kept above a floor: the Perron root of M, 1 + pi (s - 1) to
+    first order (pi the stationary law, s the row sums, which rounding
+    leaves off 1 by up to ~1e-11), plus a few ulps.  Above it lam I - M
+    is a nonsingular M-matrix, so elimination without pivoting is stable.
+    In the disordered regime lam - 1 can lie far below the spacing of
+    floats at 1, and the root below the floor; then rho comes from
+    inverse iteration at the floor (``_below_floor``, at most max_iter
+    solves) and lam from the identity lam = (Perron root of M) +
+    (sigma - 1) rho_0.
+
+    Stops once |delta| <= tol * lam, |delta| ||y||_1 <= ||x||_1 / 2 (the
+    step stays within half the distance to the pole of x, about
+    ||x|| / ||y||, where x - delta y is a first-order update), and the
+    residual ||rho W - lam rho||_1 against the full W is at most
+    tol * lam.  max_iter bounds the number of Newton steps
+    (eliminations), which ``iterations`` reports; a step too small to
+    change lam in floating point also ends the solve.  Pass
+    mean = mean_matrix(params) to reuse it.  Working set: W plus
+    O(ell x band width).
+    """
+    w = mean_matrix(params) if mean is None else np.asarray(mean, dtype=float)
+    if w.shape != (params.ell + 1, params.ell + 1):
+        raise ValueError(f"mean matrix must be {params.ell + 1} x {params.ell + 1}, got {w.shape}")
+    sigma = params.sigma
+    band = _BandSolver(params, w)
+    log_pi = _log_stationary_law(params)
+    pole = float(np.exp(log_pi) @ band.row_excess)
+    margin = _FLOOR_ULPS * _EPS
+    floor = lo = pole + margin
+    hi = max(sigma - 1.0, lo)
+    if params.q * params.kappa < params.kappa - 1:
+        # the closed form's pole is at mu = 0, the numerical kernel's at pole
+        mu = min(pole + _secular_root(params, log_pi, margin, hi - pole), hi)
+    else:
+        mu = hi
+    r = w[0] / sigma
+    step = residual = np.inf
+    it = 0
+
+    def residual_of(v, lam):
+        rho = v / v.sum()
+        return rho, float(np.abs(rho @ w - lam * rho).sum())
+
+    while it < max_iter:
+        it += 1
+        band.factor(mu)
+        lam_x = 1.0 + mu
+        x = band.solve(r)
+        y = band.solve(x)
+        f = (sigma - 1.0) * float(x[0]) - 1.0
+        if f > 0.0:
+            lo = mu
+        else:
+            hi = mu
+        if hi == floor:
+            rho = _below_floor(band, x, y, params, margin, max_iter)
+            lam = 1.0 + pole + (sigma - 1.0) * float(rho[0])
+            rho, residual = residual_of(rho, lam)
+            if residual <= tol * lam:
+                return PerronPair(lam=lam, rho=rho, residual=residual, iterations=it,
+                                  method="secular Newton, stationary limit")
+            break
+        new = mu + f * float(x[0] / y[0]) if sigma > 1.0 else floor
+        if new <= lo and lo == floor:
+            new = floor
+        elif not lo <= new <= hi:
+            new = pole + math.sqrt((lo - pole) * (hi - pole))
+        step = new - mu
+        lam = 1.0 + new
+        residual = np.inf
+        # Within half the distance to the pole of x (about ||x|| / ||y||),
+        # x - step y is x at the new lam to first order, >= 0 up to rounding
+        # in entries far below the largest.
+        if abs(step) <= tol * lam and 2.0 * abs(step) * y.sum() <= x.sum():
+            rho, residual = residual_of(np.maximum(x - step * y, 0.0), lam)
+            if residual <= tol * lam:
+                return PerronPair(lam=lam, rho=rho, residual=residual, iterations=it,
+                                  method="secular Newton")
+        if lam == lam_x:
+            break   # the next elimination would repeat this one
+        mu = new
+    if it and math.isinf(residual):
+        residual = residual_of(x, lam_x)[1]
+    raise ConvergenceError(
+        f"Perron Newton iteration did not converge in {it} steps "
+        f"(last residual {residual:.3e}, last step {step:.3e})",
+        residual=residual,
+        iterations=it,
+    )
+
+
+def _below_floor(band: _BandSolver, x: np.ndarray, y: np.ndarray, params: ModelParams,
+                 margin: float, max_solves: int) -> np.ndarray:
+    """Perron vector of W when lam lies within the floor's margin of M's Perron root.
+
+    band is factored at the floor, where x = c pi + T: pi the Perron vector
+    of M, c = 1 / (floor - its root) = 1 / margin, T the transient, which
+    sums to about 0.  At the true lam, c is far larger still.  Inverse
+    iteration from y gives pi: each solve multiplies the transient's share
+    by at most margin / gap, gap = 1 - |theta| the spectral gap of M, so a
+    fixed number of solves takes it below the smallest normal float.  The
+    secular equation (sigma - 1) x_0 = 1 at the true lam then fixes how
+    much transient is left: rho = pi + k T with
+    k = (sigma - 1) pi_0 / (1 - (sigma - 1) T_0), which matters only in
+    the lowest classes, where pi is as small as k T.
+    """
+    sigma, kappa = params.sigma, params.kappa
+    gap = 1.0 - abs(1.0 - params.q * kappa / (kappa - 1))
+    pi = y / y.sum()
+    if gap > 0.0:   # else M = I, and pi = e_0 already
+        ratio = margin / gap
+        n_solves = math.ceil(math.log(_TINY) / math.log(ratio)) if ratio < 0.5 else math.inf
+        if n_solves > max_solves:
+            raise ConvergenceError(
+                f"the kernel's spectral gap {gap:.3e} needs {n_solves} inverse-iteration "
+                f"solves to separate its Perron vector, more than {max_solves}",
+                iterations=max_solves,
+            )
+        for _ in range(n_solves):
+            pi = band.solve(pi)
+            pi /= pi.sum()
+    t = x - x.sum() * pi
+    k = (sigma - 1.0) * pi[0] / (1.0 - (sigma - 1.0) * t[0])
+    return np.maximum(pi + k * t, 0.0)
 
 
 @dataclass(frozen=True)

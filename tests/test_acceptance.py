@@ -83,7 +83,7 @@ def test_03_perron_identity():
     worst_gap = 0.0
     in_range = True
     for sigma, ell, q in grid:
-        pair = perron(mean_matrix(ModelParams(sigma=sigma, ell=ell, kappa=2, q=q)))
+        pair = perron(ModelParams(sigma=sigma, ell=ell, kappa=2, q=q))
         worst_gap = max(worst_gap, abs(pair.lam - ((sigma - 1.0) * pair.rho[0] + 1.0)))
         in_range = in_range and (1.0 < pair.lam < sigma)
     ok = worst_gap < 1e-8 and in_range
@@ -98,7 +98,7 @@ def test_04_limit_law_quasispecies_regime():
     limit = np.array([qs_pmf(p_lim, k) for k in range(6)])
     gaps, lam = {}, {}
     for ell in (100, 300, 1000):
-        pair = perron(mean_matrix(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell)))
+        pair = perron(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell))
         gaps[ell] = float(np.max(np.abs(pair.rho[:6] - limit)))
         lam[ell] = pair.lam
     decreasing = gaps[1000] < gaps[300] < gaps[100]
@@ -114,7 +114,7 @@ def test_05_limit_law_disordered_regime():
     a = 2.0 * LN2
     low_mass, lam, rho0 = {}, {}, {}
     for ell in (100, 300, 1000):
-        pair = perron(mean_matrix(ModelParams(sigma=2.0, ell=ell, kappa=2, q=a / ell)))
+        pair = perron(ModelParams(sigma=2.0, ell=ell, kappa=2, q=a / ell))
         low_mass[ell] = float(pair.rho[:6].max())
         lam[ell] = pair.lam
         rho0[ell] = float(pair.rho[0])
@@ -209,7 +209,7 @@ def test_10_extinction_probability():
 
 def test_11_conditioned_frequencies():
     p = ModelParams(sigma=10.0, ell=50, kappa=2, q=LN2 / 50)
-    pair = perron(mean_matrix(p))
+    pair = perron(p)
     z0 = np.zeros(51, dtype=np.int64)
     z0[0] = 100
     est = conditioned_frequencies(p, z0, n_gens=12, n_replicas=200, seed=0)

@@ -168,7 +168,7 @@ class TestPerronCommand:
 
     def test_nonconvergence_exit_code(self, capsys):
         code = main(
-            ["perron", "--sigma", "4", "--ell", "50", "--q", "0.01", "--max-iter", "2"]
+            ["perron", "--sigma", "3", "--ell", "30", "--q", "0.8", "--max-iter", "2"]
         )
         assert code == 2
         assert "converge" in capsys.readouterr().err.lower()
@@ -279,18 +279,6 @@ class TestSimulateCommand:
             l for l in p.read_text().splitlines()
             if "duration_s" not in l and "config.out" not in l
         ]
-        assert strip(out1) == strip(out2)
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        base = [
-            "simulate", "--sigma", "10", "--ell", "10", "--a", "0.2",
-            "--mode", "frequencies", "--n-gens", "5", "--n-replicas", "12",
-            "--seed", "5",
-        ]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main([*base, "--threads", "1", "--out", str(out1)]) == 0
-        assert main([*base, "--threads", "4", "--out", str(out2)]) == 0
-        strip = lambda p: [l for l in p.read_text().splitlines() if "duration" not in l and "threads" not in l]
         assert strip(out1) == strip(out2)
 
 

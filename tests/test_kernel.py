@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom
 
+from quasigw.kernel import BAND_FLOOR, kernel_band
 from quasigw import (
     ModelParams,
     class_size,
@@ -392,6 +393,31 @@ class TestKernelWindows:
         assert np.all(np.abs(m[big] - ref[big]) <= 1e-11 * ref[big])
         assert np.all(ref[m == 0.0] < 1e-300)
         assert np.all(m[ref == 0.0] < 1e-300)
+
+
+class TestKernelBand:
+    """The band the Perron solver eliminates in, read off the pmf windows."""
+
+    @pytest.mark.parametrize("q", [1e-4, 1e-2, 0.1, 0.5])
+    @pytest.mark.parametrize("ell", [10, 100, 500, 2000])
+    def test_covers_every_entry_above_the_floor(self, ell, q):
+        p = ModelParams(sigma=2.0, ell=ell, kappa=2, q=q)
+        m = lumped_kernel_matrix(p)
+        lo, hi = kernel_band(p)
+        rows, cols = np.nonzero(m >= BAND_FLOOR)
+        assert np.all((lo[rows] <= cols) & (cols <= hi[rows]))
+        assert np.all((0 <= lo) & (lo <= hi) & (hi <= ell))
+
+    def test_band_is_narrow_at_fixed_mutation_pressure(self):
+        """At a = ln 2 the band stays about +-90 wide as ell grows."""
+        for ell in (1000, 5000):
+            lo, hi = kernel_band(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell))
+            classes = np.arange(ell + 1)
+            assert max(np.max(classes - lo), np.max(hi - classes)) < 100
+
+    def test_q_zero_band_is_the_diagonal(self):
+        lo, hi = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))
+        assert np.array_equal(lo, np.arange(8)) and np.array_equal(hi, np.arange(8))
 
 
 class TestLimitKernel:

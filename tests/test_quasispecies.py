@@ -11,7 +11,6 @@ from quasigw import (
     QuasispeciesParams,
     Regime,
     classify_regime,
-    mean_matrix,
     perron,
     power_sigma_series,
     qs_normalization_check,
@@ -228,7 +227,7 @@ class TestSpectralBridge:
         gaps = []
         for ell in (100, 300, 1000):
             p = ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell)
-            pair = perron(mean_matrix(p))
+            pair = perron(p)
             gaps.append(np.max(np.abs(pair.rho[:11] - limit)))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 0.01

@@ -226,7 +226,7 @@ class TestRunTrajectory:
     def test_growth_rate_matches_eigenvalue(self):
         """log-population increments track log(lambda) once transients pass."""
         p = ModelParams(sigma=10.0, ell=50, kappa=2, q=LN2 / 50)
-        lam = perron(mean_matrix(p)).lam
+        lam = perron(p).lam
         t = run_trajectory(e0_start(50, 100), p, 12, RngSpec(0, 0).generator())
         assert not t.extinct and not t.capped
         slope = np.diff(np.log(t.totals[2:].astype(float))).mean()
@@ -260,7 +260,7 @@ class TestConditionedFrequencies:
     def test_matches_perron_vector(self):
         """Survivor-averaged frequencies approach the eigenvector profile."""
         p = ModelParams(sigma=10.0, ell=50, kappa=2, q=LN2 / 50)
-        pair = perron(mean_matrix(p))
+        pair = perron(p)
         est = conditioned_frequencies(p, e0_start(50, 100), n_gens=12, n_replicas=60, seed=0)
         assert est.n_survivors == 60
         dev = np.abs(est.mean[:6] - pair.rho[:6])
@@ -276,16 +276,6 @@ class TestConditionedFrequencies:
         p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.1)
         with pytest.raises(AllExtinctError):
             conditioned_frequencies(p, np.zeros(3, dtype=np.int64), n_gens=3, n_replicas=10, seed=0)
-
-    def test_thread_count_does_not_change_results(self):
-        p = ModelParams(sigma=10.0, ell=20, kappa=2, q=0.02)
-        serial = conditioned_frequencies(p, e0_start(20, 50), n_gens=8, n_replicas=24, seed=6)
-        threaded = conditioned_frequencies(
-            p, e0_start(20, 50), n_gens=8, n_replicas=24, seed=6, n_threads=4
-        )
-        assert np.array_equal(serial.mean, threaded.mean)
-        assert np.array_equal(serial.se, threaded.se)
-        assert serial.n_survivors == threaded.n_survivors
 
 
 class TestExtinctionMC:

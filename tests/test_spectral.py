@@ -1,22 +1,24 @@
 """Tests for the mean matrix, its Perron eigenpair, and extinction probabilities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from quasigw import (
     ConvergenceError,
     ModelParams,
-    PerronPair,
     extinction_probabilities,
     fitness_vector,
     lumped_kernel_matrix,
     mean_matrix,
     perron,
     perron_bounds_check,
+    power_iteration,
 )
 
 LN2 = math.log(2.0)
@@ -77,9 +79,11 @@ class TestMeanMatrix:
 
 
 class TestPerron:
+    """The generic power iteration, kept as the oracle for ``perron``."""
+
     def test_diagonal_case(self):
         w = np.diag([4.0, 1.0, 1.0, 1.0])
-        pair = perron(w)
+        pair = power_iteration(w)
         assert pair.lam == pytest.approx(4.0, rel=1e-10)
         assert pair.rho[0] == pytest.approx(1.0, abs=1e-9)
         assert np.all(pair.rho[1:] < 1e-9)
@@ -89,7 +93,7 @@ class TestPerron:
         eigenvector is the stationary law, cross-checked with a dense solver."""
         p = ModelParams(sigma=1.0, ell=20, kappa=2, q=0.15)
         w = mean_matrix(p)
-        pair = perron(w)
+        pair = power_iteration(w)
         assert pair.lam == pytest.approx(1.0, abs=1e-10)
         assert np.abs(pair.rho @ w - pair.rho).sum() < 1e-11
         vals, vecs = np.linalg.eig(w.T)
@@ -100,7 +104,7 @@ class TestPerron:
 
     def test_identity_and_range_supercritical(self):
         p = ModelParams(sigma=4.0, ell=1000, kappa=2, q=LN2 / 1000)
-        pair = perron(mean_matrix(p))
+        pair = power_iteration(mean_matrix(p))
         assert 1.0 < pair.lam < 4.0
         assert abs(pair.lam - (3.0 * pair.rho[0] + 1.0)) < 1e-8
         assert np.all(pair.rho > 0.0)
@@ -109,7 +113,7 @@ class TestPerron:
     def test_agrees_with_dense_eigensolver(self):
         p = ModelParams(sigma=4.0, ell=300, kappa=2, q=LN2 / 300)
         w = mean_matrix(p)
-        pair = perron(w)
+        pair = power_iteration(w)
         lam_dense = np.max(np.linalg.eigvals(w).real)
         assert pair.lam == pytest.approx(lam_dense, rel=1e-9)
 
@@ -117,29 +121,29 @@ class TestPerron:
         p = ModelParams(sigma=2.0, ell=50, kappa=2, q=0.05)
         w = mean_matrix(p)
         tol = 1e-12
-        pair = perron(w, tol=tol)
+        pair = power_iteration(w, tol=tol)
         assert pair.residual < tol * pair.lam
         assert np.abs(pair.rho @ w - pair.lam * pair.rho).sum() < tol * pair.lam
 
     def test_nonconvergence_raises_with_diagnostics(self):
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=0.01)
         with pytest.raises(ConvergenceError) as exc:
-            perron(mean_matrix(p), tol=1e-14, max_iter=3)
+            power_iteration(mean_matrix(p), tol=1e-14, max_iter=3)
         assert exc.value.iterations == 3
         assert exc.value.residual is not None and exc.value.residual > 0.0
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
-            perron(np.ones((2, 3)))
+            power_iteration(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            perron(np.array([[1.0, -0.1], [0.2, 1.0]]))
+            power_iteration(np.array([[1.0, -0.1], [0.2, 1.0]]))
 
     def test_limit_eigenvalue_trend_supercritical(self):
         """With q=a/ell and sigma*exp(-a) > 1 the eigenvalue approaches sigma*exp(-a)."""
         lam = {}
         for ell in (100, 300):
             p = ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell)
-            lam[ell] = perron(mean_matrix(p)).lam
+            lam[ell] = power_iteration(mean_matrix(p)).lam
         assert abs(lam[300] - 2.0) < abs(lam[100] - 2.0)
         assert abs(lam[300] - 2.0) < 0.01
 
@@ -152,16 +156,134 @@ class TestPerron:
         low_mass = {}
         for ell in (100, 300):
             p = ModelParams(sigma=2.0, ell=ell, kappa=2, q=2.0 * LN2 / ell)
-            pair = perron(mean_matrix(p))
+            pair = power_iteration(mean_matrix(p))
             assert abs(pair.lam - 1.0) < 1e-10
             low_mass[ell] = pair.rho[:6].max()
         assert low_mass[300] < low_mass[100]
 
 
+def assert_pairs_agree(pair, oracle, lam_rtol=1e-10, rho_atol=1e-8):
+    assert abs(pair.lam - oracle.lam) <= lam_rtol * oracle.lam
+    assert np.abs(pair.rho - oracle.rho).sum() <= rho_atol
+
+
+# (sigma, a, ell) of every Perron pair the benchmark computes
+BENCHMARK_INSTANCES = [(4.0, LN2, ell) for ell in (100, 300, 1000, 2000, 5000)] + [
+    (2.0, 0.69, ell) for ell in (100, 300, 1000)
+]
+
+
+class TestSecularPerron:
+    """The structured solver against the power-iteration oracle."""
+
+    @pytest.mark.parametrize("sigma,a,ell", BENCHMARK_INSTANCES)
+    def test_matches_power_iteration_on_benchmark_instances(self, sigma, a, ell):
+        p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
+        w = mean_matrix(p)
+        pair = perron(p, mean=w)
+        assert pair.method == "secular Newton"
+        assert pair.residual <= 1e-12 * pair.lam
+        assert np.abs(pair.rho @ w - pair.lam * pair.rho).sum() <= 1e-12 * pair.lam
+        assert 1 <= pair.iterations <= 2
+        assert abs(pair.lam - (1.0 + (sigma - 1.0) * pair.rho[0])) < 1e-11
+        assert perron_bounds_check(pair, p, mean=w).passed
+        assert_pairs_agree(pair, power_iteration(w))
+
+    def test_builds_the_mean_matrix_when_not_given(self):
+        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
+        built, given = perron(p), perron(p, mean=mean_matrix(p))
+        assert built.lam == given.lam
+        assert np.array_equal(built.rho, given.rho)
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_neutral_sigma_gives_stationary_binomial(self, kappa):
+        p = ModelParams(sigma=1.0, ell=20, kappa=kappa, q=0.15)
+        pair = perron(p)
+        law = binom.pmf(np.arange(21), 20, (kappa - 1) / kappa)
+        assert np.abs(pair.rho - law).sum() < 1e-12
+        assert pair.lam == pytest.approx(1.0, abs=1e-13)
+        assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
+
+    def test_q_zero_is_master_only(self):
+        p = ModelParams(sigma=3.0, ell=5, kappa=2, q=0.0)
+        pair = perron(p)
+        assert pair.lam == 3.0
+        assert np.array_equal(pair.rho, np.eye(6)[0])
+        assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
+
+    @pytest.mark.parametrize("sigma,ell,kappa,q", [(3.0, 30, 2, 0.8), (5.0, 10, 3, 0.9),
+                                                   (10.0, 2, 2, 0.95)])
+    def test_alternating_closed_form_starts_at_sigma(self, sigma, ell, kappa, q):
+        """q > (kappa-1)/kappa makes theta < 0; Newton then starts at sigma."""
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
+        pair = perron(p)
+        assert pair.iterations > 1
+        assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
+
+    def test_larger_alphabet(self):
+        p = ModelParams(sigma=4.0, ell=200, kappa=4, q=LN2 / 200)
+        pair = perron(p)
+        assert pair.iterations == 1
+        assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
+
+    @pytest.mark.parametrize("ell", [100, 300])
+    def test_disordered_regime(self, ell):
+        """sigma e^-a = 0.5: lam - 1 is far below the float spacing at 1."""
+        p = ModelParams(sigma=2.0, ell=ell, kappa=2, q=2.0 * LN2 / ell)
+        pair = perron(p)
+        assert abs(pair.lam - 1.0) < 1e-13
+        assert pair.residual <= 1e-12 * pair.lam
+        assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
+
+    def test_disordered_regime_long_sequence(self):
+        """At ell = 1000 rho is the stationary law to the kernel's accuracy."""
+        p = ModelParams(sigma=2.0, ell=1000, kappa=2, q=2.0 * LN2 / 1000)
+        pair = perron(p)
+        assert abs(pair.lam - 1.0) < 1e-12
+        assert np.abs(pair.rho - binom.pmf(np.arange(1001), 1000, 0.5)).sum() < 1e-9
+
+    def test_nonconvergence_raises_with_diagnostics(self):
+        p = ModelParams(sigma=3.0, ell=30, kappa=2, q=0.8)
+        with pytest.raises(ConvergenceError) as exc:
+            perron(p, max_iter=2)
+        assert exc.value.iterations == 2
+        assert exc.value.residual > 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.floats(min_value=1.0, max_value=10.0),
+        ell=st.integers(min_value=1, max_value=60),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.just(0.0) | st.floats(min_value=1e-6, max_value=0.99),
+    )
+    # lam - 1 ~ 1e-13: the first-order update of rho spans a sign change of x - delta y
+    @example(sigma=4.0, ell=43, kappa=2, q=0.9375)
+    # lam - 1 ~ 7e-14: the Newton step is below the spacing of floats at 1 + mu
+    @example(sigma=6.207339929758998, ell=46, kappa=2, q=0.36959870035579184)
+    # the closed-form secular sum is ~1e-180, and its square underflows
+    @example(sigma=1.0, ell=321, kappa=4, q=0.6875)
+    def test_agrees_with_dense_eigensolver(self, sigma, ell, kappa, q):
+        """Dense oracle: power iteration would need ~1/q steps at small q."""
+        assume(not (sigma == 1.0 and q == 0.0))   # W = I: no unique Perron vector
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
+        w = mean_matrix(p)
+        tol = 1e-12
+        pair = perron(p, mean=w, tol=tol)
+        assert pair.residual <= tol * pair.lam
+        assert np.all(pair.rho >= 0.0) and pair.rho.sum() == pytest.approx(1.0, abs=1e-14)
+        vals, vecs = np.linalg.eig(w.T)
+        top = np.argmax(vals.real)
+        oracle = np.abs(vecs[:, top].real)
+        oracle /= oracle.sum()
+        assert abs(pair.lam - vals[top].real) <= 1e-10 * pair.lam
+        assert np.abs(pair.rho - oracle).sum() <= 1e-8
+        assert abs(pair.lam - (1.0 + (sigma - 1.0) * pair.rho[0])) <= 1e-12
+
+
 class TestPerronBoundsCheck:
     def test_passes_on_converged_pair(self):
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        pair = perron(mean_matrix(p))
+        pair = perron(p)
         report = perron_bounds_check(pair, p)
         assert report.passed
         assert len(report.rows) == 11
@@ -170,7 +292,7 @@ class TestPerronBoundsCheck:
 
     def test_q_zero_collapses_to_equalities(self):
         p = ModelParams(sigma=4.0, ell=5, kappa=2, q=0.0)
-        pair = perron(mean_matrix(p))
+        pair = perron(p)
         report = perron_bounds_check(pair, p, k_max=5)
         assert report.passed
         # identity kernel: the k=0 sandwich pins lambda*rho(0) = sigma*rho(0)
@@ -180,17 +302,17 @@ class TestPerronBoundsCheck:
     def test_reuses_the_mean_matrix(self):
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
         w = mean_matrix(p)
-        pair = perron(w)
+        pair = perron(p, mean=w)
         assert perron_bounds_check(pair, p, mean=w) == perron_bounds_check(pair, p)
 
     def test_failure_injection(self):
         """A distorted eigenvector must be caught by at least one inequality."""
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        pair = perron(mean_matrix(p))
+        pair = perron(p)
         bad = pair.rho.copy()
         bad[0] *= 2.0
         bad /= bad.sum()
-        fake = PerronPair(lam=pair.lam, rho=bad, residual=pair.residual, iterations=pair.iterations)
+        fake = dataclasses.replace(pair, rho=bad)
         assert not perron_bounds_check(fake, p).passed
 
 
