@@ -101,7 +101,8 @@ _TABLES = {
         **_MODEL_OPTS,
         "tol": (float, 1e-12, "bound on the last Newton step in lambda and on the residual "
                               "||rho W - lambda rho||_1, both relative to lambda"),
-        "max_iter": (int, 100, "Newton step budget (one banded elimination each)"),
+        "max_iter": (int, 100, "budget of Newton steps (one banded elimination each) plus, "
+                               "in the disordered regime, inverse-iteration solves"),
         "k_report": (int, 10, "report classes 0..k_report"),
         **_OUT_OPTS,
     },
@@ -119,7 +120,8 @@ _TABLES = {
         "k_report": (int, 5, "compare classes 0..k_report"),
         "tol": (float, 1e-12, "Perron solve tolerance per length: bound on the last Newton "
                               "step and on the residual, relative to lambda"),
-        "max_iter": (int, 100, "Newton step budget per length"),
+        "max_iter": (int, 100, "Perron solve budget per length: Newton steps plus, in the "
+                               "disordered regime, inverse-iteration solves"),
         **_OUT_OPTS,
     },
     "simulate": {
@@ -323,7 +325,7 @@ def cmd_converge(resolved: dict):
         raise ValueError("--ell-grid must list at least one length")
     k_top = min(resolved["k_report"], min(grid))
     q_limit = [qs_pmf(qp, k) for k in range(k_top + 1)]
-    columns = ["ell", "q", "lambda", "lambda_gap", "iterations"]
+    columns = ["ell", "q", "lambda", "lambda_gap", "method", "iterations"]
     columns += [f"rho{k}" for k in range(k_top + 1)]
     columns += [f"gap{k}" for k in range(k_top + 1)]
     rows = []
@@ -337,14 +339,14 @@ def cmd_converge(resolved: dict):
             "q": params.q,
             "lambda": pair.lam,
             "lambda_gap": abs(pair.lam - lam_limit),
+            "method": pair.method,
             "iterations": pair.iterations,
         }
         for k in range(k_top + 1):
             row[f"rho{k}"] = float(pair.rho[k])
             row[f"gap{k}"] = abs(float(pair.rho[k]) - q_limit[k])
         rows.append(row)
-    diagnostics = {"regime": regime.value, "threshold": qp.threshold, "lambda_limit": lam_limit,
-                   "method": pair.method}
+    diagnostics = {"regime": regime.value, "threshold": qp.threshold, "lambda_limit": lam_limit}
     return columns, rows, diagnostics, 0
 
 

@@ -230,17 +230,17 @@ def _binom_windows(
 BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
-def kernel_band(params: ModelParams, floor: float = BAND_FLOOR) -> tuple[np.ndarray, np.ndarray]:
-    """Column range lo[b]..hi[b] of row b of the class kernel holding every entry >= floor.
+def kernel_band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Column range lo[b]..hi[b] of row b of the class kernel holding every entry >= BAND_FLOOR.
 
     M(b, c) sums at most ell + 1 products P(G = k) P(L = l) with k - l = c - b
-    (see lumped_kernel_matrix), so an entry >= floor has a term >= floor /
-    (ell + 1), and both its factors are at least that.  The range is read
-    off the windows of the two pmfs at that level, in O(ell log ell)
-    without building the kernel.
+    (see lumped_kernel_matrix), so an entry >= BAND_FLOOR has a term
+    >= BAND_FLOOR / (ell + 1), and both its factors are at least that.  The
+    range is read off the windows of the two pmfs at that level, in
+    O(ell log ell) without building the kernel.
     """
     ell, kappa, q = params.ell, params.kappa, params.q
-    log_min = math.log(floor) - math.log(ell + 1)
+    log_min = math.log(BAND_FLOOR) - math.log(ell + 1)
     log_fact = gammaln(np.arange(ell + 1) + 1)
     classes = np.arange(ell + 1)
     g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min, pad=0)

@@ -277,17 +277,17 @@ def perron(
     is a nonsingular M-matrix, so elimination without pivoting is stable.
     In the disordered regime lam - 1 can lie far below the spacing of
     floats at 1, and the root below the floor; then rho comes from
-    inverse iteration at the floor (``_below_floor``, at most max_iter
-    solves) and lam from the identity lam = (Perron root of M) +
-    (sigma - 1) rho_0.
+    inverse iteration at the floor (``_below_floor``) and lam from the
+    identity lam = (Perron root of M) + (sigma - 1) rho_0.
 
     Stops once |delta| <= tol * lam, |delta| ||y||_1 <= ||x||_1 / 2 (the
     step stays within half the distance to the pole of x, about
     ||x|| / ||y||, where x - delta y is a first-order update), and the
     residual ||rho W - lam rho||_1 against the full W is at most
-    tol * lam.  max_iter bounds the number of Newton steps
-    (eliminations), which ``iterations`` reports; a step too small to
-    change lam in floating point also ends the solve.  Pass
+    tol * lam.  ``iterations`` counts the Newton steps (one elimination
+    each) plus the inverse-iteration solves of the disordered regime, and
+    max_iter bounds that count; a step too small to change lam in
+    floating point also ends the solve.  Pass
     mean = mean_matrix(params) to reuse it.  Working set: W plus
     O(ell x band width).
     """
@@ -309,6 +309,7 @@ def perron(
     r = w[0] / sigma
     step = residual = np.inf
     it = 0
+    reason = ""   # set when the stationary limit would overrun max_iter
 
     def residual_of(v, lam):
         rho = v / v.sum()
@@ -326,12 +327,17 @@ def perron(
         else:
             hi = mu
         if hi == floor:
-            rho = _below_floor(band, x, y, params, margin, max_iter)
+            n_solves = _inverse_solves(params, margin)
+            if it + n_solves > max_iter:
+                reason = f"the stationary limit needs {n_solves} more inverse-iteration solves"
+                break
+            rho = _below_floor(band, x, y, params, n_solves)
+            it += n_solves
             lam = 1.0 + pole + (sigma - 1.0) * float(rho[0])
             rho, residual = residual_of(rho, lam)
             if residual <= tol * lam:
                 return PerronPair(lam=lam, rho=rho, residual=residual, iterations=it,
-                                  method="secular Newton, stationary limit")
+                                  method="secular Newton (stationary limit)")
             break
         new = mu + f * float(x[0] / y[0]) if sigma > 1.0 else floor
         if new <= lo and lo == floor:
@@ -356,42 +362,46 @@ def perron(
         residual = residual_of(x, lam_x)[1]
     raise ConvergenceError(
         f"Perron Newton iteration did not converge in {it} steps "
-        f"(last residual {residual:.3e}, last step {step:.3e})",
+        f"(last residual {residual:.3e}, {reason or f'last step {step:.3e}'})",
         residual=residual,
         iterations=it,
     )
 
 
+def _inverse_solves(params: ModelParams, margin: float) -> float:
+    """Inverse-iteration solves ``_below_floor`` needs at a floor margin above M's Perron root.
+
+    Each solve multiplies the transient's share by at most margin / gap,
+    gap = 1 - |theta| the spectral gap of M; enough of them take it below
+    the smallest normal float.  0 when gap = 0 (M = I), inf when the
+    gap is too small for the solves to separate anything.
+    """
+    kappa = params.kappa
+    gap = 1.0 - abs(1.0 - params.q * kappa / (kappa - 1))
+    if gap <= 0.0:
+        return 0
+    ratio = margin / gap
+    return math.ceil(math.log(_TINY) / math.log(ratio)) if ratio < 0.5 else math.inf
+
+
 def _below_floor(band: _BandSolver, x: np.ndarray, y: np.ndarray, params: ModelParams,
-                 margin: float, max_solves: int) -> np.ndarray:
+                 n_solves: int) -> np.ndarray:
     """Perron vector of W when lam lies within the floor's margin of M's Perron root.
 
     band is factored at the floor, where x = c pi + T: pi the Perron vector
     of M, c = 1 / (floor - its root) = 1 / margin, T the transient, which
-    sums to about 0.  At the true lam, c is far larger still.  Inverse
-    iteration from y gives pi: each solve multiplies the transient's share
-    by at most margin / gap, gap = 1 - |theta| the spectral gap of M, so a
-    fixed number of solves takes it below the smallest normal float.  The
+    sums to about 0.  At the true lam, c is far larger still.  n_solves
+    steps of inverse iteration from y (``_inverse_solves``) give pi.  The
     secular equation (sigma - 1) x_0 = 1 at the true lam then fixes how
     much transient is left: rho = pi + k T with
     k = (sigma - 1) pi_0 / (1 - (sigma - 1) T_0), which matters only in
     the lowest classes, where pi is as small as k T.
     """
-    sigma, kappa = params.sigma, params.kappa
-    gap = 1.0 - abs(1.0 - params.q * kappa / (kappa - 1))
+    sigma = params.sigma
     pi = y / y.sum()
-    if gap > 0.0:   # else M = I, and pi = e_0 already
-        ratio = margin / gap
-        n_solves = math.ceil(math.log(_TINY) / math.log(ratio)) if ratio < 0.5 else math.inf
-        if n_solves > max_solves:
-            raise ConvergenceError(
-                f"the kernel's spectral gap {gap:.3e} needs {n_solves} inverse-iteration "
-                f"solves to separate its Perron vector, more than {max_solves}",
-                iterations=max_solves,
-            )
-        for _ in range(n_solves):
-            pi = band.solve(pi)
-            pi /= pi.sum()
+    for _ in range(n_solves):   # none when M = I, where pi = e_0 already
+        pi = band.solve(pi)
+        pi /= pi.sum()
     t = x - x.sum() * pi
     k = (sigma - 1.0) * pi[0] / (1.0 - (sigma - 1.0) * t[0])
     return np.maximum(pi + k * t, 0.0)

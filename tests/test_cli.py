@@ -214,6 +214,19 @@ class TestConvergeCommand:
             gaps = [float(r[header.index(f"gap{k}")]) for r in rows]
             assert gaps[2] < gaps[0]
 
+    def test_reports_method_and_steps_per_length(self, tmp_path):
+        """sigma e^-a = 0.5: only the longer length needs the stationary limit."""
+        code, meta, header, rows = run_csv(
+            ["converge", "--sigma", "2", "--a", "1.386", "--ell-grid", "10,100"],
+            tmp_path / "c.csv",
+        )
+        assert code == 0
+        assert "diagnostics.method" not in meta
+        methods = [r[header.index("method")] for r in rows]
+        assert methods == ["secular Newton", "secular Newton (stationary limit)"]
+        steps = [int(r[header.index("iterations")]) for r in rows]
+        assert steps[0] >= 1 and steps[1] > steps[0]
+
     def test_a_zero_grid_is_exact(self, tmp_path):
         code, _, header, rows = run_csv(
             ["converge", "--sigma", "3", "--a", "0", "--ell-grid", "10,20", "--k-report", "2"],

@@ -235,6 +235,16 @@ class TestSecularPerron:
         assert pair.residual <= 1e-12 * pair.lam
         assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
 
+    def test_disordered_regime_counts_inverse_iteration_solves(self):
+        p = ModelParams(sigma=2.0, ell=300, kappa=2, q=2.0 * LN2 / 300)
+        pair = perron(p)
+        assert pair.method == "secular Newton (stationary limit)"
+        assert pair.iterations > 10    # one Newton step, then the solves
+        with pytest.raises(ConvergenceError, match="inverse-iteration") as exc:
+            perron(p, max_iter=pair.iterations - 1)
+        assert exc.value.iterations == 1
+        assert exc.value.residual is not None
+
     def test_disordered_regime_long_sequence(self):
         """At ell = 1000 rho is the stationary law to the kernel's accuracy."""
         p = ModelParams(sigma=2.0, ell=1000, kappa=2, q=2.0 * LN2 / 1000)
