@@ -389,6 +389,7 @@ def cmd_simulate(resolved: dict):
         "n_survivors": est.n_survivors,
         "n_replicas": est.n_replicas,
         "n_generations": est.n_generations,
+        "n_capped": est.n_capped,
     }
     return columns, rows, diagnostics, 0
 

@@ -3,16 +3,18 @@
 Two samplers are provided.  ``step_genotype`` advances a population of
 explicit genotypes (a dict mapping genotype tuples to counts) by one
 generation: Poisson offspring numbers followed by independent per-locus
-mutation.  ``step_occupancy`` advances only the vector of class counts,
-using the fact that the class-l offspring of all class-k parents form a
-Poisson count with mean z(k) * A(k) * M(k, l), independent across
-(k, l) cells; summing a Poisson draw per cell over k reproduces the
-per-individual offspring law exactly.  ``lumping_equivalence_test``
-compares the two routes empirically.
+mutation.  ``step_occupancy`` advances only class counts, for one
+population or a batch of them: each class-k individual leaves Poisson
+children in class l with mean A(k) M(k, l) = W(k, l), independently, so
+a sum of independent Poissons makes the class-l offspring of a whole
+population z one Poisson count with mean (z W)(l), independent across
+l.  This one draw per class is the package's only class-count sampler;
+trajectories, survivor-conditioned frequencies, extinction Monte Carlo
+and the class route of ``lumping_equivalence_test`` all step through it.
 
 Randomness comes from numpy Generators.  ``RngSpec(master_seed, stream)``
-derives statistically independent, byte-reproducible streams, one per
-replica.
+derives statistically independent, byte-reproducible streams.  A replica
+batch shares one stream, so a fixed seed reproduces the same bytes.
 """
 
 from __future__ import annotations
@@ -124,29 +126,32 @@ def step_occupancy(
     rng: np.random.Generator,
     mean: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One generation of the class-count process by Poisson splitting.
+    """One generation of the class-count process: Poisson(z W) per class.
 
-    Draws an independent Poisson with mean z(k) * A(k) * M(k, l) for
-    each occupied parent class k and child class l, then sums over k.
-    Pass mean = mean_matrix(params) to amortize the kernel build across
-    many steps.
+    z is one population's class counts, shape (ell+1,), or a batch of
+    them, shape (R, ell+1); the result is an int64 array of the same
+    shape.  The class-l offspring of population z form a single Poisson
+    count with mean (z W)(l), independent across l, which is the
+    per-individual offspring law summed over the population.  An empty
+    row stays empty and consumes no random numbers.  Pass
+    mean = mean_matrix(params) to amortize the kernel build across many
+    steps.
     """
     z = np.asarray(z)
-    if z.shape != (params.ell + 1,):
-        raise ValueError(f"occupancy vector must have shape ({params.ell + 1},)")
+    if z.ndim not in (1, 2) or z.shape[-1] != params.ell + 1:
+        raise ValueError(
+            f"occupancy must have shape ({params.ell + 1},) or (R, {params.ell + 1}), "
+            f"got {z.shape}"
+        )
     if np.any(z < 0):
         raise ValueError("occupancy counts must be nonnegative")
-    out = np.zeros(params.ell + 1, dtype=np.int64)
-    idx = np.flatnonzero(z)
-    if idx.size == 0:
-        return out
     w = mean_matrix(params) if mean is None else mean
-    lam = z[idx].astype(float)[:, None] * w[idx, :]
-    if float(lam.max()) > _POISSON_MEAN_LIMIT:
+    lam = z @ w
+    if float(lam.max(initial=0.0)) > _POISSON_MEAN_LIMIT:
         raise ResourceLimitError(
             f"Poisson mean {lam.max():.3e} beyond the sampler's safe range"
         )
-    return rng.poisson(lam).sum(axis=0).astype(np.int64)
+    return rng.poisson(lam)
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,18 @@ class Trajectory:
         return out
 
 
+def _start_counts(z0: np.ndarray, params: ModelParams, n_gens: int) -> np.ndarray:
+    """Validated int64 copy of a starting class-count vector."""
+    if n_gens < 0:
+        raise ValueError(f"n_gens must be >= 0, got {n_gens}")
+    z = np.array(z0, dtype=np.int64)
+    if z.shape != (params.ell + 1,):
+        raise ValueError(f"z0 must have shape ({params.ell + 1},)")
+    if np.any(z < 0):
+        raise ValueError("z0 must be nonnegative")
+    return z
+
+
 def run_trajectory(
     z0: np.ndarray,
     params: ModelParams,
@@ -193,13 +210,7 @@ def run_trajectory(
     generation) or when the total exceeds pop_cap (capped_at set, the
     offending generation is still recorded; no silent truncation).
     """
-    if n_gens < 0:
-        raise ValueError(f"n_gens must be >= 0, got {n_gens}")
-    z = np.asarray(z0, dtype=np.int64).copy()
-    if z.shape != (params.ell + 1,):
-        raise ValueError(f"z0 must have shape ({params.ell + 1},)")
-    if np.any(z < 0):
-        raise ValueError("z0 must be nonnegative")
+    z = _start_counts(z0, params, n_gens)
     w = mean_matrix(params) if mean is None else mean
     records = [z.copy()]
     extinct_at = 0 if int(z.sum()) == 0 else None
@@ -224,13 +235,18 @@ def run_trajectory(
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
-    """Survivor-averaged class frequencies with per-class standard errors."""
+    """Survivor-averaged class frequencies with per-class standard errors.
+
+    n_capped counts the surviving replicas that stopped early because
+    their population exceeded pop_cap.
+    """
 
     mean: np.ndarray
     se: np.ndarray
     n_survivors: int
     n_replicas: int
     n_generations: int
+    n_capped: int
 
 
 def conditioned_frequencies(
@@ -243,32 +259,38 @@ def conditioned_frequencies(
 ) -> FrequencyEstimate:
     """Class frequencies at the horizon, averaged over surviving replicas.
 
-    Replica i runs on the stream RngSpec(seed, i), so the estimate is
-    reproducible.  A replica counts as surviving when it is not extinct by
-    n_gens; a capped replica contributes the frequencies of its last
-    recorded generation.  Raises AllExtinctError when no replica survives (use a
-    larger starting population or more replicas).
+    All replicas start from z0 and advance as one (n_replicas, ell+1)
+    batch on the stream RngSpec(seed, 0), so the estimate is
+    reproducible.  Each generation steps only the live rows; a row
+    retires when it dies out (extinct) or when its total exceeds pop_cap
+    (capped, keeping the counts of the generation that crossed the cap;
+    no silent truncation).  A replica counts as surviving when it is not
+    extinct by n_gens, and a capped replica contributes the frequencies
+    of its last generation.  Raises AllExtinctError when no replica
+    survives (use a larger starting population or more replicas).
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    z = np.tile(_start_counts(z0, params, n_gens), (n_replicas, 1))
     w = mean_matrix(params)
+    rng = RngSpec(seed, 0).generator()
+    totals = z.sum(axis=1)
+    for _ in range(n_gens):
+        live = np.flatnonzero((totals > 0) & (totals <= pop_cap))
+        if live.size == 0:
+            break
+        nxt = step_occupancy(z[live], params, rng, mean=w)
+        z[live] = nxt
+        totals[live] = nxt.sum(axis=1)
 
-    def one(i: int) -> np.ndarray | None:
-        rng = RngSpec(seed, i).generator()
-        t = run_trajectory(z0, params, n_gens, rng, pop_cap=pop_cap, mean=w)
-        if t.extinct:
-            return None
-        final = t.counts[-1].astype(float)
-        return final / final.sum()
-
-    rows = [r for r in map(one, range(n_replicas)) if r is not None]
-    if not rows:
+    survived = totals > 0
+    n = int(survived.sum())
+    if n == 0:
         raise AllExtinctError(
             f"all {n_replicas} replicas extinct by generation {n_gens}; "
             "increase the starting population or the number of replicas"
         )
-    freq = np.stack(rows)
-    n = freq.shape[0]
+    freq = z[survived] / totals[survived, None]
     se = freq.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.full(freq.shape[1], np.nan)
     return FrequencyEstimate(
         mean=freq.mean(axis=0),
@@ -276,6 +298,7 @@ def conditioned_frequencies(
         n_survivors=n,
         n_replicas=n_replicas,
         n_generations=n_gens,
+        n_capped=int((totals[survived] > pop_cap).sum()),
     )
 
 
@@ -319,9 +342,9 @@ def lumping_equivalence_test(
         child = step_genotype(pop, params, rng_g)
         counts_g[tuple(occupancy_of(child, params.ell))] += 1
 
-    w = mean_matrix(params)
-    lam = np.tile(w[start_class], (n_samples, 1))
-    draws = rng_z.poisson(lam)
+    z = np.zeros((n_samples, params.ell + 1), dtype=np.int64)
+    z[:, start_class] = 1
+    draws = step_occupancy(z, params, rng_z)
     counts_z: Counter = Counter()
     for row in draws:
         counts_z[tuple(int(x) for x in row)] += 1
@@ -378,13 +401,11 @@ def extinction_mc(
 ) -> ExtinctionMCReport:
     """Fraction of replicas (one class-k founder each) that die out.
 
-    Replicas advance in one batched Poisson draw per generation: row r
-    of the mean matrix product Z @ W collects the per-cell splitting
-    means of replica r, and summing means over parent classes before
-    drawing leaves the law unchanged.  A replica is retired as surviving
-    once its population reaches escape_cap (from that size, eventual
-    extinction has negligible probability); replicas still undecided at
-    the horizon are counted as survivors and reported.
+    The live replicas advance as one batch through step_occupancy, one
+    Poisson draw per (replica, class) and generation.  A replica is
+    retired as surviving once its population reaches escape_cap (from
+    that size, eventual extinction has negligible probability); replicas
+    still undecided at the horizon are counted as survivors and reported.
 
     Pass mean = mean_matrix(params) to amortize the kernel build across
     calls.
@@ -404,10 +425,7 @@ def extinction_mc(
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        lam = z[idx] @ w
-        if float(lam.max()) > _POISSON_MEAN_LIMIT:
-            raise ResourceLimitError("Poisson mean beyond the sampler's safe range")
-        z[idx] = rng.poisson(lam)
+        z[idx] = step_occupancy(z[idx], params, rng, mean=w)
         totals = z[idx].sum(axis=1)
         died = totals == 0
         escaped = totals >= escape_cap

@@ -265,6 +265,7 @@ class TestSimulateCommand:
         assert code == 0
         assert header == ["k", "mean_freq", "se"]
         assert int(meta["diagnostics.n_survivors"]) == 20
+        assert int(meta["diagnostics.n_capped"]) == 0
         freqs = [float(r[1]) for r in rows]
         assert sum(freqs) == pytest.approx(1.0, abs=1e-12)
 

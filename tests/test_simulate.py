@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from quasigw import simulate
 from quasigw import (
     AllExtinctError,
     ModelParams,
@@ -120,7 +123,22 @@ class TestStepOccupancy:
         with pytest.raises(ValueError):
             step_occupancy(np.zeros(3, dtype=np.int64), p, rng)
         with pytest.raises(ValueError):
+            step_occupancy(np.zeros((2, 3), dtype=np.int64), p, rng)
+        with pytest.raises(ValueError):
+            step_occupancy(np.zeros((2, 2, 4), dtype=np.int64), p, rng)
+        with pytest.raises(ValueError):
             step_occupancy(np.array([1, -1, 0, 0]), p, rng)
+        with pytest.raises(ValueError):
+            step_occupancy(np.array([[1, 0, 0, 0], [0, 0, -1, 0]]), p, rng)
+
+    def test_batch_keeps_shape_and_zero_rows(self):
+        p = ModelParams(sigma=3.0, ell=3, kappa=2, q=0.1)
+        z = np.array([[5, 0, 2, 0], [0, 0, 0, 0], [0, 1, 0, 7]])
+        out = step_occupancy(z, p, RngSpec(0, 0).generator())
+        assert out.shape == (3, 4)
+        assert out.dtype == np.int64
+        assert np.array_equal(out[1], np.zeros(4))
+        assert np.all(out >= 0)
 
     def test_mean_limit_guard(self):
         p = ModelParams(sigma=2.0, ell=1, kappa=2, q=0.1)
@@ -136,27 +154,29 @@ class TestStepOccupancy:
         assert abs(draws[:, 0].mean() - 15.0) < 4 * math.sqrt(15 / 300)
 
     def test_matches_product_poisson_law(self):
-        """For a single class-0 parent at ell=1 the offspring vector (n0, n1)
-        is a pair of independent Poissons with means sigma*M(0,0), sigma*M(0,1);
-        chi-square over the joint cells with expected count >= 5."""
+        """At ell=1 the offspring vector (n0, n1) of population z is a pair of
+        independent Poissons with means (zW)(0), (zW)(1): for one class-0
+        parent, and for z = (3, 2), where each mean sums both parent classes'
+        contributions.  Chi-square over the joint cells with expected count
+        >= 5."""
         p = ModelParams(sigma=2.0, ell=1, kappa=2, q=0.25)
         w = mean_matrix(p)
         rng = RngSpec(1, 0).generator()
-        draws = np.array(
-            [step_occupancy(np.array([1, 0]), p, rng, mean=w) for _ in range(20_000)]
-        )
-        obs, exp, covered = [], [], 0.0
-        for n0 in range(8):
-            for n1 in range(6):
-                pr = stats.poisson.pmf(n0, w[0, 0]) * stats.poisson.pmf(n1, w[0, 1])
-                if pr * 20_000 >= 5:
-                    obs.append(int(np.sum((draws[:, 0] == n0) & (draws[:, 1] == n1))))
-                    exp.append(pr * 20_000)
-                    covered += pr
-        obs.append(20_000 - sum(obs))
-        exp.append((1.0 - covered) * 20_000)
-        _, pval = stats.chisquare(obs, exp)
-        assert pval > 0.01
+        for z in (np.array([1, 0]), np.array([3, 2])):
+            mu = z @ w
+            draws = np.array([step_occupancy(z, p, rng, mean=w) for _ in range(20_000)])
+            obs, exp, covered = [], [], 0.0
+            for n0 in range(20):
+                for n1 in range(20):
+                    pr = stats.poisson.pmf(n0, mu[0]) * stats.poisson.pmf(n1, mu[1])
+                    if pr * 20_000 >= 5:
+                        obs.append(int(np.sum((draws[:, 0] == n0) & (draws[:, 1] == n1))))
+                        exp.append(pr * 20_000)
+                        covered += pr
+            obs.append(20_000 - sum(obs))
+            exp.append((1.0 - covered) * 20_000)
+            _, pval = stats.chisquare(obs, exp)
+            assert pval > 0.01, f"z = {z}"
 
     def test_one_step_mean_matches_mean_matrix(self):
         """E[next | z] = z W, componentwise within 4 standard errors."""
@@ -172,6 +192,34 @@ class TestStepOccupancy:
         se = np.sqrt(target / n)
         mask = se > 0
         assert np.max(np.abs(acc[mask] / n - target[mask]) / se[mask]) < 4.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sigma=st.floats(min_value=1.0, max_value=10.0),
+        ell=st.integers(min_value=1, max_value=30),
+        kappa=st.sampled_from([2, 3]),
+        q=st.just(0.0) | st.floats(min_value=1e-6, max_value=0.9),
+        data=st.data(),
+    )
+    def test_batch_properties(self, sigma, ell, kappa, q, data):
+        """Shape and dtype kept, counts nonnegative, empty rows stay empty, and
+        at q = 0 no offspring leave their parents' classes."""
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
+        n_rows = data.draw(st.integers(min_value=1, max_value=5))
+        cells = st.integers(min_value=0, max_value=1000) | st.just(0)
+        z = np.array(data.draw(st.lists(
+            st.lists(cells, min_size=ell + 1, max_size=ell + 1),
+            min_size=n_rows, max_size=n_rows,
+        )), dtype=np.int64)
+        z[data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))] = 0
+        out = step_occupancy(z, p, RngSpec(0, 0).generator())
+        assert out.shape == z.shape
+        assert out.dtype == np.int64
+        assert np.all(out >= 0)
+        empty = z.sum(axis=1) == 0
+        assert np.all(out[empty] == 0)
+        if q == 0.0:
+            assert np.all(out[z == 0] == 0)
 
 
 class TestLumpingEquivalence:
@@ -271,6 +319,39 @@ class TestConditionedFrequencies:
         est = conditioned_frequencies(p, e0_start(3, 30), n_gens=8, n_replicas=40, seed=3)
         assert est.n_survivors > 0
         assert np.array_equal(est.mean, [1.0, 0.0, 0.0, 0.0])
+
+    def test_cap_below_start_caps_every_replica_at_generation_zero(self):
+        p = ModelParams(sigma=4.0, ell=5, kappa=2, q=0.05)
+        # dyadic frequencies, so averaging 25 copies of them is exact
+        z0 = np.array([32, 16, 0, 8, 0, 8])
+        est = conditioned_frequencies(p, z0, n_gens=6, n_replicas=25, seed=1, pop_cap=63)
+        assert est.n_survivors == 25
+        assert est.n_capped == 25
+        assert np.array_equal(est.mean, z0 / 64)
+
+    def test_mid_run_cap_retires_rows_above_the_cap(self, monkeypatch):
+        """Every stepped row is live, each capped survivor left exactly one
+        row above pop_cap (the generation that crossed it), and each extinct
+        replica one empty row."""
+        p = ModelParams(sigma=2.0, ell=8, kappa=2, q=0.05)
+        pop_cap = 200
+        stepped_in, stepped_out = [], []
+
+        def recording_step(z, *args, **kwargs):
+            out = step_occupancy(z, *args, **kwargs)
+            stepped_in.append(z.sum(axis=1))
+            stepped_out.append(out.sum(axis=1))
+            return out
+
+        monkeypatch.setattr(simulate, "step_occupancy", recording_step)
+        est = conditioned_frequencies(
+            p, e0_start(8, 1), n_gens=12, n_replicas=200, seed=2, pop_cap=pop_cap
+        )
+        totals_in, totals_out = np.concatenate(stepped_in), np.concatenate(stepped_out)
+        assert np.all((totals_in > 0) & (totals_in <= pop_cap))
+        assert 0 < est.n_capped < est.n_survivors < est.n_replicas
+        assert int(np.sum(totals_out > pop_cap)) == est.n_capped
+        assert int(np.sum(totals_out == 0)) == est.n_replicas - est.n_survivors
 
     def test_all_extinct_raises(self):
         p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.1)

@@ -328,8 +328,8 @@ class TestPerronBoundsCheck:
 
 class TestExtinctionProbabilities:
     def test_neutral_sigma_certain_extinction(self):
-        # critical case: every class drifts to the Poisson(1) line, prob -> 1;
-        # the sup-norm stop at tol leaves entries about sqrt(2*tol) short of 1
+        # critical case: at sigma = 1 every class dies out surely, and the solve
+        # sets u = 1 - s to 0 exactly before any Newton step, so s is exactly 1
         p = ModelParams(sigma=1.0, ell=3, kappa=2, q=0.2)
         s = extinction_probabilities(p, tol=1e-10, max_iter=10**6)
         assert np.all(s <= 1.0)
