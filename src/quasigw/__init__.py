@@ -14,6 +14,7 @@ the genotype-level and the class-level process.
 __version__ = "0.1.0"
 
 from .kernel import (
+    KernelBand,
     ModelParams,
     class_size,
     fitness_class,
@@ -21,6 +22,7 @@ from .kernel import (
     genotypes,
     hamming_class,
     hamming_distance,
+    kernel_band,
     limit_kernel,
     lumped_kernel_entry,
     lumped_kernel_matrix,
@@ -77,6 +79,8 @@ __all__ = [
     "mutation_prob_genotype",
     "lumped_kernel_entry",
     "lumped_kernel_matrix",
+    "KernelBand",
+    "kernel_band",
     "limit_kernel",
     "ConvergenceError",
     "PerronPair",

@@ -34,6 +34,7 @@ __all__ = [
     "mutation_prob_genotype",
     "lumped_kernel_entry",
     "lumped_kernel_matrix",
+    "KernelBand",
     "kernel_band",
     "limit_kernel",
 ]
@@ -228,41 +229,129 @@ def _binom_windows(
 # Kernel entries below this (the square root of the smallest normal float)
 # are left out of the band: products of two of them are subnormal or zero.
 BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
+# pmf entries evaluated at once: bounds the transient arrays of a build.
+_CHUNK_ENTRIES = 1 << 16
 
 
-def kernel_band(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Column range lo[b]..hi[b] of row b of the class kernel holding every entry >= BAND_FLOOR.
+def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray,
+                       log_fact: np.ndarray) -> np.ndarray:
+    """Row i holds the Binomial(n[i], p) pmf on lo[i]..hi[i], then zeros.
 
-    M(b, c) sums at most ell + 1 products P(G = k) P(L = l) with k - l = c - b
-    (see lumped_kernel_matrix), so an entry >= BAND_FLOOR has a term
-    >= BAND_FLOOR / (ell + 1), and both its factors are at least that.  The
-    range is read off the windows of the two pmfs at that level, in
-    O(ell log ell) without building the kernel.
+    From the log-factorial table log_fact; in this order the values equal a
+    full-length gammaln evaluation of the pmf bit for bit.
+    """
+    k = lo[:, None] + np.arange(int(np.max(hi - lo)) + 1)
+    inside = k <= hi[:, None]
+    if p == 0.0:
+        return (inside & (k == 0)).astype(float)
+    k = np.where(inside, k, lo[:, None])
+    n = n[:, None]
+    logpmf = log_fact[n] - log_fact[k] - log_fact[n - k] + k * math.log(p) + (n - k) * math.log1p(-p)
+    return np.where(inside, np.exp(logpmf), 0.0)
+
+
+def _kernel_rows(params: ModelParams, log_min: float, pad: int
+                 ) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """Rows of the class kernel from the pmf windows at level log_min: lo, hi, rows.
+
+    Row b is the law of b + G - L where G ~ Binomial(ell-b, q) counts
+    correct loci that mutate away and L ~ Binomial(b, q/(kappa-1)) counts
+    mutated loci that revert: the convolution of the two pmfs, term for term
+    the sum of lumped_kernel_entry.  Each pmf is kept on its window where
+    logpmf >= log_min, padded by pad zeros (``_binom_windows``); then row b
+    has columns lo[b]..hi[b], and ``rows`` yields its values there for
+    b = 0..ell in turn.
     """
     ell, kappa, q = params.ell, params.kappa, params.q
-    log_min = math.log(BAND_FLOOR) - math.log(ell + 1)
+    q_back = q / (kappa - 1)
     log_fact = gammaln(np.arange(ell + 1) + 1)
     classes = np.arange(ell + 1)
-    g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min, pad=0)
-    l_lo, l_hi = _binom_windows(classes, q / (kappa - 1), log_fact, log_min, pad=0)
-    return classes + g_lo - l_hi, classes + g_hi - l_lo
+    g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min, pad)
+    l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min, pad)
+
+    def rows() -> Iterator[np.ndarray]:
+        n_gain, n_loss = (g_hi - g_lo + 1).tolist(), (l_hi - l_lo + 1).tolist()
+        chunk = max(1, _CHUNK_ENTRIES // (max(n_gain) + max(n_loss)))
+        for r0 in range(0, ell + 1, chunk):
+            r = slice(r0, r0 + chunk)
+            gain = _binom_window_pmfs(ell - classes[r], q, g_lo[r], g_hi[r], log_fact)
+            loss = _binom_window_pmfs(classes[r], q_back, l_lo[r], l_hi[r], log_fact)
+            for i in range(gain.shape[0]):
+                b = r0 + i
+                # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
+                # which lands in class c = b + k - l.
+                yield np.convolve(gain[i, : n_gain[b]], loss[i, n_loss[b] - 1 :: -1])
+
+    return classes + g_lo - l_hi, classes + g_hi - l_lo, rows()
 
 
-def _binom_window_pmf(n: int, p: float, lo: int, hi: int, log_fact: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) pmf on lo..hi, from the log-factorial table log_fact."""
-    k = np.arange(lo, hi + 1)
-    if p == 0.0:
-        return (k == 0).astype(float)
-    # log_fact[j] = gammaln(j + 1); in this order the values equal a full-length
-    # gammaln evaluation of the pmf bit for bit.
-    logpmf = (
-        log_fact[n]
-        - log_fact[lo : hi + 1]
-        - log_fact[n - hi : n - lo + 1][::-1]
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return np.exp(logpmf)
+@dataclass(frozen=True)
+class KernelBand:
+    """The class kernel M on its band: M(b, offsets[b] + j) = values[b, j].
+
+    values is (ell + 1) x width, width <= ell + 1, and every window
+    offsets[b] .. offsets[b] + width - 1 lies inside 0..ell.  Entries of M
+    outside the windows are below BAND_FLOOR and count as 0; entries inside
+    them but outside the row's support are stored as 0.
+    """
+
+    values: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def n(self) -> int:
+        """Number of classes, ell + 1."""
+        return self.values.shape[0]
+
+    def half_width(self) -> int:
+        """Largest |c - b| over the nonzero stored entries M(b, c)."""
+        nz = self.values != 0.0
+        first = np.argmax(nz, axis=1)
+        last = self.values.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
+        rows = np.arange(self.n)
+        return int(max(np.max(rows - self.offsets - first), np.max(self.offsets + last - rows)))
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """M[r0:r1, c0:c1] as a dense array."""
+        width = self.values.shape[1]
+        j = np.arange(c0, c1) - self.offsets[r0:r1, None]
+        inside = (j >= 0) & (j < width)
+        got = np.take_along_axis(self.values[r0:r1], np.clip(j, 0, width - 1), axis=1)
+        return np.where(inside, got, 0.0)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """x @ M, in O(ell x width)."""
+        out = np.zeros(self.n)
+        for j in range(self.values.shape[1]):
+            np.add.at(out, self.offsets + j, x * self.values[:, j])
+        return out
+
+
+def kernel_band(params: ModelParams) -> KernelBand:
+    """The class kernel on the band that holds every entry >= BAND_FLOOR.
+
+    M(b, c) sums at most ell + 1 products P(G = k) P(L = l) with k - l = c - b
+    (see ``lumped_kernel_matrix``), so an entry >= BAND_FLOOR has a term
+    >= BAND_FLOOR / (ell + 1), and both its factors are at least that.  Each
+    row is the convolution of the two pmfs on their windows at that level,
+    so terms that can only add up to entries below BAND_FLOOR are left out:
+    for each entry they sum to at most 2 BAND_FLOOR / (ell + 1), and the
+    stored entries agree with the dense build up to that and to summation
+    order.  Row b is stored on the window of its support, shifted left to
+    end by column ell; the storage is (ell + 1) x (largest support), never
+    more than the dense matrix.  At fixed a = ell q the support stays
+    bounded as ell grows (about 160 columns at a = ln 2), so the band takes
+    O(ell) memory and time where the dense matrix takes O(ell^2): about
+    130 MB at ell = 10^5 against 80 GB.
+    """
+    ell = params.ell
+    lo, hi, rows = _kernel_rows(params, math.log(BAND_FLOOR) - math.log(ell + 1), pad=0)
+    width = int(np.max(hi - lo)) + 1
+    offsets = np.minimum(lo, ell + 1 - width)
+    values = np.zeros((ell + 1, width))
+    for b, (start, row) in enumerate(zip((lo - offsets).tolist(), rows)):
+        values[b, start : start + row.size] = row
+    return KernelBand(values=values, offsets=offsets)
 
 
 def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:
@@ -281,22 +370,12 @@ def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:
     to summation order and has the same zero pattern.  With pmf windows
     of width w the build costs O(ell * w^2) instead of O(ell^3); w grows
     like sqrt(ell q) at fixed q and stays bounded at fixed a = ell q.
-    The output is still the dense matrix, zero outside the band.
+    The output is still the dense matrix, zero outside the band; see
+    ``kernel_band`` for the band alone.
     """
-    ell, kappa, q = params.ell, params.kappa, params.q
-    q_back = q / (kappa - 1)
-    log_fact = gammaln(np.arange(ell + 1) + 1)
-    classes = np.arange(ell + 1)
-    g_lo, g_hi = (e.tolist() for e in _binom_windows(ell - classes, q, log_fact))
-    l_lo, l_hi = (e.tolist() for e in _binom_windows(classes, q_back, log_fact))
-    m = np.zeros((ell + 1, ell + 1))
-    for b in range(ell + 1):
-        gain = _binom_window_pmf(ell - b, q, g_lo[b], g_hi[b], log_fact)
-        loss = _binom_window_pmf(b, q_back, l_lo[b], l_hi[b], log_fact)
-        # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
-        # which lands in class c = b + k - l.
-        row = np.convolve(gain, loss[::-1])
-        c0 = b + g_lo[b] - l_hi[b]
+    lo, _, rows = _kernel_rows(params, _LOG_UNDERFLOW, _PAD)
+    m = np.zeros((params.ell + 1, params.ell + 1))
+    for b, (c0, row) in enumerate(zip(lo.tolist(), rows)):
         m[b, c0 : c0 + row.size] = row
     return m
 

@@ -17,7 +17,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.special import gammaln
 
-from .kernel import BAND_FLOOR, ModelParams, kernel_band, lumped_kernel_matrix
+from .kernel import BAND_FLOOR, KernelBand, ModelParams, kernel_band, lumped_kernel_matrix
 
 __all__ = [
     "ConvergenceError",
@@ -36,6 +36,10 @@ __all__ = [
 # Smallest block of the banded elimination: fewer, larger blocks when the
 # band is narrow (q near 0).
 _MIN_BLOCK = 16
+# Largest matrix handed to numpy.linalg.inv.  From 100 rows on, OpenBLAS
+# inverts through its threaded LU, which can stall for 10-300 ms; larger
+# pivot blocks are inverted through a 2 x 2 block split.
+_MAX_INV = 99
 # lam is kept this many ulps of 1 above the Perron root of the class kernel.
 _FLOOR_ULPS = 16
 _EPS = float(np.finfo(float).eps)
@@ -175,47 +179,60 @@ def _secular_root(params: ModelParams, log_p: np.ndarray, lo: float, hi: float) 
     return mu
 
 
-class _BandSolver:
-    """Solves x A = b for A = (1 + mu) I - M, M the class kernel read from W.
+def _inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular M-matrix t, with no numpy.linalg.inv call above _MAX_INV rows.
 
-    M is banded (``kernel_band``), so A is block tridiagonal for blocks as
-    wide as the band.  ``factor`` runs block LU without pivoting across
-    blocks (numpy.linalg inverts each pivot block) and keeps the inverse
-    pivot blocks, about (ell + 1) x block width floats; ``solve`` then
-    costs two sweeps of block products.  Kernel entries below BAND_FLOOR
-    are left out: their products are subnormal or zero and slow to form.
+    Larger t is split as [[A, B], [C, D]] and inverted through A^-1 and the
+    inverse of the Schur complement S = D - C A^-1 B.  The leading block and
+    the Schur complement of an M-matrix are M-matrices, so the split needs
+    no pivoting.
+    """
+    n = t.shape[0]
+    if n <= _MAX_INV:
+        return np.linalg.inv(t)
+    h = n // 2
+    a_inv = _inverse(t[:h, :h])
+    a_inv_b = a_inv @ t[:h, h:]
+    c_a_inv = t[h:, :h] @ a_inv
+    s_inv = _inverse(t[h:, h:] - t[h:, :h] @ a_inv_b)
+    out = np.empty_like(t)
+    out[h:, h:] = s_inv
+    out[:h, h:] = -a_inv_b @ s_inv
+    out[h:, :h] = -s_inv @ c_a_inv
+    out[:h, :h] = a_inv - out[:h, h:] @ c_a_inv
+    return out
+
+
+class _BandSolver:
+    """Solves x A = b for A = (1 + mu) I - M, M the class kernel on its band.
+
+    A is block tridiagonal for blocks as wide as the band's half width
+    (``KernelBand.half_width``).  ``factor`` runs block LU without pivoting
+    across blocks (``_inverse`` inverts each pivot block) and keeps the
+    inverse pivot blocks; ``solve`` then costs two sweeps of block
+    products.  The off-diagonal blocks are formed once from the band, the
+    diagonal ones in each ``factor``: with the band itself that is
+    O(ell x band width) floats in all.  Kernel entries below BAND_FLOOR are
+    set to 0 in the blocks: their products are subnormal or zero and slow
+    to form.
     """
 
-    def __init__(self, params: ModelParams, w: np.ndarray):
-        lo, hi = kernel_band(params)
-        classes = np.arange(params.ell + 1)
-        width = max(int(np.max(classes - lo)), int(np.max(hi - classes)), _MIN_BLOCK)
-        self.n = params.ell + 1
+    def __init__(self, band: KernelBand):
+        width = max(band.half_width(), _MIN_BLOCK)
+        self.n = band.n
         self.edges = list(range(0, self.n, width)) + [self.n]
-        self.w, self.sigma = w, params.sigma
-        self.inv: list[np.ndarray] = []
+        self.band = band
         n_blocks = len(self.edges) - 1
-        self.row_excess = np.concatenate([
-            sum(self.block(i, k, raw=True).sum(axis=1)
-                for k in range(max(i - 1, 0), min(i + 2, n_blocks)))
-            for i in range(n_blocks)
-        ]) - 1.0
+        self.upper = [self.block(i, i + 1) for i in range(n_blocks - 1)]   # M(i, i+1)
+        self.lower = [self.block(i + 1, i) for i in range(n_blocks - 1)]   # M(i+1, i)
+        self.inv: list[np.ndarray] = []
+        self.row_excess = band.values.sum(axis=1) - 1.0
 
-    def block(self, i: int, k: int, raw: bool = False) -> np.ndarray:
-        """Block (i, k) of M; unless raw, with entries below BAND_FLOOR set to 0.
-
-        The matrix products of ``factor`` need the zeros (products of the
-        tiny entries are subnormal and slow); the vector products of
-        ``solve`` are faster on the plain view.
-        """
+    def block(self, i: int, k: int) -> np.ndarray:
+        """Block (i, k) of M with entries below BAND_FLOOR set to 0."""
         e = self.edges
-        b = self.w[e[i] : e[i + 1], e[k] : e[k + 1]]
-        if not raw:
-            b = np.where(b >= BAND_FLOOR, b, 0.0)
-        elif i == 0:
-            b = b.copy()
-        if i == 0:
-            b[0] /= self.sigma
+        b = self.band.block(e[i], e[i + 1], e[k], e[k + 1])
+        b[b < BAND_FLOOR] = 0.0
         return b
 
     def factor(self, mu: float) -> None:
@@ -224,8 +241,8 @@ class _BandSolver:
             t = -self.block(i, i)
             t.flat[:: t.shape[0] + 1] += 1.0 + mu
             if i:
-                t -= self.block(i, i - 1) @ (self.inv[-1] @ self.block(i - 1, i))
-            inv = np.linalg.inv(t)
+                t -= self.lower[i - 1] @ (self.inv[-1] @ self.upper[i - 1])
+            inv = _inverse(t)
             inv[np.abs(inv) < BAND_FLOOR] = 0.0
             self.inv.append(inv)
 
@@ -237,18 +254,18 @@ class _BandSolver:
         for i in range(n_blocks):
             rhs = b[e[i] : e[i + 1]].copy()
             if i:
-                rhs += v @ self.block(i - 1, i, raw=True)   # A(i-1, i) = -M(i-1, i)
+                rhs += v @ self.upper[i - 1]   # A(i-1, i) = -M(i-1, i)
             v = rhs @ self.inv[i]
             x[e[i] : e[i + 1]] = v
         for i in range(n_blocks - 2, -1, -1):
-            below = x[e[i + 1] : e[i + 2]] @ self.block(i + 1, i, raw=True)
+            below = x[e[i + 1] : e[i + 2]] @ self.lower[i]
             x[e[i] : e[i + 1]] += below @ self.inv[i]
         return x
 
 
 def perron(
     params: ModelParams,
-    mean: np.ndarray | None = None,
+    band: KernelBand | None = None,
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> PerronPair:
@@ -283,21 +300,29 @@ def perron(
     Stops once |delta| <= tol * lam, |delta| ||y||_1 <= ||x||_1 / 2 (the
     step stays within half the distance to the pole of x, about
     ||x|| / ||y||, where x - delta y is a first-order update), and the
-    residual ||rho W - lam rho||_1 against the full W is at most
-    tol * lam.  ``iterations`` counts the Newton steps (one elimination
-    each) plus the inverse-iteration solves of the disordered regime, and
-    max_iter bounds that count; a step too small to change lam in
-    floating point also ends the solve.  Pass
-    mean = mean_matrix(params) to reuse it.  Working set: W plus
-    O(ell x band width).
+    residual ||rho W - lam rho||_1 is at most tol * lam.  ``iterations``
+    counts the Newton steps (one elimination each) plus the
+    inverse-iteration solves of the disordered regime, and max_iter bounds
+    that count; a step too small to change lam in floating point also ends
+    the solve.
+
+    Everything runs on M's band (``kernel_band``; pass band =
+    kernel_band(params) to reuse it): r is its row 0, the elimination
+    blocks are formed from it, and the residual is the banded product
+    rho W = rho M + (sigma - 1) rho_0 r, taken against the band.  The
+    entries of M the band leaves out are below BAND_FLOOR and move rho W by
+    less than 1e-150.  No dense matrix is built: the working set is the
+    band plus about 3 (ell + 1) x half width floats of blocks, O(ell x band
+    width) in all.  At ell = 10^5 and a = ln 2 that is about 350 MB, where
+    W alone would take 80 GB.
     """
-    w = mean_matrix(params) if mean is None else np.asarray(mean, dtype=float)
-    if w.shape != (params.ell + 1, params.ell + 1):
-        raise ValueError(f"mean matrix must be {params.ell + 1} x {params.ell + 1}, got {w.shape}")
+    band = kernel_band(params) if band is None else band
+    if band.n != params.ell + 1:
+        raise ValueError(f"kernel band must have {params.ell + 1} rows, got {band.n}")
     sigma = params.sigma
-    band = _BandSolver(params, w)
+    solver = _BandSolver(band)
     log_pi = _log_stationary_law(params)
-    pole = float(np.exp(log_pi) @ band.row_excess)
+    pole = float(np.exp(log_pi) @ solver.row_excess)
     margin = _FLOOR_ULPS * _EPS
     floor = lo = pole + margin
     hi = max(sigma - 1.0, lo)
@@ -306,21 +331,23 @@ def perron(
         mu = min(pole + _secular_root(params, log_pi, margin, hi - pole), hi)
     else:
         mu = hi
-    r = w[0] / sigma
+    r = band.block(0, 1, 0, band.n)[0]
     step = residual = np.inf
     it = 0
     reason = ""   # set when the stationary limit would overrun max_iter
 
     def residual_of(v, lam):
         rho = v / v.sum()
-        return rho, float(np.abs(rho @ w - lam * rho).sum())
+        weight = rho.copy()
+        weight[0] *= sigma   # W = M with row 0 scaled by sigma
+        return rho, float(np.abs(band.rmatvec(weight) - lam * rho).sum())
 
     while it < max_iter:
         it += 1
-        band.factor(mu)
+        solver.factor(mu)
         lam_x = 1.0 + mu
-        x = band.solve(r)
-        y = band.solve(x)
+        x = solver.solve(r)
+        y = solver.solve(x)
         f = (sigma - 1.0) * float(x[0]) - 1.0
         if f > 0.0:
             lo = mu
@@ -331,7 +358,7 @@ def perron(
             if it + n_solves > max_iter:
                 reason = f"the stationary limit needs {n_solves} more inverse-iteration solves"
                 break
-            rho = _below_floor(band, x, y, params, n_solves)
+            rho = _below_floor(solver, x, y, params, n_solves)
             it += n_solves
             lam = 1.0 + pole + (sigma - 1.0) * float(rho[0])
             rho, residual = residual_of(rho, lam)
@@ -384,7 +411,7 @@ def _inverse_solves(params: ModelParams, margin: float) -> float:
     return math.ceil(math.log(_TINY) / math.log(ratio)) if ratio < 0.5 else math.inf
 
 
-def _below_floor(band: _BandSolver, x: np.ndarray, y: np.ndarray, params: ModelParams,
+def _below_floor(solver: _BandSolver, x: np.ndarray, y: np.ndarray, params: ModelParams,
                  n_solves: int) -> np.ndarray:
     """Perron vector of W when lam lies within the floor's margin of M's Perron root.
 
@@ -400,7 +427,7 @@ def _below_floor(band: _BandSolver, x: np.ndarray, y: np.ndarray, params: ModelP
     sigma = params.sigma
     pi = y / y.sum()
     for _ in range(n_solves):   # none when M = I, where pi = e_0 already
-        pi = band.solve(pi)
+        pi = solver.solve(pi)
         pi /= pi.sum()
     t = x - x.sum() * pi
     k = (sigma - 1.0) * pi[0] / (1.0 - (sigma - 1.0) * t[0])
@@ -428,7 +455,7 @@ class BoundsReport:
 def perron_bounds_check(
     pair: PerronPair,
     params: ModelParams,
-    mean: np.ndarray | None = None,
+    band: KernelBand | None = None,
     k_max: int = 10,
     rtol: float = 1e-11,
 ) -> BoundsReport:
@@ -441,15 +468,19 @@ def perron_bounds_check(
     For q = 0 the brackets collapse to equalities, so the comparison
     allows a small slack proportional to lam.
 
-    Pass mean = mean_matrix(params) to reuse the matrix the Perron pair
-    came from; W(0,k) = sigma M(0,k) and W(i,k) = M(i,k) for i >= 1.
+    The columns W(:, k) = M(:, k), with W(0,k) = sigma M(0,k), are read
+    from M's band (entries below BAND_FLOOR count as 0); pass
+    band = kernel_band(params) to reuse the band the Perron pair came from.
     """
-    w = mean_matrix(params) if mean is None else np.asarray(mean, dtype=float)
+    band = kernel_band(params) if band is None else band
     lam = pair.lam
     rho = np.asarray(pair.rho, dtype=float)
     slack = rtol * max(1.0, lam)
+    k_top = min(k_max, params.ell)
+    w = band.block(0, band.n, 0, k_top + 1)
+    w[0] *= params.sigma
     rows = []
-    for k in range(min(k_max, params.ell) + 1):
+    for k in range(k_top + 1):
         lower = rho[0] * w[0, k] + float(rho[1 : k + 1] @ w[1 : k + 1, k])
         above = w[k + 1 :, k]
         upper = lower + (float(above.max()) if above.size else 0.0)
@@ -484,15 +515,20 @@ def extinction_probabilities(
     A class from which class 0 cannot be reached (at q = 0, every class
     but class 0), and every class when sigma = 1, starts a critical
     process that dies out surely: its u is 0 exactly, set before the
-    first step and never solved for (Etessami & Yannakakis 2009).
+    first step and never solved for (Etessami & Yannakakis 2009).  The
+    classes that reach class 0 are found by a search of the built kernel,
+    not by the rule "all of them for q > 0": from ell = 1076 at q = 0.5,
+    kappa = 2, every M(b, 0) = 2^-ell underflows to 0, and no other class
+    reaches class 0 in floating point.
     Iterates are clamped at 0, which removes only LU rounding on classes
     whose survival probability is far below tol, and each step solves
     only for the classes where u > 0.
 
     Stops once both the last Newton step and the residual max|F(u)| are
     at most tol, absolute in u; max_iter bounds the number of Newton
-    steps.  Survival probabilities much smaller than tol are accurate to
-    tol in absolute terms only.
+    steps.  A survival probability below tol is an upper bound, not a
+    value: far classes are near-critical, where Newton converges only
+    linearly, and the solve stops while they still sit near tol.
     """
     m = lumped_kernel_matrix(params) if kernel is None else np.asarray(kernel, dtype=float)
     a = fitness_vector(params)

@@ -166,6 +166,23 @@ class TestPerronCommand:
         assert len(rho) == 11
         assert all(v > 0 for v in rho)
 
+    @pytest.mark.parametrize("args", [
+        ["perron", "--sigma", "4", "--ell", "200", "--a", str(LN2)],
+        ["converge", "--sigma", "4", "--a", str(LN2), "--ell-grid", "50,200"],
+    ])
+    def test_solves_on_the_band_alone(self, tmp_path, monkeypatch, args):
+        calls = []
+        for module in (quasigw.cli, quasigw.spectral):
+            for name in ("lumped_kernel_matrix", "mean_matrix"):
+                def counting(*a, _fn=getattr(module, name), _name=name, **kw):
+                    calls.append(_name)
+                    return _fn(*a, **kw)
+
+                monkeypatch.setattr(module, name, counting)
+        code, _, _, rows = run_csv(args, tmp_path / "out.csv")
+        assert code == 0 and rows
+        assert calls == []
+
     def test_nonconvergence_exit_code(self, capsys):
         code = main(
             ["perron", "--sigma", "3", "--ell", "30", "--q", "0.8", "--max-iter", "2"]

@@ -28,6 +28,7 @@ from quasigw import (
 )
 
 LN2 = math.log(2.0)
+EPS = np.finfo(float).eps
 
 
 def brute_force_class_row(u, params):
@@ -395,29 +396,54 @@ class TestKernelWindows:
         assert np.all(m[ref == 0.0] < 1e-300)
 
 
+def assert_band_matches_dense(p):
+    """Every stored entry within 4 eps relative plus BAND_FLOOR absolute of the
+    dense build, every entry left out below BAND_FLOOR, no row wider than ell + 1."""
+    m = lumped_kernel_matrix(p)
+    band = kernel_band(p)
+    n, width = band.values.shape
+    assert n == p.ell + 1 and 1 <= width <= n
+    assert np.all((band.offsets >= 0) & (band.offsets + width <= n))
+    stored = m[np.arange(n)[:, None], band.offsets[:, None] + np.arange(width)]
+    assert np.all(np.abs(band.values - stored) <= 4 * EPS * stored + BAND_FLOOR)
+    full = band.block(0, n, 0, n)
+    assert np.all(np.abs(full - m) <= 4 * EPS * m + BAND_FLOOR)
+    x = np.random.default_rng(p.ell).random(n)
+    assert np.allclose(band.rmatvec(x), x @ m, rtol=1e-13, atol=BAND_FLOOR * x.sum())
+
+
 class TestKernelBand:
-    """The band the Perron solver eliminates in, read off the pmf windows."""
+    """The band the Perron solver eliminates in, built from the pmf windows."""
 
     @pytest.mark.parametrize("q", [1e-4, 1e-2, 0.1, 0.5])
     @pytest.mark.parametrize("ell", [10, 100, 500, 2000])
     def test_covers_every_entry_above_the_floor(self, ell, q):
-        p = ModelParams(sigma=2.0, ell=ell, kappa=2, q=q)
-        m = lumped_kernel_matrix(p)
-        lo, hi = kernel_band(p)
-        rows, cols = np.nonzero(m >= BAND_FLOOR)
-        assert np.all((lo[rows] <= cols) & (cols <= hi[rows]))
-        assert np.all((0 <= lo) & (lo <= hi) & (hi <= ell))
+        assert_band_matches_dense(ModelParams(sigma=2.0, ell=ell, kappa=2, q=q))
+
+    def test_long_sequence_band_matches_dense_build(self):
+        assert_band_matches_dense(ModelParams(sigma=4.0, ell=5000, kappa=2, q=LN2 / 5000))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=300),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.just(0.0) | st.floats(min_value=1e-300, max_value=0.99),
+    )
+    def test_matches_dense_build_property(self, ell, kappa, q):
+        assert_band_matches_dense(ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q))
 
     def test_band_is_narrow_at_fixed_mutation_pressure(self):
-        """At a = ln 2 the band stays about +-90 wide as ell grows."""
+        """At a = ln 2 the band stays about +-90 wide as ell grows, and its
+        storage about 160 columns."""
         for ell in (1000, 5000):
-            lo, hi = kernel_band(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell))
-            classes = np.arange(ell + 1)
-            assert max(np.max(classes - lo), np.max(hi - classes)) < 100
+            band = kernel_band(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell))
+            assert band.half_width() < 100
+            assert band.values.shape[1] < 170
 
     def test_q_zero_band_is_the_diagonal(self):
-        lo, hi = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))
-        assert np.array_equal(lo, np.arange(8)) and np.array_equal(hi, np.arange(8))
+        band = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))
+        assert np.array_equal(band.values, np.ones((8, 1)))
+        assert np.array_equal(band.offsets, np.arange(8)) and band.half_width() == 0
 
 
 class TestLimitKernel:

@@ -9,17 +9,21 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import quasigw.spectral
+
 from quasigw import (
     ConvergenceError,
     ModelParams,
     extinction_probabilities,
     fitness_vector,
+    kernel_band,
     lumped_kernel_matrix,
     mean_matrix,
     perron,
     perron_bounds_check,
     power_iteration,
 )
+from quasigw.spectral import _inverse
 
 LN2 = math.log(2.0)
 
@@ -180,18 +184,19 @@ class TestSecularPerron:
     def test_matches_power_iteration_on_benchmark_instances(self, sigma, a, ell):
         p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
         w = mean_matrix(p)
-        pair = perron(p, mean=w)
+        band = kernel_band(p)
+        pair = perron(p, band=band)
         assert pair.method == "secular Newton"
         assert pair.residual <= 1e-12 * pair.lam
         assert np.abs(pair.rho @ w - pair.lam * pair.rho).sum() <= 1e-12 * pair.lam
         assert 1 <= pair.iterations <= 2
         assert abs(pair.lam - (1.0 + (sigma - 1.0) * pair.rho[0])) < 1e-11
-        assert perron_bounds_check(pair, p, mean=w).passed
+        assert perron_bounds_check(pair, p, band=band).passed
         assert_pairs_agree(pair, power_iteration(w))
 
     def test_builds_the_mean_matrix_when_not_given(self):
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        built, given = perron(p), perron(p, mean=mean_matrix(p))
+        built, given = perron(p), perron(p, band=kernel_band(p))
         assert built.lam == given.lam
         assert np.array_equal(built.rho, given.rho)
 
@@ -278,7 +283,7 @@ class TestSecularPerron:
         p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
         w = mean_matrix(p)
         tol = 1e-12
-        pair = perron(p, mean=w, tol=tol)
+        pair = perron(p, band=kernel_band(p), tol=tol)
         assert pair.residual <= tol * pair.lam
         assert np.all(pair.rho >= 0.0) and pair.rho.sum() == pytest.approx(1.0, abs=1e-14)
         vals, vecs = np.linalg.eig(w.T)
@@ -288,6 +293,38 @@ class TestSecularPerron:
         assert abs(pair.lam - vals[top].real) <= 1e-10 * pair.lam
         assert np.abs(pair.rho - oracle).sum() <= 1e-8
         assert abs(pair.lam - (1.0 + (sigma - 1.0) * pair.rho[0])) <= 1e-12
+
+
+class TestPivotBlockSplit:
+    """Pivot blocks of 100 rows or more are inverted through a 2 x 2 block split,
+    away from OpenBLAS's threaded LU."""
+
+    def test_inverse_of_a_wide_m_matrix(self):
+        rng = np.random.default_rng(0)
+        m = rng.random((250, 250))
+        m /= m.sum(axis=1, keepdims=True)
+        t = 1.01 * np.eye(250) - m
+        assert np.max(np.abs(_inverse(t) @ t - np.eye(250))) < 1e-11
+
+    def test_no_inv_call_reaches_100_rows(self, monkeypatch):
+        """sigma=2, ell=300, a=2 ln 2: the band, and so each pivot block, is 101 wide."""
+        p = ModelParams(sigma=2.0, ell=300, kappa=2, q=2.0 * LN2 / 300)
+        sizes = []
+        inv = np.linalg.inv
+
+        def recording(a):
+            sizes.append(a.shape[0])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        split = perron(p)
+        assert sizes and max(sizes) <= 99
+        sizes.clear()
+        monkeypatch.setattr(quasigw.spectral, "_MAX_INV", 10**6)
+        whole = perron(p)
+        assert max(sizes) == 101
+        assert abs(split.lam - whole.lam) <= 1e-13
+        assert np.max(np.abs(split.rho - whole.rho)) <= 1e-13
 
 
 class TestPerronBoundsCheck:
@@ -311,9 +348,9 @@ class TestPerronBoundsCheck:
 
     def test_reuses_the_mean_matrix(self):
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        w = mean_matrix(p)
-        pair = perron(p, mean=w)
-        assert perron_bounds_check(pair, p, mean=w) == perron_bounds_check(pair, p)
+        band = kernel_band(p)
+        pair = perron(p, band=band)
+        assert perron_bounds_check(pair, p, band=band) == perron_bounds_check(pair, p)
 
     def test_failure_injection(self):
         """A distorted eigenvector must be caught by at least one inequality."""
@@ -409,6 +446,15 @@ class TestExtinctionProbabilities:
         assert np.max(np.abs(u + np.expm1(-fitness_vector(p) * (m @ u)))) <= 1e-12
         assert np.all(np.diff(s) >= -1e-12)
         assert 0.0 < s[0] < 1.0
+
+    def test_underflowed_master_column_is_certain_extinction(self):
+        """Every M(b, 0) = 2^-1100 underflows to 0, so in floating point no class
+        reaches class 0 (not even class 0 itself), and every u is 0 exactly."""
+        p = ModelParams(sigma=2.0, ell=1100, kappa=2, q=0.5)
+        m = lumped_kernel_matrix(p)
+        assert not np.any(m[:, 0])
+        s = extinction_probabilities(p, kernel=m)
+        assert np.all(s == 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
