@@ -229,25 +229,23 @@ def _binom_windows(
 # Kernel entries below this (the square root of the smallest normal float)
 # are left out of the band: products of two of them are subnormal or zero.
 BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
-# pmf entries evaluated at once: bounds the transient arrays of a build.
-_CHUNK_ENTRIES = 1 << 16
 
 
-def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray,
-                       log_fact: np.ndarray) -> np.ndarray:
-    """Row i holds the Binomial(n[i], p) pmf on lo[i]..hi[i], then zeros.
-
-    From the log-factorial table log_fact; in this order the values equal a
-    full-length gammaln evaluation of the pmf bit for bit.
-    """
-    k = lo[:, None] + np.arange(int(np.max(hi - lo)) + 1)
-    inside = k <= hi[:, None]
+def _binom_window_pmf(n: int, p: float, lo: int, hi: int, log_fact: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) pmf on lo..hi, from the log-factorial table log_fact."""
+    k = np.arange(lo, hi + 1)
     if p == 0.0:
-        return (inside & (k == 0)).astype(float)
-    k = np.where(inside, k, lo[:, None])
-    n = n[:, None]
-    logpmf = log_fact[n] - log_fact[k] - log_fact[n - k] + k * math.log(p) + (n - k) * math.log1p(-p)
-    return np.where(inside, np.exp(logpmf), 0.0)
+        return (k == 0).astype(float)
+    # log_fact[j] = gammaln(j + 1); in this order the values equal a full-length
+    # gammaln evaluation of the pmf bit for bit.
+    logpmf = (
+        log_fact[n]
+        - log_fact[lo : hi + 1]
+        - log_fact[n - hi : n - lo + 1][::-1]
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+    return np.exp(logpmf)
 
 
 def _kernel_rows(params: ModelParams, log_min: float, pad: int
@@ -270,46 +268,36 @@ def _kernel_rows(params: ModelParams, log_min: float, pad: int
     l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min, pad)
 
     def rows() -> Iterator[np.ndarray]:
-        n_gain, n_loss = (g_hi - g_lo + 1).tolist(), (l_hi - l_lo + 1).tolist()
-        chunk = max(1, _CHUNK_ENTRIES // (max(n_gain) + max(n_loss)))
-        for r0 in range(0, ell + 1, chunk):
-            r = slice(r0, r0 + chunk)
-            gain = _binom_window_pmfs(ell - classes[r], q, g_lo[r], g_hi[r], log_fact)
-            loss = _binom_window_pmfs(classes[r], q_back, l_lo[r], l_hi[r], log_fact)
-            for i in range(gain.shape[0]):
-                b = r0 + i
-                # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
-                # which lands in class c = b + k - l.
-                yield np.convolve(gain[i, : n_gain[b]], loss[i, n_loss[b] - 1 :: -1])
+        windows = zip(g_lo.tolist(), g_hi.tolist(), l_lo.tolist(), l_hi.tolist())
+        for b, (glo, ghi, llo, lhi) in enumerate(windows):
+            gain = _binom_window_pmf(ell - b, q, glo, ghi, log_fact)
+            loss = _binom_window_pmf(b, q_back, llo, lhi, log_fact)
+            # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
+            # which lands in class c = b + k - l.
+            yield np.convolve(gain, loss[::-1])
 
     return classes + g_lo - l_hi, classes + g_hi - l_lo, rows()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBand:
     """The class kernel M on its band: M(b, offsets[b] + j) = values[b, j].
 
     values is (ell + 1) x width, width <= ell + 1, and every window
     offsets[b] .. offsets[b] + width - 1 lies inside 0..ell.  Entries of M
     outside the windows are below BAND_FLOOR and count as 0; entries inside
-    them but outside the row's support are stored as 0.
+    them but outside the row's support are stored as 0.  half_width bounds
+    |c - b| over the row supports.
     """
 
     values: np.ndarray
     offsets: np.ndarray
+    half_width: int
 
     @property
     def n(self) -> int:
         """Number of classes, ell + 1."""
         return self.values.shape[0]
-
-    def half_width(self) -> int:
-        """Largest |c - b| over the nonzero stored entries M(b, c)."""
-        nz = self.values != 0.0
-        first = np.argmax(nz, axis=1)
-        last = self.values.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
-        rows = np.arange(self.n)
-        return int(max(np.max(rows - self.offsets - first), np.max(self.offsets + last - rows)))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """M[r0:r1, c0:c1] as a dense array."""
@@ -323,7 +311,7 @@ class KernelBand:
         """x @ M, in O(ell x width)."""
         out = np.zeros(self.n)
         for j in range(self.values.shape[1]):
-            np.add.at(out, self.offsets + j, x * self.values[:, j])
+            out += np.bincount(self.offsets + j, weights=x * self.values[:, j], minlength=self.n)
         return out
 
 
@@ -351,7 +339,9 @@ def kernel_band(params: ModelParams) -> KernelBand:
     values = np.zeros((ell + 1, width))
     for b, (start, row) in enumerate(zip((lo - offsets).tolist(), rows)):
         values[b, start : start + row.size] = row
-    return KernelBand(values=values, offsets=offsets)
+    classes = np.arange(ell + 1)
+    half_width = int(max(np.max(classes - lo), np.max(hi - classes)))
+    return KernelBand(values=values, offsets=offsets, half_width=half_width)
 
 
 def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:

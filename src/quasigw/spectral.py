@@ -218,7 +218,7 @@ class _BandSolver:
     """
 
     def __init__(self, band: KernelBand):
-        width = max(band.half_width(), _MIN_BLOCK)
+        width = max(band.half_width, _MIN_BLOCK)
         self.n = band.n
         self.edges = list(range(0, self.n, width)) + [self.n]
         self.band = band

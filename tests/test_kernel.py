@@ -437,13 +437,13 @@ class TestKernelBand:
         storage about 160 columns."""
         for ell in (1000, 5000):
             band = kernel_band(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell))
-            assert band.half_width() < 100
+            assert band.half_width < 100
             assert band.values.shape[1] < 170
 
     def test_q_zero_band_is_the_diagonal(self):
         band = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))
         assert np.array_equal(band.values, np.ones((8, 1)))
-        assert np.array_equal(band.offsets, np.arange(8)) and band.half_width() == 0
+        assert np.array_equal(band.offsets, np.arange(8)) and band.half_width == 0
 
 
 class TestLimitKernel:
