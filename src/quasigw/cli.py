@@ -16,6 +16,12 @@ leading ``#`` comment lines, floats with 17 significant digits) or JSON
 config and seed the output is byte-identical across runs on one platform,
 except for the recorded wall-clock duration.
 
+Each command returns its results as a table: a dict from column name to a
+1-D array, one dtype per column.  The renderers format each row of the
+table with one ``%`` call, spelling every value as ``_fmt`` (CSV) or
+``json.dumps`` (JSON) spells it, so the bytes match rendering value by
+value; config and diagnostics go through ``_fmt`` and ``json.dumps``.
+
 Exit status: 0 on success (including a disordered-regime notice), 2 on bad
 usage or non-convergence, 3 when every simulation replica went extinct.
 """
@@ -27,6 +33,7 @@ import json
 import math
 import sys
 import time
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -244,15 +251,11 @@ def cmd_kernel(resolved: dict):
     params = _model_params(resolved)
     m = lumped_kernel_matrix(params)
     dev = np.abs(m.sum(axis=1) - 1.0)
-    columns = ["b"] + [f"c{j}" for j in range(params.ell + 1)] + ["row_sum_dev"]
-    rows = []
-    for b in range(params.ell + 1):
-        row = {"b": b, "row_sum_dev": float(dev[b])}
-        for j in range(params.ell + 1):
-            row[f"c{j}"] = float(m[b, j])
-        rows.append(row)
+    table = {"b": np.arange(params.ell + 1)}
+    table.update((f"c{j}", m[:, j]) for j in range(params.ell + 1))
+    table["row_sum_dev"] = dev
     diagnostics = {"max_row_sum_dev": float(dev.max())}
-    return columns, rows, diagnostics, 0
+    return table, diagnostics, 0
 
 
 def cmd_perron(resolved: dict):
@@ -261,9 +264,8 @@ def cmd_perron(resolved: dict):
     pair = perron(params, band=band, tol=resolved["tol"], max_iter=resolved["max_iter"])
     bounds = perron_bounds_check(pair, params, band=band, k_max=resolved["k_report"])
     identity_gap = abs(pair.lam - ((params.sigma - 1.0) * float(pair.rho[0]) + 1.0))
-    k_top = min(resolved["k_report"], params.ell)
-    columns = ["k", "rho"]
-    rows = [{"k": k, "rho": float(pair.rho[k])} for k in range(k_top + 1)]
+    k = np.arange(min(resolved["k_report"], params.ell) + 1)
+    table = {"k": k, "rho": pair.rho[k]}
     diagnostics = {
         "lambda": pair.lam,
         "residual": pair.residual,
@@ -273,50 +275,39 @@ def cmd_perron(resolved: dict):
         "lambda_in_range": bool(1.0 < pair.lam < params.sigma),
         "bounds_ok": bounds.passed,
     }
-    return columns, rows, diagnostics, 0
+    return table, diagnostics, 0
 
 
 def cmd_quasispecies(resolved: dict):
     qp = QuasispeciesParams(sigma=resolved["sigma"], a=resolved["a"])
     regime = classify_regime(qp)
     kmax = resolved["kmax"]
-    columns = ["k", "closed_form", "recurrence", "abs_diff", "running_sum"]
     diagnostics = {"regime": regime.value, "threshold": qp.threshold}
+    k = np.arange(kmax + 1)
     if regime is Regime.DISORDERED:
         print(
             "notice: sigma * exp(-a) <= 1, disordered regime; "
             "the limiting class distribution is identically zero",
             file=sys.stderr,
         )
-        rows = [
-            {"k": k, "closed_form": 0.0, "recurrence": 0.0, "abs_diff": 0.0, "running_sum": 0.0}
-            for k in range(kmax + 1)
-        ]
-        return columns, rows, diagnostics, 0
-    closed = [qs_pmf(qp, k) for k in range(kmax + 1)]
-    rec = qs_pmf_by_recurrence(qp, kmax)
+        zeros = np.zeros(k.size)
+        table = {"k": k, "closed_form": zeros, "recurrence": zeros, "abs_diff": zeros,
+                 "running_sum": zeros}
+        return table, diagnostics, 0
+    closed = np.array([qs_pmf(qp, j) for j in range(kmax + 1)])
+    rec = np.asarray(qs_pmf_by_recurrence(qp, kmax), dtype=float)
+    abs_diff = np.abs(closed - rec)
     partial, tail = qs_normalization_check(qp, kmax)
-    rows = []
-    running = 0.0
-    for k in range(kmax + 1):
-        running += closed[k]
-        rows.append(
-            {
-                "k": k,
-                "closed_form": closed[k],
-                "recurrence": float(rec[k]),
-                "abs_diff": abs(closed[k] - float(rec[k])),
-                "running_sum": running,
-            }
-        )
+    table = {"k": k, "closed_form": closed, "recurrence": rec, "abs_diff": abs_diff,
+             "running_sum": np.cumsum(closed)}
     diagnostics.update(
         {
             "partial_sum": partial,
             "tail_bound": tail,
-            "max_abs_diff": max(r["abs_diff"] for r in rows),
+            "max_abs_diff": max(abs_diff.tolist()),
         }
     )
-    return columns, rows, diagnostics, 0
+    return table, diagnostics, 0
 
 
 def cmd_converge(resolved: dict):
@@ -327,29 +318,28 @@ def cmd_converge(resolved: dict):
     if not grid:
         raise ValueError("--ell-grid must list at least one length")
     k_top = min(resolved["k_report"], min(grid))
-    q_limit = [qs_pmf(qp, k) for k in range(k_top + 1)]
-    columns = ["ell", "q", "lambda", "lambda_gap", "method", "iterations"]
-    columns += [f"rho{k}" for k in range(k_top + 1)]
-    columns += [f"gap{k}" for k in range(k_top + 1)]
-    rows = []
+    q_limit = np.array([qs_pmf(qp, k) for k in range(k_top + 1)])
+    qs, pairs = [], []
     for ell in grid:
         params = ModelParams(sigma=resolved["sigma"], ell=ell, kappa=resolved["kappa"],
                              q=resolved["a"] / ell)
-        pair = perron(params, tol=resolved["tol"], max_iter=resolved["max_iter"])
-        row = {
-            "ell": ell,
-            "q": params.q,
-            "lambda": pair.lam,
-            "lambda_gap": abs(pair.lam - lam_limit),
-            "method": pair.method,
-            "iterations": pair.iterations,
-        }
-        for k in range(k_top + 1):
-            row[f"rho{k}"] = float(pair.rho[k])
-            row[f"gap{k}"] = abs(float(pair.rho[k]) - q_limit[k])
-        rows.append(row)
+        qs.append(params.q)
+        pairs.append(perron(params, tol=resolved["tol"], max_iter=resolved["max_iter"]))
+    lam = np.array([pair.lam for pair in pairs])
+    rho = np.array([pair.rho[np.arange(k_top + 1)] for pair in pairs])
+    gap = np.abs(rho - q_limit)
+    table = {
+        "ell": np.array(grid),
+        "q": np.array(qs),
+        "lambda": lam,
+        "lambda_gap": np.abs(lam - lam_limit),
+        "method": np.array([pair.method for pair in pairs]),
+        "iterations": np.array([pair.iterations for pair in pairs]),
+    }
+    table.update((f"rho{k}", rho[:, k]) for k in range(k_top + 1))
+    table.update((f"gap{k}", gap[:, k]) for k in range(k_top + 1))
     diagnostics = {"regime": regime.value, "threshold": qp.threshold, "lambda_limit": lam_limit}
-    return columns, rows, diagnostics, 0
+    return table, diagnostics, 0
 
 
 def cmd_simulate(resolved: dict):
@@ -358,14 +348,10 @@ def cmd_simulate(resolved: dict):
     if resolved["mode"] == "trajectory":
         rng = RngSpec(resolved["seed"], 0).generator()
         t = run_trajectory(z0, params, resolved["n_gens"], rng, pop_cap=resolved["pop_cap"])
-        columns = ["generation", "total", "extinct"] + [f"count{k}" for k in range(params.ell + 1)]
-        rows = []
-        for g in range(t.counts.shape[0]):
-            row = {"generation": g, "total": int(t.counts[g].sum()),
-                   "extinct": bool(t.counts[g].sum() == 0)}
-            for k in range(params.ell + 1):
-                row[f"count{k}"] = int(t.counts[g, k])
-            rows.append(row)
+        total = t.counts.sum(axis=1)
+        table = {"generation": np.arange(t.counts.shape[0]), "total": total,
+                 "extinct": total == 0}
+        table.update((f"count{k}", t.counts[:, k]) for k in range(params.ell + 1))
         diagnostics = {
             "extinct": t.extinct,
             "capped": t.capped,
@@ -373,7 +359,7 @@ def cmd_simulate(resolved: dict):
             "capped_at": -1 if t.capped_at is None else t.capped_at,
             "recorded_generations": int(t.counts.shape[0]),
         }
-        return columns, rows, diagnostics, 0
+        return table, diagnostics, 0
     est = conditioned_frequencies(
         params,
         z0,
@@ -382,18 +368,14 @@ def cmd_simulate(resolved: dict):
         seed=resolved["seed"],
         pop_cap=resolved["pop_cap"],
     )
-    columns = ["k", "mean_freq", "se"]
-    rows = [
-        {"k": k, "mean_freq": float(est.mean[k]), "se": float(est.se[k])}
-        for k in range(params.ell + 1)
-    ]
+    table = {"k": np.arange(params.ell + 1), "mean_freq": est.mean, "se": est.se}
     diagnostics = {
         "n_survivors": est.n_survivors,
         "n_replicas": est.n_replicas,
         "n_generations": est.n_generations,
         "n_capped": est.n_capped,
     }
-    return columns, rows, diagnostics, 0
+    return table, diagnostics, 0
 
 
 def cmd_extinction(resolved: dict):
@@ -402,14 +384,12 @@ def cmd_extinction(resolved: dict):
     s = extinction_probabilities(params, resolved["tol"], resolved["max_iter"], kernel=kernel)
     fit = fitness_vector(params)
     residual = float(np.max(np.abs(np.exp(fit * (kernel @ s - 1.0)) - s)))
-    columns = ["k", "p_extinct"]
-    rows = [{"k": k, "p_extinct": float(s[k])} for k in range(params.ell + 1)]
+    table = {"k": np.arange(params.ell + 1), "p_extinct": s}
     diagnostics = {"fixed_point_residual": residual}
     if resolved["mc"] > 0:
-        columns += ["mc_freq", "mc_se"]
         w = mean_matrix(params, kernel=kernel)
-        for k in range(params.ell + 1):
-            rep = extinction_mc(
+        reps = [
+            extinction_mc(
                 params,
                 n_replicas=resolved["mc"],
                 start_class=k,
@@ -419,10 +399,12 @@ def cmd_extinction(resolved: dict):
                 stream=k,
                 mean=w,
             )
-            rows[k]["mc_freq"] = rep.extinct_fraction
-            rows[k]["mc_se"] = rep.se
+            for k in range(params.ell + 1)
+        ]
+        table["mc_freq"] = np.array([rep.extinct_fraction for rep in reps], dtype=float)
+        table["mc_se"] = np.array([rep.se for rep in reps], dtype=float)
         diagnostics["mc_replicas"] = resolved["mc"]
-    return columns, rows, diagnostics, 0
+    return table, diagnostics, 0
 
 
 _COMMANDS = {
@@ -461,22 +443,82 @@ def _jsonable(v):
     return v
 
 
-def render_csv(config: dict, columns: list, rows: list, diagnostics: dict) -> str:
+def _csv_column(a: np.ndarray) -> tuple[str, np.ndarray]:
+    """printf spec and values of one CSV column, spelled as ``_fmt`` spells each value."""
+    if a.dtype.kind == "f":
+        return "%.17g", a
+    if a.dtype.kind in "iu":
+        return "%d", a
+    if a.dtype.kind == "b":
+        return "%s", np.where(a, "true", "false")
+    return "%s", a.astype(str)
+
+
+def _json_column(a: np.ndarray) -> tuple[str, np.ndarray]:
+    """printf spec and values of one JSON column, spelled as ``json.dumps`` spells each value."""
+    if a.dtype.kind == "f":
+        if np.isfinite(a).all():
+            return "%r", a
+        text = np.array([repr(x) for x in a.tolist()], dtype=object)
+        text[np.isnan(a)] = "NaN"
+        text[a == np.inf] = "Infinity"
+        text[a == -np.inf] = "-Infinity"
+        return "%s", text
+    if a.dtype.kind in "iu":
+        return "%d", a
+    if a.dtype.kind == "b":
+        return "%s", np.where(a, "true", "false")
+    return "%s", np.array([json.dumps(x) for x in a.tolist()], dtype=object)
+
+
+def _records(table: dict, names: list, spell, layout):
+    """One string per table row: the columns names, each spelled by spell,
+    in the row template layout(specs).
+
+    Runs of adjacent columns of one dtype are stacked into 2-D blocks, so a
+    row's values come out with one ``tolist`` per block and are formatted by
+    one ``%`` call per row.
+    """
+    specs, blocks = [], []
+    for _, run in groupby((spell(table[name]) for name in names), key=lambda sa: sa[1].dtype):
+        run = list(run)
+        specs += [spec for spec, _ in run]
+        blocks.append(np.column_stack([a for _, a in run]))
+    template = layout(specs)
+    for i in range(blocks[0].shape[0]):
+        row = blocks[0][i].tolist()
+        for block in blocks[1:]:
+            row += block[i].tolist()
+        yield template % tuple(row)
+
+
+def render_csv(config: dict, table: dict, diagnostics: dict) -> str:
     lines = [f"# config.{k}={_fmt(config[k])}" for k in sorted(config)]
     lines += [f"# diagnostics.{k}={_fmt(diagnostics[k])}" for k in sorted(diagnostics)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+    lines.append(",".join(table))
+    lines += _records(table, list(table), _csv_column, ",".join)
     return "\n".join(lines) + "\n"
 
 
-def render_json(config: dict, columns: list, rows: list, diagnostics: dict) -> str:
-    obj = {
-        "config": {k: _jsonable(v) for k, v in config.items()},
-        "results": [{c: _jsonable(r[c]) for c in columns} for r in rows],
-        "diagnostics": {k: _jsonable(v) for k, v in diagnostics.items()},
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def render_json(config: dict, table: dict, diagnostics: dict) -> str:
+    head = json.dumps(
+        {
+            "config": {k: _jsonable(v) for k, v in config.items()},
+            "diagnostics": {k: _jsonable(v) for k, v in diagnostics.items()},
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    keys = sorted(table)
+    labels = [f"      {json.dumps(k)}: ".replace("%", "%%") for k in keys]
+
+    def layout(specs):
+        return "    {\n" + ",\n".join(map(str.__add__, labels, specs)) + "\n    }"
+
+    records = ",\n".join(_records(table, keys, _json_column, layout))
+    # With sort_keys, "results" comes last: after "diagnostics", before head's closing brace.
+    results = ("[\n", records, "\n  ]") if records else ("[]",)
+    return "".join((head[:-2], ',\n  "results": ', *results, "\n}\n"))
 
 
 def main(argv=None) -> int:
@@ -485,7 +527,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         resolved = _resolve(args, _TABLES[args.command])
-        columns, rows, diagnostics, code = _COMMANDS[args.command](resolved)
+        table, diagnostics, code = _COMMANDS[args.command](resolved)
     except AllExtinctError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -496,9 +538,9 @@ def main(argv=None) -> int:
     config = {"command": args.command, "version": __version__}
     config.update({k: v for k, v in resolved.items() if v is not None})
     text = (
-        render_csv(config, columns, rows, diagnostics)
+        render_csv(config, table, diagnostics)
         if resolved["format"] == "csv"
-        else render_json(config, columns, rows, diagnostics)
+        else render_json(config, table, diagnostics)
     )
     if resolved["out"]:
         Path(resolved["out"]).write_text(text)

@@ -231,21 +231,33 @@ def _binom_windows(
 BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
-def _binom_window_pmf(n: int, p: float, lo: int, hi: int, log_fact: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) pmf on lo..hi, from the log-factorial table log_fact."""
-    k = np.arange(lo, hi + 1)
+def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray,
+                       log_fact: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binomial(n[i], p) pmfs on lo[i]..hi[i], concatenated end to end: values, starts, ends.
+
+    All windows are evaluated in one pass, from the log-factorial table
+    log_fact; pmf i is values[starts[i]:ends[i]].
+    """
+    size = hi - lo + 1
+    ends = np.cumsum(size)
+    # k steps by 1 inside a window and jumps from hi[i-1] to lo[i] between
+    # windows; int32 (k <= ell) keeps the index arrays at half the size.
+    k = np.ones(ends[-1], dtype=np.int32)
+    k[0] = lo[0]
+    k[ends[:-1]] = lo[1:] - hi[:-1]
+    np.cumsum(k, out=k)
     if p == 0.0:
-        return (k == 0).astype(float)
-    # log_fact[j] = gammaln(j + 1); in this order the values equal a full-length
-    # gammaln evaluation of the pmf bit for bit.
-    logpmf = (
-        log_fact[n]
-        - log_fact[lo : hi + 1]
-        - log_fact[n - hi : n - lo + 1][::-1]
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return np.exp(logpmf)
+        return (k == 0).astype(float), ends - size, ends
+    n_k = np.repeat(n.astype(np.int32), size)
+    n_k -= k
+    # log_fact[j] = gammaln(j + 1); with the terms added in this order the
+    # values equal a full-length gammaln evaluation of each pmf bit for bit.
+    logpmf = np.repeat(log_fact[n], size)
+    logpmf -= log_fact[k]
+    logpmf -= log_fact[n_k]
+    logpmf += k * math.log(p)
+    logpmf += n_k * math.log1p(-p)
+    return np.exp(logpmf, out=logpmf), ends - size, ends
 
 
 def _kernel_rows(params: ModelParams, log_min: float, pad: int
@@ -256,25 +268,31 @@ def _kernel_rows(params: ModelParams, log_min: float, pad: int
     correct loci that mutate away and L ~ Binomial(b, q/(kappa-1)) counts
     mutated loci that revert: the convolution of the two pmfs, term for term
     the sum of lumped_kernel_entry.  Each pmf is kept on its window where
-    logpmf >= log_min, padded by pad zeros (``_binom_windows``); then row b
-    has columns lo[b]..hi[b], and ``rows`` yields its values there for
-    b = 0..ell in turn.
+    logpmf >= log_min, padded by pad zeros (``_binom_windows``), and the
+    windows of all rows are evaluated in one pass (``_binom_window_pmfs``);
+    then row b has columns lo[b]..hi[b], and ``rows`` yields its values
+    there for b = 0..ell in turn.
     """
     ell, kappa, q = params.ell, params.kappa, params.q
     q_back = q / (kappa - 1)
     log_fact = gammaln(np.arange(ell + 1) + 1)
     classes = np.arange(ell + 1)
     g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min, pad)
-    l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min, pad)
+    gains, g_starts, g_ends = _binom_window_pmfs(ell - classes, q, g_lo, g_hi, log_fact)
+    if q_back == q:
+        # kappa = 2 (or q = 0): L in row b is G in row ell - b, window and pmf alike.
+        l_lo, l_hi, losses = g_lo[::-1], g_hi[::-1], gains
+        l_starts, l_ends = g_starts[::-1], g_ends[::-1]
+    else:
+        l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min, pad)
+        losses, l_starts, l_ends = _binom_window_pmfs(classes, q_back, l_lo, l_hi, log_fact)
 
     def rows() -> Iterator[np.ndarray]:
-        windows = zip(g_lo.tolist(), g_hi.tolist(), l_lo.tolist(), l_hi.tolist())
-        for b, (glo, ghi, llo, lhi) in enumerate(windows):
-            gain = _binom_window_pmf(ell - b, q, glo, ghi, log_fact)
-            loss = _binom_window_pmf(b, q_back, llo, lhi, log_fact)
+        bounds = zip(g_starts.tolist(), g_ends.tolist(), l_starts.tolist(), l_ends.tolist())
+        for g0, g1, l0, l1 in bounds:
             # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
             # which lands in class c = b + k - l.
-            yield np.convolve(gain, loss[::-1])
+            yield np.convolve(gains[g0:g1], losses[l0:l1][::-1])
 
     return classes + g_lo - l_hi, classes + g_hi - l_lo, rows()
 

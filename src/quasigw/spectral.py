@@ -366,11 +366,17 @@ def perron(
                 return PerronPair(lam=lam, rho=rho, residual=residual, iterations=it,
                                   method="secular Newton (stationary limit)")
             break
-        new = mu + f * float(x[0] / y[0]) if sigma > 1.0 else floor
+        mid = pole + math.sqrt((lo - pole) * (hi - pole))
+        if sigma == 1.0:
+            new = floor
+        elif y[0] == 0.0:
+            new = mid   # M(0, 0) underflows, so x_0 = y_0 = 0 and Newton's step is 0/0
+        else:
+            new = mu + f * float(x[0] / y[0])
         if new <= lo and lo == floor:
             new = floor
         elif not lo <= new <= hi:
-            new = pole + math.sqrt((lo - pole) * (hi - pole))
+            new = mid
         step = new - mu
         lam = 1.0 + new
         residual = np.inf

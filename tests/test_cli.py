@@ -6,6 +6,7 @@ the emitted CSV or JSON.  stderr notices are checked through capsys.
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,8 @@ import pytest
 
 import quasigw.cli
 import quasigw.spectral
-from quasigw.cli import main
+from quasigw import __version__
+from quasigw.cli import main, render_csv, render_json
 
 LN2 = math.log(2.0)
 
@@ -390,3 +392,135 @@ class TestEntryPoints:
         assert code == 0
         body = capsys.readouterr().out
         assert "b,c0,c1" in body
+
+
+def oracle_fmt(v) -> str:
+    """CSV spelling of one value, as the row-dict renderer spelled it."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
+    if isinstance(v, (list, tuple)):
+        return ";".join(oracle_fmt(x) for x in v)
+    return str(v)
+
+
+def oracle_jsonable(v):
+    if isinstance(v, (np.ndarray, list, tuple)):
+        return [oracle_jsonable(x) for x in v]
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return v
+
+
+def oracle_render(config, table, diagnostics, fmt):
+    """Render through one dict per row, value by value: the renderer the
+    column-wise one replaces, kept as its byte-for-byte oracle."""
+    columns = list(table)
+    rows = [dict(zip(columns, values)) for values in zip(*(table[c].tolist() for c in columns))]
+    if fmt == "csv":
+        lines = [f"# config.{k}={oracle_fmt(config[k])}" for k in sorted(config)]
+        lines += [f"# diagnostics.{k}={oracle_fmt(diagnostics[k])}" for k in sorted(diagnostics)]
+        lines.append(",".join(columns))
+        lines += [",".join(oracle_fmt(row[c]) for c in columns) for row in rows]
+        return "\n".join(lines) + "\n"
+    obj = {
+        "config": {k: oracle_jsonable(v) for k, v in config.items()},
+        "results": [{c: oracle_jsonable(r[c]) for c in columns} for r in rows],
+        "diagnostics": {k: oracle_jsonable(v) for k, v in diagnostics.items()},
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def oracle_output(argv):
+    """The command's table and diagnostics, rendered by the oracle, with duration_s = 0."""
+    args = quasigw.cli.build_parser().parse_args(argv)
+    resolved = quasigw.cli._resolve(args, quasigw.cli._TABLES[args.command])
+    table, diagnostics, _ = quasigw.cli._COMMANDS[args.command](resolved)
+    diagnostics["duration_s"] = 0.0
+    config = {"command": args.command, "version": __version__}
+    config.update({k: v for k, v in resolved.items() if v is not None})
+    return oracle_render(config, table, diagnostics, resolved["format"])
+
+
+def mask_duration(text):
+    return re.sub(r'(duration_s"?(=|: ))[-+.0-9eE]+', r"\1X", text)
+
+
+INT_COLUMNS = re.compile(r"(b|k|generation|total|ell|iterations|count\d+)$")
+BYTE_CASES = {
+    "kernel": ["kernel", "--sigma", "2", "--ell", "12", "--kappa", "3", "--q", "0.3"],
+    "perron": ["perron", "--sigma", "4", "--ell", "100", "--a", str(LN2)],
+    "quasispecies": ["quasispecies", "--sigma", "4", "--a", str(LN2), "--kmax", "12"],
+    "quasispecies-disordered": ["quasispecies", "--sigma", "1.5", "--a", "2", "--kmax", "4"],
+    "no-rows": ["quasispecies", "--sigma", "1.5", "--a", "2", "--kmax", "-3"],
+    "converge": ["converge", "--sigma", "4", "--a", str(LN2), "--ell-grid", "100,200"],
+    "trajectory": ["simulate", "--sigma", "1", "--ell", "5", "--q", "0.5", "--z0", "3:1",
+                   "--n-gens", "30", "--seed", "1"],
+    "frequencies": ["simulate", "--sigma", "4", "--ell", "10", "--a", str(LN2),
+                    "--mode", "frequencies", "--n-replicas", "1", "--seed", "2"],
+    "extinction": ["extinction", "--sigma", "3", "--ell", "6", "--a", "0.5", "--mc", "30",
+                   "--n-gens", "20", "--seed", "4"],
+}
+
+
+class TestOutputBytes:
+    """Column-wise rendering prints the bytes the row-dict renderer printed."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(BYTE_CASES))
+    def test_matches_row_dict_renderer(self, tmp_path, case, fmt):
+        argv = [*BYTE_CASES[case], "--format", fmt, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        text = (tmp_path / "out").read_text()
+        assert mask_duration(text) == mask_duration(oracle_output(argv))
+
+    def test_cases_cover_nan_bool_str_and_list_values(self, tmp_path):
+        out = tmp_path / "out"
+        main([*BYTE_CASES["frequencies"], "--out", str(out)])
+        assert ",nan\n" in out.read_text()
+        main([*BYTE_CASES["frequencies"], "--format", "json", "--out", str(out)])
+        assert '"se": NaN' in out.read_text()
+        main([*BYTE_CASES["trajectory"], "--out", str(out)])
+        assert ",true," in out.read_text() and ",false," in out.read_text()
+        main([*BYTE_CASES["converge"], "--out", str(out)])
+        assert "# config.ell_grid=100;200\n" in out.read_text()
+        assert ",secular Newton," in out.read_text()
+
+    @pytest.mark.parametrize("case", sorted(BYTE_CASES))
+    def test_column_types(self, tmp_path, case):
+        """Each column keeps the JSON type its values had: int counts and
+        indices, bool extinct, str method, float otherwise."""
+        _, doc = run_json(BYTE_CASES[case], tmp_path / "out.json")
+        for row in doc["results"]:
+            for name, value in row.items():
+                want = (bool if name == "extinct" else str if name == "method"
+                        else int if INT_COLUMNS.match(name) else float)
+                assert type(value) is want, (name, value)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zero_infinities_and_escapes(self, fmt):
+        table = {
+            "k": np.arange(6),
+            "x%d": np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1]),
+            "flag": np.array([True, False, True, False, True, False]),
+            "name": np.array(["a", "b%s", 'q"', "\u00e9", "tab\t", ""]),
+            "big": np.array([0, -1, 2**62, 7, 8, 9]),
+        }
+        config = {"command": "x", "ell_grid": [1, 2], "z": -0.0}
+        diagnostics = {"nan": math.nan, "inf": -math.inf, "ok": True}
+        render = render_csv if fmt == "csv" else render_json
+        text = render(config, table, diagnostics)
+        assert text == oracle_render(config, table, diagnostics, fmt)
+        if fmt == "csv":
+            assert [line.split(",")[1] for line in text.splitlines()[-6:]] == [
+                "-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "0.10000000000000001"]
+        else:
+            for spelled in ("-0.0", "Infinity", "-Infinity", "NaN", "5e-324", "0.1"):
+                assert f'"x%d": {spelled}\n' in text

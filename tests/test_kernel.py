@@ -6,12 +6,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom
 
-from quasigw.kernel import BAND_FLOOR, kernel_band
+from quasigw.kernel import _LOG_UNDERFLOW, _PAD, BAND_FLOOR, _binom_windows, kernel_band
 from quasigw import (
     ModelParams,
     class_size,
@@ -444,6 +444,79 @@ class TestKernelBand:
         band = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))
         assert np.array_equal(band.values, np.ones((8, 1)))
         assert np.array_equal(band.offsets, np.arange(8)) and band.half_width == 0
+
+
+def per_row_kernel_rows(p, log_min, pad):
+    """Row starts and rows of the kernel, one row at a time: each pmf on its
+    window (``_binom_windows``) through log-gamma, then np.convolve."""
+    ell = p.ell
+    q_back = p.q / (p.kappa - 1)
+    log_fact = gammaln(np.arange(ell + 1) + 1)
+    classes = np.arange(ell + 1)
+    g_lo, g_hi = _binom_windows(ell - classes, p.q, log_fact, log_min, pad)
+    l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min, pad)
+
+    def window_pmf(n, prob, lo, hi):
+        k = np.arange(lo, hi + 1)
+        if prob == 0.0:
+            return (k == 0).astype(float)
+        logpmf = (
+            log_fact[n]
+            - log_fact[lo : hi + 1]
+            - log_fact[n - hi : n - lo + 1][::-1]
+            + k * math.log(prob)
+            + (n - k) * math.log1p(-prob)
+        )
+        return np.exp(logpmf)
+
+    rows = [np.convolve(window_pmf(ell - b, p.q, g_lo[b], g_hi[b]),
+                        window_pmf(b, q_back, l_lo[b], l_hi[b])[::-1]) for b in classes]
+    return classes + g_lo - l_hi, rows
+
+
+def per_row_dense(p):
+    lo, rows = per_row_kernel_rows(p, _LOG_UNDERFLOW, _PAD)
+    m = np.zeros((p.ell + 1, p.ell + 1))
+    for b, row in enumerate(rows):
+        m[b, lo[b] : lo[b] + row.size] = row
+    return m
+
+
+def per_row_band(p):
+    ell = p.ell
+    lo, rows = per_row_kernel_rows(p, math.log(BAND_FLOOR) - math.log(ell + 1), 0)
+    hi = lo + np.array([row.size for row in rows]) - 1
+    width = int(np.max(hi - lo)) + 1
+    offsets = np.minimum(lo, ell + 1 - width)
+    values = np.zeros((ell + 1, width))
+    for b, row in enumerate(rows):
+        values[b, lo[b] - offsets[b] : lo[b] - offsets[b] + row.size] = row
+    classes = np.arange(ell + 1)
+    return values, offsets, int(max(np.max(classes - lo), np.max(hi - classes)))
+
+
+class TestOnePassWindows:
+    """Both builds evaluate every row's pmf windows in one pass; each row
+    equals the per-row evaluation bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=300),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.just(0.0) | st.floats(min_value=1e-300, max_value=0.99),
+    )
+    # q / (kappa - 1) rounds to 0: a point-mass loss pmf beside a gain pmf
+    @example(ell=50, kappa=3, q=5e-324)
+    @example(ell=200, kappa=2, q=1e-300)
+    @example(ell=1100, kappa=2, q=0.5)
+    def test_builds_match_per_row_evaluation(self, ell, kappa, q):
+        p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
+        assert np.array_equal(lumped_kernel_matrix(p), per_row_dense(p))
+        band = kernel_band(p)
+        values, offsets, half_width = per_row_band(p)
+        assert np.array_equal(band.values, values)
+        assert np.array_equal(band.offsets, offsets)
+        assert band.half_width == half_width
 
 
 class TestLimitKernel:

@@ -264,6 +264,16 @@ class TestSecularPerron:
         assert exc.value.iterations == 2
         assert exc.value.residual > 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowed_master_entry_bisects_without_dividing(self):
+        """At kappa=2, q=0.5, M(0, 0) = 2^-ell is left out of the band from
+        ell = 521 on, so x_0 = y_0 = 0; the step bisects instead of dividing
+        0 by 0, and lam and method are those of the 0/0 path it replaces."""
+        pair = perron(ModelParams(sigma=2.0, ell=521, kappa=2, q=0.5))
+        assert pair.method == "secular Newton"
+        assert pair.iterations == 6
+        assert pair.lam == pytest.approx(1.0000000000000722, abs=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(
         sigma=st.floats(min_value=1.0, max_value=10.0),
