@@ -152,7 +152,8 @@ _TABLES = {
         "max_iter": (int, 100, "Newton step budget"),
         "mc": (int, 0, "if > 0, Monte Carlo replicas per starting class"),
         "n_gens": (int, 100, "Monte Carlo horizon"),
-        "escape_cap": (_big_int, 10**6, "population size at which a run counts as surviving"),
+        "escape_cap": (_big_int, 10**6, "Monte Carlo escape size, >= 2: a replica counts as "
+                                        "escaped once its total reaches it"),
         "seed": (int, 0, "master seed"),
         **_OUT_OPTS,
     },
@@ -247,6 +248,14 @@ def _parse_z0(spec: str, ell: int) -> np.ndarray:
     return z
 
 
+def _top_class(resolved: dict, name: str) -> int:
+    """The highest class to report, resolved[name], checked to be >= 0."""
+    k = resolved[name]
+    if k < 0:
+        raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {k}")
+    return k
+
+
 def cmd_kernel(resolved: dict):
     params = _model_params(resolved)
     m = lumped_kernel_matrix(params)
@@ -260,11 +269,12 @@ def cmd_kernel(resolved: dict):
 
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
+    k_report = _top_class(resolved, "k_report")
     band = kernel_band(params)
     pair = perron(params, band=band, tol=resolved["tol"], max_iter=resolved["max_iter"])
-    bounds = perron_bounds_check(pair, params, band=band, k_max=resolved["k_report"])
+    bounds = perron_bounds_check(pair, params, band=band, k_max=k_report)
     identity_gap = abs(pair.lam - ((params.sigma - 1.0) * float(pair.rho[0]) + 1.0))
-    k = np.arange(min(resolved["k_report"], params.ell) + 1)
+    k = np.arange(min(k_report, params.ell) + 1)
     table = {"k": k, "rho": pair.rho[k]}
     diagnostics = {
         "lambda": pair.lam,
@@ -281,7 +291,7 @@ def cmd_perron(resolved: dict):
 def cmd_quasispecies(resolved: dict):
     qp = QuasispeciesParams(sigma=resolved["sigma"], a=resolved["a"])
     regime = classify_regime(qp)
-    kmax = resolved["kmax"]
+    kmax = _top_class(resolved, "kmax")
     diagnostics = {"regime": regime.value, "threshold": qp.threshold}
     k = np.arange(kmax + 1)
     if regime is Regime.DISORDERED:
@@ -317,7 +327,7 @@ def cmd_converge(resolved: dict):
     grid = resolved["ell_grid"]
     if not grid:
         raise ValueError("--ell-grid must list at least one length")
-    k_top = min(resolved["k_report"], min(grid))
+    k_top = min(_top_class(resolved, "k_report"), min(grid))
     q_limit = np.array([qs_pmf(qp, k) for k in range(k_top + 1)])
     qs, pairs = [], []
     for ell in grid:

@@ -8,9 +8,9 @@ population or a batch of them: each class-k individual leaves Poisson
 children in class l with mean A(k) M(k, l) = W(k, l), independently, so
 a sum of independent Poissons makes the class-l offspring of a whole
 population z one Poisson count with mean (z W)(l), independent across
-l.  This one draw per class is the package's only class-count sampler;
-trajectories, survivor-conditioned frequencies, extinction Monte Carlo
-and the class route of ``lumping_equivalence_test`` all step through it.
+l.  This draw is the package's only class-count sampler.  One loop over
+generations drives it for trajectories, survivor-conditioned frequencies
+and extinction Monte Carlo, and ``lumping_equivalence_test`` draws it once.
 
 Randomness comes from numpy Generators.  ``RngSpec(master_seed, stream)``
 derives statistically independent, byte-reproducible streams.  A replica
@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
 from .kernel import ModelParams, fitness_genotype, hamming_class
 from .spectral import mean_matrix
@@ -184,10 +183,8 @@ class Trajectory:
         return out
 
 
-def _start_counts(z0: np.ndarray, params: ModelParams, n_gens: int) -> np.ndarray:
+def _start_counts(z0: np.ndarray, params: ModelParams) -> np.ndarray:
     """Validated int64 copy of a starting class-count vector."""
-    if n_gens < 0:
-        raise ValueError(f"n_gens must be >= 0, got {n_gens}")
     z = np.array(z0, dtype=np.int64)
     if z.shape != (params.ell + 1,):
         raise ValueError(f"z0 must have shape ({params.ell + 1},)")
@@ -196,39 +193,65 @@ def _start_counts(z0: np.ndarray, params: ModelParams, n_gens: int) -> np.ndarra
     return z
 
 
+def _founders(params: ModelParams, n: int, start_class: int) -> np.ndarray:
+    """Batch of n populations, shape (n, ell+1), each one class-start_class founder."""
+    if n < 1:
+        raise ValueError(f"need at least one founder, got {n}")
+    if not 0 <= start_class <= params.ell:
+        raise ValueError("start_class outside [0, ell]")
+    z = np.zeros((n, params.ell + 1), dtype=np.int64)
+    z[:, start_class] = 1
+    return z
+
+
+def _generations(z: np.ndarray, params: ModelParams, rng: np.random.Generator, n_gens: int,
+                 cap: int, mean: np.ndarray | None = None):
+    """The one generation loop: advance the batch z, shape (R, ell+1), in
+    place and yield after each generation.
+
+    A row is live while 0 < total <= cap, and only live rows are stepped
+    through step_occupancy.  A row retires when it dies out or its total
+    exceeds cap, and keeps the counts of the generation that retired it.
+    Stops after n_gens generations or once no row is live.
+    """
+    if n_gens < 0:
+        raise ValueError(f"n_gens must be >= 0, got {n_gens}")
+    w = mean_matrix(params) if mean is None else mean
+    totals = z.sum(axis=1)
+    live = np.flatnonzero((totals > 0) & (totals <= cap))
+    for _ in range(n_gens):
+        if live.size == 0:
+            return
+        nxt = step_occupancy(z[live], params, rng, w)
+        z[live] = nxt
+        totals = nxt.sum(axis=1)
+        # the live set only shrinks, so retired rows are never looked at again
+        live = live[(totals > 0) & (totals <= cap)]
+        yield
+
+
 def run_trajectory(
     z0: np.ndarray,
     params: ModelParams,
     n_gens: int,
     rng: np.random.Generator,
     pop_cap: int = 10**12,
-    mean: np.ndarray | None = None,
 ) -> Trajectory:
-    """Run the class-count process for n_gens generations.
-
-    Stops early when the population dies out (extinct_at records the
-    generation) or when the total exceeds pop_cap (capped_at set, the
-    offending generation is still recorded; no silent truncation).
+    """Run the class-count process for n_gens generations, as a batch of one
+    through the shared generation loop, recording every generation.  Stops
+    early when the population dies out (extinct_at records the generation)
+    or its total exceeds pop_cap (capped_at set, the offending generation
+    still recorded; no silent truncation).
     """
-    z = _start_counts(z0, params, n_gens)
-    w = mean_matrix(params) if mean is None else mean
-    records = [z.copy()]
-    extinct_at = 0 if int(z.sum()) == 0 else None
-    capped_at = 0 if int(z.sum()) > pop_cap else None
-    g = 0
-    while g < n_gens and extinct_at is None and capped_at is None:
-        z = step_occupancy(z, params, rng, mean=w)
-        g += 1
-        records.append(z.copy())
-        total = int(z.sum())
-        if total == 0:
-            extinct_at = g
-        elif total > pop_cap:
-            capped_at = g
+    z = _start_counts(z0, params)[None, :]
+    records = [z[0].copy()]
+    for _ in _generations(z, params, rng, n_gens, pop_cap):
+        records.append(z[0].copy())
+    last, total = len(records) - 1, int(z.sum())
     return Trajectory(
         counts=np.stack(records),
-        extinct_at=extinct_at,
-        capped_at=capped_at,
+        extinct_at=last if total == 0 else None,
+        capped_at=last if total > pop_cap else None,
         requested_generations=n_gens,
     )
 
@@ -259,30 +282,21 @@ def conditioned_frequencies(
 ) -> FrequencyEstimate:
     """Class frequencies at the horizon, averaged over surviving replicas.
 
-    All replicas start from z0 and advance as one (n_replicas, ell+1)
-    batch on the stream RngSpec(seed, 0), so the estimate is
-    reproducible.  Each generation steps only the live rows; a row
-    retires when it dies out (extinct) or when its total exceeds pop_cap
-    (capped, keeping the counts of the generation that crossed the cap;
-    no silent truncation).  A replica counts as surviving when it is not
-    extinct by n_gens, and a capped replica contributes the frequencies
-    of its last generation.  Raises AllExtinctError when no replica
-    survives (use a larger starting population or more replicas).
+    All replicas start from z0 and advance through the shared generation
+    loop as one (n_replicas, ell+1) batch on the stream RngSpec(seed, 0),
+    so the estimate is reproducible.  A replica retires when it dies out
+    (extinct) or its total exceeds pop_cap (capped, with the counts of the
+    generation that crossed the cap).  It counts as surviving when it is
+    not extinct by n_gens; a capped survivor contributes the frequencies of
+    its last generation.  Raises AllExtinctError when no replica survives
+    (use a larger starting population or more replicas).
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    z = np.tile(_start_counts(z0, params, n_gens), (n_replicas, 1))
-    w = mean_matrix(params)
-    rng = RngSpec(seed, 0).generator()
+    z = np.tile(_start_counts(z0, params), (n_replicas, 1))
+    for _ in _generations(z, params, RngSpec(seed, 0).generator(), n_gens, pop_cap):
+        pass
     totals = z.sum(axis=1)
-    for _ in range(n_gens):
-        live = np.flatnonzero((totals > 0) & (totals <= pop_cap))
-        if live.size == 0:
-            break
-        nxt = step_occupancy(z[live], params, rng, mean=w)
-        z[live] = nxt
-        totals[live] = nxt.sum(axis=1)
-
     survived = totals > 0
     n = int(survived.sum())
     if n == 0:
@@ -328,10 +342,12 @@ def lumping_equivalence_test(
     laws and a two-sample chi-square p-value (outcome cells pooled so
     every expected count is at least 5).
     """
+    # scipy.stats is half of the CLI's start-up, and no subcommand needs it
+    from scipy.stats import chi2_contingency
+
     if params.ell > 3 or params.kappa > 3:
         raise ResourceLimitError("equivalence test is meant for ell <= 3, kappa <= 3")
-    if not 0 <= start_class <= params.ell:
-        raise ValueError("start_class outside [0, ell]")
+    founders = _founders(params, n_samples, start_class)
     u0 = (1,) * start_class + (0,) * (params.ell - start_class)
     pop = {u0: 1}
     rng_g = RngSpec(seed, 0).generator()
@@ -342,9 +358,7 @@ def lumping_equivalence_test(
         child = step_genotype(pop, params, rng_g)
         counts_g[tuple(occupancy_of(child, params.ell))] += 1
 
-    z = np.zeros((n_samples, params.ell + 1), dtype=np.int64)
-    z[:, start_class] = 1
-    draws = step_occupancy(z, params, rng_z)
+    draws = step_occupancy(founders, params, rng_z)
     counts_z: Counter = Counter()
     for row in draws:
         counts_z[tuple(int(x) for x in row)] += 1
@@ -401,38 +415,22 @@ def extinction_mc(
 ) -> ExtinctionMCReport:
     """Fraction of replicas (one class-k founder each) that die out.
 
-    The live replicas advance as one batch through step_occupancy, one
-    Poisson draw per (replica, class) and generation.  A replica is
-    retired as surviving once its population reaches escape_cap (from
-    that size, eventual extinction has negligible probability); replicas
-    still undecided at the horizon are counted as survivors and reported.
-
-    Pass mean = mean_matrix(params) to amortize the kernel build across
-    calls.
+    The replicas advance through the shared generation loop as one batch
+    with cap escape_cap - 1: a replica retires as extinct when it dies out
+    and as escaped once its total reaches escape_cap >= 2 (from that size,
+    eventual extinction has negligible probability).  Replicas still live
+    at the horizon are reported as undecided.  Pass mean =
+    mean_matrix(params) to amortize the kernel build across calls.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-    if not 0 <= start_class <= params.ell:
-        raise ValueError("start_class outside [0, ell]")
-    w = mean_matrix(params) if mean is None else mean
+    if escape_cap < 2:
+        raise ValueError(f"escape_cap must be >= 2, got {escape_cap}")
+    z = _founders(params, n_replicas, start_class)
     rng = RngSpec(seed, stream).generator()
-    z = np.zeros((n_replicas, params.ell + 1), dtype=np.int64)
-    z[:, start_class] = 1
-    alive = np.ones(n_replicas, dtype=bool)
-    n_extinct = 0
-    n_escaped = 0
-    for _ in range(n_gens):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        z[idx] = step_occupancy(z[idx], params, rng, mean=w)
-        totals = z[idx].sum(axis=1)
-        died = totals == 0
-        escaped = totals >= escape_cap
-        n_extinct += int(died.sum())
-        n_escaped += int(escaped.sum())
-        alive[idx[died | escaped]] = False
-    n_undecided = int(alive.sum())
+    for _ in _generations(z, params, rng, n_gens, escape_cap - 1, mean):
+        pass
+    totals = z.sum(axis=1)
+    n_extinct = int(np.count_nonzero(totals == 0))
+    n_escaped = int(np.count_nonzero(totals >= escape_cap))
     frac = n_extinct / n_replicas
     se = float(np.sqrt(frac * (1.0 - frac) / n_replicas))
     return ExtinctionMCReport(
@@ -440,6 +438,6 @@ def extinction_mc(
         se=se,
         n_extinct=n_extinct,
         n_escaped=n_escaped,
-        n_undecided=n_undecided,
+        n_undecided=n_replicas - n_extinct - n_escaped,
         n_replicas=n_replicas,
     )

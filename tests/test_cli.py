@@ -6,9 +6,11 @@ the emitted CSV or JSON.  stderr notices are checked through capsys.
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,22 @@ class TestArgumentHandling:
         )
         assert code == 2
         assert "z0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["quasispecies", "--sigma", "1.5", "--a", "2", "--kmax", "-3"],
+        ["perron", "--sigma", "4", "--a", "0.69", "--ell", "50", "--k-report", "-3"],
+        ["converge", "--sigma", "4", "--a", "0.69", "--ell-grid", "100,200", "--k-report", "-1"],
+        ["extinction", "--sigma", "2", "--ell", "2", "--q", "0.1", "--mc", "10",
+         "--escape-cap", "0"],
+        ["extinction", "--sigma", "2", "--ell", "2", "--q", "0.1", "--mc", "10",
+         "--n-gens", "-3"],
+    ], ids=["kmax", "perron-k-report", "converge-k-report", "escape-cap", "n-gens"])
+    def test_out_of_range_count_is_a_usage_error(self, capsys, args):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.search(args[-2][2:].replace("-", "[-_]") + " must be >= ", captured.err)
 
 
 class TestConfigFile:
@@ -387,6 +405,16 @@ class TestEntryPoints:
         assert out.returncode == 0
         assert out.stdout.strip().startswith("quasigw ")
 
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = str(Path(quasigw.cli.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, quasigw.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0
+        assert out.stdout.strip() == "False"
+
     def test_stdout_default(self, capsys):
         code = main(["kernel", "--sigma", "2", "--ell", "1", "--kappa", "2", "--q", "0.25"])
         assert code == 0
@@ -459,7 +487,6 @@ BYTE_CASES = {
     "perron": ["perron", "--sigma", "4", "--ell", "100", "--a", str(LN2)],
     "quasispecies": ["quasispecies", "--sigma", "4", "--a", str(LN2), "--kmax", "12"],
     "quasispecies-disordered": ["quasispecies", "--sigma", "1.5", "--a", "2", "--kmax", "4"],
-    "no-rows": ["quasispecies", "--sigma", "1.5", "--a", "2", "--kmax", "-3"],
     "converge": ["converge", "--sigma", "4", "--a", str(LN2), "--ell-grid", "100,200"],
     "trajectory": ["simulate", "--sigma", "1", "--ell", "5", "--q", "0.5", "--z0", "3:1",
                    "--n-gens", "30", "--seed", "1"],
@@ -503,6 +530,15 @@ class TestOutputBytes:
                 want = (bool if name == "extinct" else str if name == "method"
                         else int if INT_COLUMNS.match(name) else float)
                 assert type(value) is want, (name, value)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table_matches_row_dict_renderer(self, fmt):
+        table = {"k": np.arange(0), "x": np.zeros(0), "flag": np.zeros(0, dtype=bool)}
+        config, diagnostics = {"command": "x", "kmax": 0}, {"regime": "disordered"}
+        render = render_csv if fmt == "csv" else render_json
+        text = render(config, table, diagnostics)
+        assert text == oracle_render(config, table, diagnostics, fmt)
+        assert text.endswith("k,x,flag\n" if fmt == "csv" else '"results": []\n}\n')
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_signed_zero_infinities_and_escapes(self, fmt):

@@ -40,6 +40,22 @@ def e0_start(ell, n=1):
     return z
 
 
+@pytest.fixture
+def stepped_totals(monkeypatch):
+    """Row totals going into and coming out of every step_occupancy call
+    made through the simulate module, as two growing lists of arrays."""
+    totals_in, totals_out = [], []
+
+    def recording_step(z, *args, **kwargs):
+        out = step_occupancy(z, *args, **kwargs)
+        totals_in.append(z.sum(axis=1))
+        totals_out.append(out.sum(axis=1))
+        return out
+
+    monkeypatch.setattr(simulate, "step_occupancy", recording_step)
+    return totals_in, totals_out
+
+
 class TestRngSpec:
     def test_same_spec_reproduces(self):
         a = RngSpec(123, 4).generator().integers(0, 1_000_000, size=20)
@@ -253,6 +269,11 @@ class TestLumpingEquivalence:
         with pytest.raises(ResourceLimitError):
             lumping_equivalence_test(p, n_samples=100)
 
+    def test_no_samples_rejected(self):
+        """Zero samples would report TV 0 and p = 1, a vacuous pass."""
+        with pytest.raises(ValueError):
+            lumping_equivalence_test(ModelParams(sigma=2.0, ell=3, kappa=2, q=0.2), n_samples=0)
+
 
 class TestRunTrajectory:
     def test_empty_start_extinct_at_zero(self):
@@ -329,25 +350,16 @@ class TestConditionedFrequencies:
         assert est.n_capped == 25
         assert np.array_equal(est.mean, z0 / 64)
 
-    def test_mid_run_cap_retires_rows_above_the_cap(self, monkeypatch):
+    def test_mid_run_cap_retires_rows_above_the_cap(self, stepped_totals):
         """Every stepped row is live, each capped survivor left exactly one
         row above pop_cap (the generation that crossed it), and each extinct
         replica one empty row."""
         p = ModelParams(sigma=2.0, ell=8, kappa=2, q=0.05)
         pop_cap = 200
-        stepped_in, stepped_out = [], []
-
-        def recording_step(z, *args, **kwargs):
-            out = step_occupancy(z, *args, **kwargs)
-            stepped_in.append(z.sum(axis=1))
-            stepped_out.append(out.sum(axis=1))
-            return out
-
-        monkeypatch.setattr(simulate, "step_occupancy", recording_step)
         est = conditioned_frequencies(
             p, e0_start(8, 1), n_gens=12, n_replicas=200, seed=2, pop_cap=pop_cap
         )
-        totals_in, totals_out = np.concatenate(stepped_in), np.concatenate(stepped_out)
+        totals_in, totals_out = map(np.concatenate, stepped_totals)
         assert np.all((totals_in > 0) & (totals_in <= pop_cap))
         assert 0 < est.n_capped < est.n_survivors < est.n_replicas
         assert int(np.sum(totals_out > pop_cap)) == est.n_capped
@@ -385,9 +397,32 @@ class TestExtinctionMC:
 
     def test_counts_are_consistent(self):
         p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.05)
-        rep = extinction_mc(p, n_replicas=5000, seed=1)
+        for kwargs in ({}, {"escape_cap": 2, "n_gens": 3}):
+            rep = extinction_mc(p, n_replicas=5000, seed=1, **kwargs)
+            assert rep.n_extinct + rep.n_escaped + rep.n_undecided == rep.n_replicas
+            assert rep.extinct_fraction == rep.n_extinct / rep.n_replicas
+        assert min(rep.n_extinct, rep.n_escaped, rep.n_undecided) > 0
+
+    @pytest.mark.parametrize("kwargs", [{"n_gens": -1}, {"escape_cap": 1}, {"escape_cap": 0}],
+                             ids=["n_gens=-1", "escape_cap=1", "escape_cap=0"])
+    def test_out_of_range_start_rejected(self, kwargs):
+        p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.1)
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= "):
+            extinction_mc(p, n_replicas=10, **kwargs)
+
+    def test_only_live_rows_are_stepped(self, stepped_totals):
+        """Every stepped row is live (0 < total < escape_cap), each escaped
+        replica left exactly one row at or above escape_cap and kept it to
+        the end, and each extinct replica one empty row."""
+        p = ModelParams(sigma=2.0, ell=8, kappa=2, q=0.05)
+        escape_cap = 30
+        rep = extinction_mc(p, n_replicas=400, n_gens=10, escape_cap=escape_cap, seed=2)
+        totals_in, totals_out = map(np.concatenate, stepped_totals)
+        assert np.all((totals_in > 0) & (totals_in < escape_cap))
+        assert min(rep.n_extinct, rep.n_escaped, rep.n_undecided) > 0
+        assert int(np.sum(totals_out >= escape_cap)) == rep.n_escaped
+        assert int(np.sum(totals_out == 0)) == rep.n_extinct
         assert rep.n_extinct + rep.n_escaped + rep.n_undecided == rep.n_replicas
-        assert rep.extinct_fraction == rep.n_extinct / rep.n_replicas
 
     def test_reproducible(self):
         p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.05)
