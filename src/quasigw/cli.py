@@ -138,7 +138,7 @@ _TABLES = {
         "z0": (str, "0:100", "initial counts as class:count[,class:count...]"),
         "n_gens": (int, 12, "generations to run"),
         "n_replicas": (int, 200, "replicas (frequencies mode)"),
-        "pop_cap": (_big_int, 10**12, "stop a run once the population exceeds this"),
+        "pop_cap": (_big_int, 10**12, "stop a run once the population exceeds this, >= 1"),
         "seed": (int, 0, "master seed"),
         **_OUT_OPTS,
     },
@@ -390,14 +390,14 @@ def cmd_simulate(resolved: dict):
 
 def cmd_extinction(resolved: dict):
     params = _model_params(resolved)
-    kernel = lumped_kernel_matrix(params)
-    s = extinction_probabilities(params, resolved["tol"], resolved["max_iter"], kernel=kernel)
+    band = kernel_band(params)
+    s = extinction_probabilities(params, resolved["tol"], resolved["max_iter"], band=band)
     fit = fitness_vector(params)
-    residual = float(np.max(np.abs(np.exp(fit * (kernel @ s - 1.0)) - s)))
+    residual = float(np.max(np.abs(np.exp(fit * (band.matvec(s) - 1.0)) - s)))
     table = {"k": np.arange(params.ell + 1), "p_extinct": s}
     diagnostics = {"fixed_point_residual": residual}
     if resolved["mc"] > 0:
-        w = mean_matrix(params, kernel=kernel)
+        w = mean_matrix(params)
         reps = [
             extinction_mc(
                 params,

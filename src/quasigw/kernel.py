@@ -305,7 +305,9 @@ class KernelBand:
     offsets[b] .. offsets[b] + width - 1 lies inside 0..ell.  Entries of M
     outside the windows are below BAND_FLOOR and count as 0; entries inside
     them but outside the row's support are stored as 0.  half_width bounds
-    |c - b| over the row supports.
+    |c - b| over the row supports.  ``matvec`` and ``rmatvec`` give M x and
+    x M, and ``block`` dense pieces of M, all without forming M: the
+    Perron and extinction solves run on these alone.
     """
 
     values: np.ndarray
@@ -324,6 +326,16 @@ class KernelBand:
         inside = (j >= 0) & (j < width)
         got = np.take_along_axis(self.values[r0:r1], np.clip(j, 0, width - 1), axis=1)
         return np.where(inside, got, 0.0)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M @ x, in O(ell x width)."""
+        x = np.ascontiguousarray(x, dtype=float)
+        n, width = self.values.shape
+        if x.shape != (n,):
+            raise ValueError(f"x must have shape ({n},), got {x.shape}")
+        # row k of windows is the view x[k : k + width]
+        windows = np.ndarray((n - width + 1, width), float, x, 0, (x.itemsize, x.itemsize))
+        return np.einsum("ij,ij->i", self.values, windows[self.offsets])
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """x @ M, in O(ell x width)."""

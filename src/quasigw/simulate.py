@@ -241,8 +241,10 @@ def run_trajectory(
     through the shared generation loop, recording every generation.  Stops
     early when the population dies out (extinct_at records the generation)
     or its total exceeds pop_cap (capped_at set, the offending generation
-    still recorded; no silent truncation).
+    still recorded; no silent truncation).  pop_cap must be >= 1.
     """
+    if pop_cap < 1:
+        raise ValueError(f"pop_cap must be >= 1, got {pop_cap}")
     z = _start_counts(z0, params)[None, :]
     records = [z[0].copy()]
     for _ in _generations(z, params, rng, n_gens, pop_cap):
@@ -289,10 +291,13 @@ def conditioned_frequencies(
     generation that crossed the cap).  It counts as surviving when it is
     not extinct by n_gens; a capped survivor contributes the frequencies of
     its last generation.  Raises AllExtinctError when no replica survives
-    (use a larger starting population or more replicas).
+    (use a larger starting population or more replicas).  pop_cap must be
+    >= 1.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+    if pop_cap < 1:
+        raise ValueError(f"pop_cap must be >= 1, got {pop_cap}")
     z = np.tile(_start_counts(z0, params), (n_replicas, 1))
     for _ in _generations(z, params, RngSpec(seed, 0).generator(), n_gens, pop_cap):
         pass

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order
 from scipy.special import gammaln
 
 from .kernel import BAND_FLOOR, KernelBand, ModelParams, kernel_band, lumped_kernel_matrix
@@ -36,9 +35,9 @@ __all__ = [
 # Smallest block of the banded elimination: fewer, larger blocks when the
 # band is narrow (q near 0).
 _MIN_BLOCK = 16
-# Largest matrix handed to numpy.linalg.inv.  From 100 rows on, OpenBLAS
-# inverts through its threaded LU, which can stall for 10-300 ms; larger
-# pivot blocks are inverted through a 2 x 2 block split.
+# Largest matrix handed to numpy.linalg.inv or numpy.linalg.solve.  From 100
+# rows on, OpenBLAS factors through its threaded LU, which can stall for
+# 10-300 ms; larger pivot blocks go through a 2 x 2 block split.
 _MAX_INV = 99
 # lam is kept this many ulps of 1 above the Perron root of the class kernel.
 _FLOOR_ULPS = 16
@@ -203,18 +202,51 @@ def _inverse(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with t x = b (b of shape (n, k)), t a nonsingular M-matrix, with no
+    numpy.linalg.solve call above _MAX_INV rows.
+
+    Larger t is split as [[A, B], [C, D]]: one solve with A gives
+    [Y | y] = A^-1 [B | b_1], then x_2 solves (D - C Y) x_2 = b_2 - C y and
+    x_1 = y - Y x_2.  As in ``_inverse``, the split needs no pivoting.
+    """
+    n = t.shape[0]
+    if n <= _MAX_INV:
+        return np.linalg.solve(t, b)
+    h = n // 2
+    top = _solve(t[:h, :h], np.hstack((t[:h, h:], b[:h])))
+    y_mat, y = top[:, : n - h], top[:, n - h :]
+    x_2 = _solve(t[h:, h:] - t[h:, :h] @ y_mat, b[h:] - t[h:, :h] @ y)
+    return np.vstack((y - y_mat @ x_2, x_2))
+
+
+def _flush(a: np.ndarray) -> None:
+    """Set the entries of a below BAND_FLOOR in magnitude to 0, in place: as
+    for the kernel's entries, products of two of them are subnormal or zero,
+    and slow to form."""
+    a[np.abs(a) < BAND_FLOOR] = 0.0
+
+
 class _BandSolver:
-    """Solves x A = b for A = (1 + mu) I - M, M the class kernel on its band.
+    """Solves with A = c I - diag(d) M, M the class kernel on its band.
 
     A is block tridiagonal for blocks as wide as the band's half width
-    (``KernelBand.half_width``).  ``factor`` runs block LU without pivoting
-    across blocks (``_inverse`` inverts each pivot block) and keeps the
-    inverse pivot blocks; ``solve`` then costs two sweeps of block
-    products.  The off-diagonal blocks are formed once from the band, the
-    diagonal ones in each ``factor``: with the band itself that is
-    O(ell x band width) floats in all.  Kernel entries below BAND_FLOOR are
-    set to 0 in the blocks: their products are subnormal or zero and slow
-    to form.
+    (``KernelBand.half_width``), at least _MIN_BLOCK.  The blocks of M next
+    to the diagonal are formed once from the band, and those on it once per
+    factorisation or, for ``solve_right``, once in all; their entries below
+    BAND_FLOOR are set to 0, as are those of the blocks the eliminations
+    store (``_flush``).  With the band itself that is O(ell x band width)
+    floats in all.  Two eliminations run on them, both without pivoting
+    across blocks and with no pivot block above _MAX_INV rows reaching
+    numpy.linalg unsplit:
+
+    * ``factor(c)`` then ``solve(b)``, for d = 1 (Perron: c = 1 + mu):
+      block LU that keeps the inverse pivot blocks (``_inverse``), so that
+      each left solve x A = b costs two sweeps of block products.
+    * ``solve_right(d, f)``, for c = 1 (extinction: d = A exp(-A M u)): one
+      block Thomas sweep for A x = f, one solve per pivot block with the
+      coupling block as extra right-hand sides, O(ell x width^2) flops and
+      O(ell x width) floats.
     """
 
     def __init__(self, band: KernelBand):
@@ -235,15 +267,22 @@ class _BandSolver:
         b[b < BAND_FLOOR] = 0.0
         return b
 
-    def factor(self, mu: float) -> None:
+    @cached_property
+    def diag(self) -> list[np.ndarray]:
+        """The blocks M(i, i), formed on first use: ``solve_right`` takes them
+        at every Newton step, ``factor`` forms its own once per factorisation."""
+        return [self.block(i, i) for i in range(len(self.edges) - 1)]
+
+    def factor(self, c: float) -> None:
+        """Factor A = c I - M for ``solve``."""
         self.inv = []
         for i in range(len(self.edges) - 1):
             t = -self.block(i, i)
-            t.flat[:: t.shape[0] + 1] += 1.0 + mu
+            t.flat[:: t.shape[0] + 1] += c
             if i:
                 t -= self.lower[i - 1] @ (self.inv[-1] @ self.upper[i - 1])
             inv = _inverse(t)
-            inv[np.abs(inv) < BAND_FLOOR] = 0.0
+            _flush(inv)
             self.inv.append(inv)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -260,6 +299,44 @@ class _BandSolver:
         for i in range(n_blocks - 2, -1, -1):
             below = x[e[i + 1] : e[i + 2]] @ self.lower[i]
             x[e[i] : e[i + 1]] += below @ self.inv[i]
+        return x
+
+    def solve_right(self, d: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """x with A x = f for A = I - diag(d) M.
+
+        The sweep runs from the last block up, so that the last block,
+        often the narrowest, is the one solved with many right-hand sides.
+        Pivot block i is T_i = I - D_i (M(i, i) + M(i, i+1) G_{i+1}), and
+        one solve gives [G_i | g_i] = T_i^-1 [D_i M(i, i-1) | f_i + D_i
+        M(i, i+1) g_{i+1}]; then x_0 = g_0 and x_i = g_i + G_i x_{i-1}.
+        """
+        e = self.edges
+        sweeps = []
+        for i in range(len(self.diag) - 1, -1, -1):
+            d_i = d[e[i] : e[i + 1], None]
+            k, rhs = self.diag[i], f[e[i] : e[i + 1], None]
+            if sweeps:
+                p = self.upper[i] @ sweeps[-1]
+                k = k + p[:, :-1]
+                rhs = rhs + d_i * p[:, -1:]
+            t = -d_i * k
+            t.flat[:: t.shape[0] + 1] += 1.0
+            if i:
+                rhs = np.concatenate((d_i * self.lower[i - 1], rhs), axis=1)
+                # OpenBLAS solves a narrow block with many right-hand sides
+                # slower than it inverts it and multiplies (2-vCPU host, 20
+                # rows and 82 sides: 65 against 33 us; even at 50 and 51)
+                sweep = _inverse(t) @ rhs if 2 * t.shape[0] <= rhs.shape[1] else _solve(t, rhs)
+                _flush(sweep[:, :-1])
+            else:
+                sweep = _solve(t, rhs)
+            sweeps.append(sweep)
+        x = np.empty(self.n)
+        v = sweeps[-1][:, 0]
+        x[: e[1]] = v
+        for i, sweep in enumerate(reversed(sweeps[:-1]), start=1):
+            v = sweep[:, -1] + sweep[:, :-1] @ v
+            x[e[i] : e[i + 1]] = v
         return x
 
 
@@ -344,8 +421,8 @@ def perron(
 
     while it < max_iter:
         it += 1
-        solver.factor(mu)
         lam_x = 1.0 + mu
+        solver.factor(lam_x)
         x = solver.solve(r)
         y = solver.solve(x)
         f = (sigma - 1.0) * float(x[0]) - 1.0
@@ -496,11 +573,39 @@ def perron_bounds_check(
     return BoundsReport(rows=rows)
 
 
+def _classes_reaching_master(band: KernelBand) -> np.ndarray:
+    """Classes from which class 0 can be reached through entries of M >= BAND_FLOOR.
+
+    A breadth-first search from class 0 against the direction of M's
+    edges: class b joins the next frontier once some M(b, c) >= BAND_FLOOR
+    has c in this one.  Such b lie within half_width of c, so each level
+    scans only the band rows within half_width of its frontier.  Class 0
+    itself is always returned.
+    """
+    n, width = band.values.shape
+    keep = band.values >= BAND_FLOOR
+    columns = np.arange(width)
+    found = np.zeros(n, dtype=bool)
+    found[0] = True
+    marked = np.zeros(n, dtype=bool)   # the frontier, as a mask
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        lo = max(int(frontier[0]) - band.half_width, 0)
+        hi = min(int(frontier[-1]) + band.half_width + 1, n)
+        marked[frontier] = True
+        hit = (keep[lo:hi] & marked[band.offsets[lo:hi, None] + columns]).any(axis=1)
+        hit &= ~found[lo:hi]
+        marked[frontier] = False
+        frontier = np.flatnonzero(hit) + lo
+        found[frontier] = True
+    return np.flatnonzero(found)
+
+
 def extinction_probabilities(
     params: ModelParams,
     tol: float = 1e-12,
     max_iter: int = 100,
-    kernel: np.ndarray | None = None,
+    band: KernelBand | None = None,
 ) -> np.ndarray:
     """Extinction probability per starting class.
 
@@ -512,52 +617,61 @@ def extinction_probabilities(
         F(u) = u + expm1(-A * (M u)) = 0,
 
     by Newton's method from u = 1: each step solves
-    (I - diag(A exp(-A M u)) M) delta = F(u) with one dense LU.  F is
-    convex and its Jacobian an M-matrix above the root, so the exact
-    iterates decrease monotonically to it and the number of steps does
-    not grow with closeness to criticality the way a fixed-point
-    iteration's does (Hautphenne, Latouche & Remiche 2008).
+    (I - diag(A exp(-A M u)) M) delta = F(u) by one banded block Thomas
+    sweep (``_BandSolver.solve_right``), O(ell x w^2) flops for a band of
+    half width w.  F is convex and its Jacobian an M-matrix above the
+    root, so the exact iterates decrease monotonically to it and the
+    number of steps does not grow with closeness to criticality the way a
+    fixed-point iteration's does (Hautphenne, Latouche & Remiche 2008).
 
     A class from which class 0 cannot be reached (at q = 0, every class
     but class 0), and every class when sigma = 1, starts a critical
     process that dies out surely: its u is 0 exactly, set before the
     first step and never solved for (Etessami & Yannakakis 2009).  The
-    classes that reach class 0 are found by a search of the built kernel,
-    not by the rule "all of them for q > 0": from ell = 1076 at q = 0.5,
-    kappa = 2, every M(b, 0) = 2^-ell underflows to 0, and no other class
-    reaches class 0 in floating point.
-    Iterates are clamped at 0, which removes only LU rounding on classes
+    classes that reach class 0 are found by a search of the band's entries
+    >= BAND_FLOOR (``_classes_reaching_master``), the entries the
+    elimination keeps.  Where every route to class 0 passes through a
+    smaller entry (at kappa = 2, q = 0.5 from ell ~ 512 on, where M(b, 0) =
+    2^-ell; at q = 1e-300) the true survival probability is below ~1e-150,
+    and u is 0.
+    Iterates are clamped at 0, which removes only rounding on classes
     whose survival probability is far below tol, and each step solves
-    only for the classes where u > 0.
+    only for the classes where u > 0 (the others get d = 0 and F = 0).
 
     Stops once both the last Newton step and the residual max|F(u)| are
     at most tol, absolute in u; max_iter bounds the number of Newton
     steps.  A survival probability below tol is an upper bound, not a
     value: far classes are near-critical, where Newton converges only
     linearly, and the solve stops while they still sit near tol.
+
+    Everything runs on M's band (``kernel_band``; pass band =
+    kernel_band(params) to reuse it), with M u from ``KernelBand.matvec``:
+    no dense matrix is built, and the working set is the band plus about
+    4 (ell + 1) x w floats of blocks.
     """
-    m = lumped_kernel_matrix(params) if kernel is None else np.asarray(kernel, dtype=float)
+    band = kernel_band(params) if band is None else band
+    if band.n != params.ell + 1:
+        raise ValueError(f"kernel band must have {params.ell + 1} rows, got {band.n}")
     a = fitness_vector(params)
-    u = np.zeros(params.ell + 1)
+    u = np.zeros(band.n)
     if params.sigma > 1.0:
-        u[breadth_first_order(csr_array(m.T), 0, return_predecessors=False)] = 1.0
+        u[_classes_reaching_master(band)] = 1.0
+    solver = _BandSolver(band)
     step = residual = np.inf
     for it in range(max_iter + 1):
-        mu = m @ u
+        mu = band.matvec(u)
         f = u + np.expm1(-a * mu)
         residual = float(np.max(np.abs(f)))
         if residual <= tol and step <= tol:
             return 1.0 - u
         if it == max_iter:
             break
-        live = np.flatnonzero(u)
-        # a plain copy is several times faster than the gather when all are live
-        jac = m.copy() if live.size == u.size else m[np.ix_(live, live)]
-        jac *= -(a[live] * np.exp(-a[live] * mu[live]))[:, None]
-        jac.flat[:: live.size + 1] += 1.0
-        u_live = np.maximum(u[live] - np.linalg.solve(jac, f[live]), 0.0)
-        step = float(np.max(np.abs(u_live - u[live]), initial=0.0))
-        u[live] = u_live
+        live = u > 0.0
+        d = np.where(live, a * np.exp(-a * mu), 0.0)
+        delta = solver.solve_right(d, np.where(live, f, 0.0))
+        new = np.where(live, np.maximum(u - delta, 0.0), 0.0)
+        step = float(np.max(np.abs(new - u)))
+        u = new
     raise ConvergenceError(
         f"extinction Newton iteration did not converge in {max_iter} steps "
         f"(last residual {residual:.3e}, last step {step:.3e})",

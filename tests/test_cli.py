@@ -140,7 +140,8 @@ class TestArgumentHandling:
          "--escape-cap", "0"],
         ["extinction", "--sigma", "2", "--ell", "2", "--q", "0.1", "--mc", "10",
          "--n-gens", "-3"],
-    ], ids=["kmax", "perron-k-report", "converge-k-report", "escape-cap", "n-gens"])
+        ["simulate", "--sigma", "2", "--ell", "2", "--q", "0.1", "--pop-cap", "0"],
+    ], ids=["kmax", "perron-k-report", "converge-k-report", "escape-cap", "n-gens", "pop-cap"])
     def test_out_of_range_count_is_a_usage_error(self, capsys, args):
         code = main(args)
         captured = capsys.readouterr()
@@ -367,6 +368,22 @@ class TestExtinctionCommand:
         assert float(meta["diagnostics.fixed_point_residual"]) <= 1e-12
         assert all(0.0 < float(r[1]) <= 1.0 for r in rows)
 
+    def test_solves_on_the_band_alone(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (quasigw.cli, quasigw.spectral):
+            for name in ("lumped_kernel_matrix", "mean_matrix"):
+                def counting(*a, _fn=getattr(module, name), _name=name, **kw):
+                    calls.append(_name)
+                    return _fn(*a, **kw)
+
+                monkeypatch.setattr(module, name, counting)
+        code, meta, _, rows = run_csv(
+            ["extinction", "--sigma", "2", "--ell", "200", "--a", "0.1"], tmp_path / "e.csv"
+        )
+        assert code == 0 and rows
+        assert float(meta["diagnostics.fixed_point_residual"]) <= 1e-12
+        assert calls == []
+
     def test_mc_builds_the_kernel_once(self, tmp_path, monkeypatch):
         builds = []
 
@@ -409,11 +426,12 @@ class TestEntryPoints:
         src = str(Path(quasigw.cli.__file__).parents[1])
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, quasigw.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, quasigw.cli; print('scipy.stats' in sys.modules, "
+             "'scipy.sparse' in sys.modules)"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert out.returncode == 0
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
     def test_stdout_default(self, capsys):
         code = main(["kernel", "--sigma", "2", "--ell", "1", "--kappa", "2", "--q", "0.25"])

@@ -432,6 +432,23 @@ class TestKernelBand:
     def test_matches_dense_build_property(self, ell, kappa, q):
         assert_band_matches_dense(ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=300),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.just(0.0) | st.floats(min_value=1e-300, max_value=0.99),
+    )
+    def test_matvec_matches_dense_product(self, ell, kappa, q):
+        p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
+        x = np.random.default_rng(ell).random(ell + 1)
+        got = kernel_band(p).matvec(x)
+        assert np.allclose(got, lumped_kernel_matrix(p) @ x, rtol=1e-13, atol=BAND_FLOOR * x.sum())
+
+    def test_matvec_rejects_a_vector_of_another_length(self):
+        band = kernel_band(ModelParams(sigma=2.0, ell=50, kappa=2, q=0.02))
+        with pytest.raises(ValueError, match=r"x must have shape \(51,\)"):
+            band.matvec(np.ones(40))
+
     def test_band_is_narrow_at_fixed_mutation_pressure(self):
         """At a = ln 2 the band stays about +-90 wide as ell grows, and its
         storage about 160 columns."""

@@ -309,6 +309,12 @@ class TestRunTrajectory:
         assert t.totals[-1] > 10_000
         assert len(t.totals) < 52
 
+    @pytest.mark.parametrize("pop_cap", [0, -1])
+    def test_cap_below_one_rejected(self, pop_cap):
+        p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.1)
+        with pytest.raises(ValueError, match="pop_cap must be >= 1"):
+            run_trajectory(e0_start(2, 0), p, 3, RngSpec(0, 0).generator(), pop_cap=pop_cap)
+
     def test_reproducible_across_runs(self):
         p = ModelParams(sigma=4.0, ell=8, kappa=2, q=0.05)
         t1 = run_trajectory(e0_start(8, 20), p, 15, RngSpec(11, 3).generator())
@@ -349,6 +355,12 @@ class TestConditionedFrequencies:
         assert est.n_survivors == 25
         assert est.n_capped == 25
         assert np.array_equal(est.mean, z0 / 64)
+
+    @pytest.mark.parametrize("pop_cap", [0, -5])
+    def test_cap_below_one_rejected(self, pop_cap):
+        p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.1)
+        with pytest.raises(ValueError, match="pop_cap must be >= 1"):
+            conditioned_frequencies(p, e0_start(2, 3), n_gens=2, n_replicas=5, pop_cap=pop_cap)
 
     def test_mid_run_cap_retires_rows_above_the_cap(self, stepped_totals):
         """Every stepped row is live, each capped survivor left exactly one

@@ -23,7 +23,8 @@ from quasigw import (
     perron_bounds_check,
     power_iteration,
 )
-from quasigw.spectral import _inverse
+from quasigw.kernel import BAND_FLOOR
+from quasigw.spectral import _classes_reaching_master, _inverse, _solve
 
 LN2 = math.log(2.0)
 
@@ -41,6 +42,40 @@ def scalar_master_extinction(sigma, tol=1e-15, max_iter=10_000):
             return x_next
         x = x_next
     raise RuntimeError("scalar iteration stalled")
+
+
+def dense_newton_extinction(p, tol=1e-12, max_iter=100):
+    """Extinction probabilities by Newton's method on the dense kernel: the
+    solver before the banded elimination, kept as the oracle for it.
+
+    Same iteration as ``extinction_probabilities`` (u = 1 - s from 1 on the
+    classes that reach class 0, clamp at 0, step and residual <= tol), but
+    each step is one dense LU of the live classes' Jacobian, and the classes
+    that reach class 0 come from a search of every nonzero entry of the
+    dense kernel.  Returns s and those classes.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import breadth_first_order
+
+    m = lumped_kernel_matrix(p)
+    a = fitness_vector(p)
+    u = np.zeros(p.ell + 1)
+    reach = np.sort(breadth_first_order(csr_array(m.T), 0, return_predecessors=False))
+    if p.sigma > 1.0:
+        u[reach] = 1.0
+    step = np.inf
+    for _ in range(max_iter + 1):
+        mu = m @ u
+        f = u + np.expm1(-a * mu)
+        if np.max(np.abs(f)) <= tol and step <= tol:
+            return 1.0 - u, reach
+        live = np.flatnonzero(u)
+        jac = m[np.ix_(live, live)] * -(a[live] * np.exp(-a[live] * mu[live]))[:, None]
+        jac.flat[:: live.size + 1] += 1.0
+        u_live = np.maximum(u[live] - np.linalg.solve(jac, f[live]), 0.0)
+        step = float(np.max(np.abs(u_live - u[live]), initial=0.0))
+        u[live] = u_live
+    raise ConvergenceError("dense Newton oracle did not converge")
 
 
 class TestMeanMatrix:
@@ -337,6 +372,29 @@ class TestPivotBlockSplit:
         assert np.max(np.abs(split.rho - whole.rho)) <= 1e-13
 
 
+    def test_solve_with_a_wide_m_matrix(self):
+        rng = np.random.default_rng(1)
+        m = rng.random((250, 250))
+        m /= m.sum(axis=1, keepdims=True)
+        t = 1.01 * np.eye(250) - 0.9 * np.diag(rng.random(250)) @ m
+        b = rng.random((250, 3))
+        assert np.max(np.abs(t @ _solve(t, b) - b)) < 1e-12
+
+    def test_no_extinction_solve_reaches_100_rows(self, monkeypatch):
+        """sigma=2, ell=2000, q=0.1: the band, and so each pivot block, is over 600 wide."""
+        p = ModelParams(sigma=2.0, ell=2000, kappa=2, q=0.1)
+        sizes = []
+        for name in ("solve", "inv"):
+            def recording(a, *args, _fn=getattr(np.linalg, name)):
+                sizes.append(a.shape[0])
+                return _fn(a, *args)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        s = extinction_probabilities(p, max_iter=1, tol=1.0)
+        assert sizes and max(sizes) <= 99
+        assert np.all((s >= 0.0) & (s <= 1.0))
+
+
 class TestPerronBoundsCheck:
     def test_passes_on_converged_pair(self):
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
@@ -451,7 +509,7 @@ class TestExtinctionProbabilities:
         """Instances the fixed-point iteration could not finish in 10^5 steps."""
         p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
         m = lumped_kernel_matrix(p)
-        s = extinction_probabilities(p, kernel=m)
+        s = extinction_probabilities(p, band=kernel_band(p))
         u = 1.0 - s
         assert np.max(np.abs(u + np.expm1(-fitness_vector(p) * (m @ u)))) <= 1e-12
         assert np.all(np.diff(s) >= -1e-12)
@@ -463,7 +521,7 @@ class TestExtinctionProbabilities:
         p = ModelParams(sigma=2.0, ell=1100, kappa=2, q=0.5)
         m = lumped_kernel_matrix(p)
         assert not np.any(m[:, 0])
-        s = extinction_probabilities(p, kernel=m)
+        s = extinction_probabilities(p, band=kernel_band(p))
         assert np.all(s == 1.0)
 
     @settings(max_examples=40, deadline=None)
@@ -477,7 +535,7 @@ class TestExtinctionProbabilities:
         p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
         m = lumped_kernel_matrix(p)
         a = fitness_vector(p)
-        s = extinction_probabilities(p, kernel=m)
+        s = extinction_probabilities(p, band=kernel_band(p))
         assert np.all((s >= 0.0) & (s <= 1.0))
         assert np.max(np.abs(np.exp(a * (m @ s - 1.0)) - s)) <= 1e-12
         # the fixed-point iterates from 0 increase to the minimal fixed point
@@ -485,3 +543,65 @@ class TestExtinctionProbabilities:
         for _ in range(200):
             lower = np.exp(a * (m @ lower - 1.0))
         assert np.all(s >= lower - 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigma=st.floats(min_value=1.0, max_value=10.0),
+        ell=st.integers(min_value=1, max_value=60),
+        kappa=st.sampled_from([2, 3]),
+        q=st.just(0.0) | st.floats(min_value=1e-6, max_value=0.5),
+    )
+    def test_matches_dense_newton_property(self, sigma, ell, kappa, q):
+        """The banded Newton steps land where the dense-LU ones do, wherever
+        the band search and the dense search find the same classes."""
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
+        band = kernel_band(p)
+        oracle, reach = dense_newton_extinction(p)
+        assume(np.array_equal(reach, np.sort(_classes_reaching_master(band))))
+        assert np.max(np.abs(extinction_probabilities(p, band=band) - oracle)) <= 1e-13
+
+    @pytest.mark.parametrize("sigma,ell,a,steps", [
+        (2.0, 20, 0.69, 17), (2.0, 100, 0.69, 47), (2.0, 200, 0.1, 40), (4.0, 1000, LN2, 40)])
+    def test_newton_step_counts(self, monkeypatch, sigma, ell, a, steps):
+        """The benchmark's instances take as many steps as the dense solve did."""
+        calls = []
+        solve_right = quasigw.spectral._BandSolver.solve_right
+
+        def counting(self, *args):
+            calls.append(1)
+            return solve_right(self, *args)
+
+        monkeypatch.setattr(quasigw.spectral._BandSolver, "solve_right", counting)
+        extinction_probabilities(ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell))
+        assert len(calls) == steps
+
+    def test_band_search_sets_unreachable_classes_to_certain_extinction(self):
+        """Every route to class 0 passes through an entry below BAND_FLOOR: at
+        kappa=2, q=0.5, ell=600, M(b, 0) = 2^-600; at q=1e-300 every step down
+        has probability about 1e-300.  Those classes get s = 1 exactly."""
+        s = extinction_probabilities(ModelParams(sigma=2.0, ell=600, kappa=2, q=0.5))
+        assert np.all(s == 1.0)
+        s = extinction_probabilities(ModelParams(sigma=2.0, ell=30, kappa=2, q=1e-300))
+        assert np.all(s[1:] == 1.0)
+        assert s[0] == pytest.approx(scalar_master_extinction(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("ell,kappa,q", [
+        (100, 2, 0.0069), (600, 2, 0.5), (1100, 2, 0.5), (1000, 3, 0.9), (300, 2, 0.99),
+        (60, 2, 1e-300), (200, 3, 0.2), (50, 4, 0.0), (2000, 2, 0.1)])
+    def test_band_search_matches_graph_search(self, ell, kappa, q):
+        """The frontier search finds what scipy's breadth-first search finds on
+        the same graph: an edge c -> b for every band entry M(b, c) >= BAND_FLOOR."""
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import breadth_first_order
+
+        band = kernel_band(ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q))
+        rows, j = np.nonzero(band.values >= BAND_FLOOR)
+        graph = csr_array((np.ones(rows.size), (band.offsets[rows] + j, rows)),
+                          shape=(band.n, band.n))
+        expected = np.sort(breadth_first_order(graph, 0, return_predecessors=False))
+        assert np.array_equal(np.sort(_classes_reaching_master(band)), expected)
+
+    def test_rejects_a_band_of_another_length(self):
+        with pytest.raises(ValueError, match="kernel band must have 11 rows"):
+            extinction_probabilities(ModelParams(sigma=2.0, ell=10, kappa=2, q=0.1),
+                                     band=kernel_band(ModelParams(sigma=2.0, ell=12, kappa=2, q=0.1)))
