@@ -139,7 +139,7 @@ _TABLES = {
         "n_gens": (int, 12, "generations to run"),
         "n_replicas": (int, 200, "replicas (frequencies mode)"),
         "pop_cap": (_big_int, 10**12, "stop a run once the population exceeds this, >= 1"),
-        "seed": (int, 0, "master seed"),
+        "seed": (int, 0, "master seed, >= 0"),
         **_OUT_OPTS,
     },
     "extinction": {
@@ -150,11 +150,11 @@ _TABLES = {
                               "descent, not a value (at sigma=4, ell=200, a=ln 2 the far "
                               "classes report ~6.6e-13, where a fit gives ~7e-31)"),
         "max_iter": (int, 100, "Newton step budget"),
-        "mc": (int, 0, "if > 0, Monte Carlo replicas per starting class"),
+        "mc": (int, 0, "Monte Carlo replicas per starting class, >= 0; 0 skips the Monte Carlo run"),
         "n_gens": (int, 100, "Monte Carlo horizon"),
         "escape_cap": (_big_int, 10**6, "Monte Carlo escape size, >= 2: a replica counts as "
                                         "escaped once its total reaches it"),
-        "seed": (int, 0, "master seed"),
+        "seed": (int, 0, "master seed, >= 0"),
         **_OUT_OPTS,
     },
 }
@@ -248,8 +248,8 @@ def _parse_z0(spec: str, ell: int) -> np.ndarray:
     return z
 
 
-def _top_class(resolved: dict, name: str) -> int:
-    """The highest class to report, resolved[name], checked to be >= 0."""
+def _nonnegative(resolved: dict, name: str) -> int:
+    """resolved[name] (a class or replica count, or a seed), checked to be >= 0."""
     k = resolved[name]
     if k < 0:
         raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {k}")
@@ -269,7 +269,7 @@ def cmd_kernel(resolved: dict):
 
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
-    k_report = _top_class(resolved, "k_report")
+    k_report = _nonnegative(resolved, "k_report")
     band = kernel_band(params)
     pair = perron(params, band=band, tol=resolved["tol"], max_iter=resolved["max_iter"])
     bounds = perron_bounds_check(pair, params, band=band, k_max=k_report)
@@ -291,7 +291,7 @@ def cmd_perron(resolved: dict):
 def cmd_quasispecies(resolved: dict):
     qp = QuasispeciesParams(sigma=resolved["sigma"], a=resolved["a"])
     regime = classify_regime(qp)
-    kmax = _top_class(resolved, "kmax")
+    kmax = _nonnegative(resolved, "kmax")
     diagnostics = {"regime": regime.value, "threshold": qp.threshold}
     k = np.arange(kmax + 1)
     if regime is Regime.DISORDERED:
@@ -327,7 +327,7 @@ def cmd_converge(resolved: dict):
     grid = resolved["ell_grid"]
     if not grid:
         raise ValueError("--ell-grid must list at least one length")
-    k_top = min(_top_class(resolved, "k_report"), min(grid))
+    k_top = min(_nonnegative(resolved, "k_report"), min(grid))
     q_limit = np.array([qs_pmf(qp, k) for k in range(k_top + 1)])
     qs, pairs = [], []
     for ell in grid:
@@ -354,9 +354,10 @@ def cmd_converge(resolved: dict):
 
 def cmd_simulate(resolved: dict):
     params = _model_params(resolved)
+    seed = _nonnegative(resolved, "seed")
     z0 = _parse_z0(resolved["z0"], params.ell)
     if resolved["mode"] == "trajectory":
-        rng = RngSpec(resolved["seed"], 0).generator()
+        rng = RngSpec(seed, 0).generator()
         t = run_trajectory(z0, params, resolved["n_gens"], rng, pop_cap=resolved["pop_cap"])
         total = t.counts.sum(axis=1)
         table = {"generation": np.arange(t.counts.shape[0]), "total": total,
@@ -375,7 +376,7 @@ def cmd_simulate(resolved: dict):
         z0,
         n_gens=resolved["n_gens"],
         n_replicas=resolved["n_replicas"],
-        seed=resolved["seed"],
+        seed=seed,
         pop_cap=resolved["pop_cap"],
     )
     table = {"k": np.arange(params.ell + 1), "mean_freq": est.mean, "se": est.se}
@@ -390,22 +391,23 @@ def cmd_simulate(resolved: dict):
 
 def cmd_extinction(resolved: dict):
     params = _model_params(resolved)
+    n_mc, seed = _nonnegative(resolved, "mc"), _nonnegative(resolved, "seed")
     band = kernel_band(params)
     s = extinction_probabilities(params, resolved["tol"], resolved["max_iter"], band=band)
     fit = fitness_vector(params)
     residual = float(np.max(np.abs(np.exp(fit * (band.matvec(s) - 1.0)) - s)))
     table = {"k": np.arange(params.ell + 1), "p_extinct": s}
     diagnostics = {"fixed_point_residual": residual}
-    if resolved["mc"] > 0:
+    if n_mc > 0:
         w = mean_matrix(params)
         reps = [
             extinction_mc(
                 params,
-                n_replicas=resolved["mc"],
+                n_replicas=n_mc,
                 start_class=k,
                 n_gens=resolved["n_gens"],
                 escape_cap=resolved["escape_cap"],
-                seed=resolved["seed"],
+                seed=seed,
                 stream=k,
                 mean=w,
             )
@@ -413,7 +415,7 @@ def cmd_extinction(resolved: dict):
         ]
         table["mc_freq"] = np.array([rep.extinct_fraction for rep in reps], dtype=float)
         table["mc_se"] = np.array([rep.se for rep in reps], dtype=float)
-        diagnostics["mc_replicas"] = resolved["mc"]
+        diagnostics["mc_replicas"] = n_mc
     return table, diagnostics, 0
 
 

@@ -178,32 +178,22 @@ def lumped_kernel_entry(b: int, c: int, params: ModelParams) -> float:
     return math.exp(m) * math.fsum(math.exp(t - m) for t in terms)
 
 
-# exp() of a log-probability below this is 0.0 in float64 (the smallest
-# subnormal is exp(-745.13)), so such pmf entries need not be computed.
-_LOG_UNDERFLOW = -746.0
-# Zeros kept on each side of a window.  np.convolve's BLAS dot products add
-# their last few terms one by one; padding makes those terms 0 * x instead
-# of products of subnormal pmf tails, which are slow to compute.
-_PAD = 16
+# Kernel entries below this (the square root of the smallest normal float)
+# are left out of the band: products of two of them are subnormal or zero.
+BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
-def _binom_windows(
-    n: np.ndarray,
-    p: float,
-    log_fact: np.ndarray,
-    log_min: float = _LOG_UNDERFLOW,
-    pad: int = _PAD,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ends lo, hi of the windows of the Binomial(n[i], p) pmfs, padded by pad.
+def _binom_windows(n: np.ndarray, p: float, log_fact: np.ndarray, log_min: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Ends lo, hi of the windows where the Binomial(n[i], p) logpmf >= log_min.
 
-    The window is the set where logpmf >= log_min (by default the set
-    outside of which exp(logpmf) is 0.0).  The pmf is unimodal, so that
-    set is an interval around the mode, and each end is found by bisection
-    on its monotone side, for all rows at once.
+    log_min must lie below the log of the pmf at the mode, which is at least
+    -log(n + 1).  The pmf is unimodal, so each window is an interval around
+    the mode, and each end is found by bisection on its monotone side, for
+    all rows at once.
     """
-    if p == 0.0 or n.max() <= pad:
-        # A point mass at 0, or rows the padding covers whole.
-        return np.zeros_like(n), np.minimum(pad, n)
+    if p == 0.0:
+        return np.zeros_like(n), np.zeros_like(n)
     log_p, log_1mp = math.log(p), math.log1p(-p)
 
     def inside(k):
@@ -223,12 +213,7 @@ def _binom_windows(
         mid = (lo + out + 1) // 2
         keep = inside(mid)
         lo, out = np.where(keep, mid, lo), np.where(keep, out, mid)
-    return np.maximum(lo - pad, 0), np.minimum(hi + pad, n)
-
-
-# Kernel entries below this (the square root of the smallest normal float)
-# are left out of the band: products of two of them are subnormal or zero.
-BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
+    return lo, hi
 
 
 def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray,
@@ -258,43 +243,6 @@ def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray,
     logpmf += k * math.log(p)
     logpmf += n_k * math.log1p(-p)
     return np.exp(logpmf, out=logpmf), ends - size, ends
-
-
-def _kernel_rows(params: ModelParams, log_min: float, pad: int
-                 ) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-    """Rows of the class kernel from the pmf windows at level log_min: lo, hi, rows.
-
-    Row b is the law of b + G - L where G ~ Binomial(ell-b, q) counts
-    correct loci that mutate away and L ~ Binomial(b, q/(kappa-1)) counts
-    mutated loci that revert: the convolution of the two pmfs, term for term
-    the sum of lumped_kernel_entry.  Each pmf is kept on its window where
-    logpmf >= log_min, padded by pad zeros (``_binom_windows``), and the
-    windows of all rows are evaluated in one pass (``_binom_window_pmfs``);
-    then row b has columns lo[b]..hi[b], and ``rows`` yields its values
-    there for b = 0..ell in turn.
-    """
-    ell, kappa, q = params.ell, params.kappa, params.q
-    q_back = q / (kappa - 1)
-    log_fact = gammaln(np.arange(ell + 1) + 1)
-    classes = np.arange(ell + 1)
-    g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min, pad)
-    gains, g_starts, g_ends = _binom_window_pmfs(ell - classes, q, g_lo, g_hi, log_fact)
-    if q_back == q:
-        # kappa = 2 (or q = 0): L in row b is G in row ell - b, window and pmf alike.
-        l_lo, l_hi, losses = g_lo[::-1], g_hi[::-1], gains
-        l_starts, l_ends = g_starts[::-1], g_ends[::-1]
-    else:
-        l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min, pad)
-        losses, l_starts, l_ends = _binom_window_pmfs(classes, q_back, l_lo, l_hi, log_fact)
-
-    def rows() -> Iterator[np.ndarray]:
-        bounds = zip(g_starts.tolist(), g_ends.tolist(), l_starts.tolist(), l_ends.tolist())
-        for g0, g1, l0, l1 in bounds:
-            # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
-            # which lands in class c = b + k - l.
-            yield np.convolve(gains[g0:g1], losses[l0:l1][::-1])
-
-    return classes + g_lo - l_hi, classes + g_hi - l_lo, rows()
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,57 +294,69 @@ class KernelBand:
 
 
 def kernel_band(params: ModelParams) -> KernelBand:
-    """The class kernel on the band that holds every entry >= BAND_FLOOR.
+    """The class kernel M on the band that holds every entry >= BAND_FLOOR.
 
-    M(b, c) sums at most ell + 1 products P(G = k) P(L = l) with k - l = c - b
-    (see ``lumped_kernel_matrix``), so an entry >= BAND_FLOOR has a term
-    >= BAND_FLOOR / (ell + 1), and both its factors are at least that.  Each
-    row is the convolution of the two pmfs on their windows at that level,
-    so terms that can only add up to entries below BAND_FLOOR are left out:
-    for each entry they sum to at most 2 BAND_FLOOR / (ell + 1), and the
-    stored entries agree with the dense build up to that and to summation
-    order.  Row b is stored on the window of its support, shifted left to
-    end by column ell; the storage is (ell + 1) x (largest support), never
-    more than the dense matrix.  At fixed a = ell q the support stays
-    bounded as ell grows (about 160 columns at a = ln 2), so the band takes
-    O(ell) memory and time where the dense matrix takes O(ell^2): about
-    130 MB at ell = 10^5 against 80 GB.
+    Row b is the law of b + G - L where G ~ Binomial(ell-b, q) counts
+    correct loci that mutate away and L ~ Binomial(b, q/(kappa-1)) counts
+    mutated loci that revert: the convolution of the two pmfs, term for term
+    the sum of lumped_kernel_entry.  M(b, c) sums at most ell + 1 products
+    P(G = k) P(L = l) with k - l = c - b, so an entry >= BAND_FLOOR has a
+    term >= BAND_FLOOR / (ell + 1), and both its factors are at least that.
+    So each pmf is kept on its window at that level (``_binom_windows``),
+    the windows of all rows are evaluated in one pass
+    (``_binom_window_pmfs``), and row b is the convolution of its two
+    windows.  The terms left out sum to at most 2 BAND_FLOOR / (ell + 1)
+    per entry, and every entry outside the rows' supports is below
+    BAND_FLOOR and counts as 0.  Row b is stored on the window of its
+    support, shifted left to end by column ell; the storage is (ell + 1) x
+    (largest support), never more than the dense matrix.  At fixed a = ell q
+    the support stays bounded as ell grows (about 160 columns at a = ln 2),
+    so the band takes O(ell) memory and time where the dense matrix takes
+    O(ell^2): about 130 MB at ell = 10^5 against 80 GB.
     """
-    ell = params.ell
-    lo, hi, rows = _kernel_rows(params, math.log(BAND_FLOOR) - math.log(ell + 1), pad=0)
+    ell, kappa, q = params.ell, params.kappa, params.q
+    q_back = q / (kappa - 1)
+    log_fact = gammaln(np.arange(ell + 1) + 1)
+    log_min = math.log(BAND_FLOOR) - math.log(ell + 1)
+    classes = np.arange(ell + 1)
+    g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min)
+    gains, g_starts, g_ends = _binom_window_pmfs(ell - classes, q, g_lo, g_hi, log_fact)
+    if q_back == q:
+        # kappa = 2 (or q = 0): L in row b is G in row ell - b, window and pmf alike.
+        l_lo, l_hi, losses = g_lo[::-1], g_hi[::-1], gains
+        l_starts, l_ends = g_starts[::-1], g_ends[::-1]
+    else:
+        l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min)
+        losses, l_starts, l_ends = _binom_window_pmfs(classes, q_back, l_lo, l_hi, log_fact)
+    # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
+    # which lands in class c = b + k - l: row b's support is lo[b]..hi[b].
+    lo, hi = classes + g_lo - l_hi, classes + g_hi - l_lo
     width = int(np.max(hi - lo)) + 1
     offsets = np.minimum(lo, ell + 1 - width)
     values = np.zeros((ell + 1, width))
-    for b, (start, row) in enumerate(zip((lo - offsets).tolist(), rows)):
+    bounds = zip((lo - offsets).tolist(), g_starts.tolist(), g_ends.tolist(),
+                 l_starts.tolist(), l_ends.tolist())
+    for b, (start, g0, g1, l0, l1) in enumerate(bounds):
+        row = np.convolve(gains[g0:g1], losses[l0:l1][::-1])
         values[b, start : start + row.size] = row
-    classes = np.arange(ell + 1)
     half_width = int(max(np.max(classes - lo), np.max(hi - classes)))
     return KernelBand(values=values, offsets=offsets, half_width=half_width)
 
 
 def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:
-    """Dense (ell+1) x (ell+1) class transition matrix, row b = parent class.
+    """Dense (ell+1) x (ell+1) class transition matrix M, row b = parent class.
 
-    Row b is the law of b + G - L where G ~ Binomial(ell-b, q) counts
-    correct loci that mutate away and L ~ Binomial(b, q/(kappa-1)) counts
-    mutated loci that revert.  The row is assembled as the convolution of
-    the two binomial pmfs, which is term-for-term the same sum as
-    lumped_kernel_entry but vectorized over whole rows.
-
-    Each pmf is evaluated only on its window where exp(logpmf) is not 0.0
-    in float64 (logpmf >= -746), widened by a few zeros, from one
-    log-factorial table per build.  Outside the windows the full-length
-    pmfs are exactly zero, so the result matches a full-length build up
-    to summation order and has the same zero pattern.  With pmf windows
-    of width w the build costs O(ell * w^2) instead of O(ell^3); w grows
-    like sqrt(ell q) at fixed q and stays bounded at fixed a = ell q.
-    The output is still the dense matrix, zero outside the band; see
-    ``kernel_band`` for the band alone.
+    The rows of ``kernel_band`` scattered into zeros: each stored entry is
+    the band's value bit for bit, and the entries the band leaves out (all
+    below BAND_FLOOR) are exact zeros, so this is the M the Perron and
+    extinction solves run on.  It takes O(ell^2) memory where the band
+    takes O(ell) at fixed a = ell q.
     """
-    lo, _, rows = _kernel_rows(params, _LOG_UNDERFLOW, _PAD)
-    m = np.zeros((params.ell + 1, params.ell + 1))
-    for b, (c0, row) in enumerate(zip(lo.tolist(), rows)):
-        m[b, c0 : c0 + row.size] = row
+    band = kernel_band(params)
+    width = band.values.shape[1]
+    m = np.zeros((band.n, band.n))
+    for b, (c0, row) in enumerate(zip(band.offsets.tolist(), band.values)):
+        m[b, c0 : c0 + width] = row
     return m
 
 

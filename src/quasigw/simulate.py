@@ -131,10 +131,12 @@ def step_occupancy(
     them, shape (R, ell+1); the result is an int64 array of the same
     shape.  The class-l offspring of population z form a single Poisson
     count with mean (z W)(l), independent across l, which is the
-    per-individual offspring law summed over the population.  An empty
-    row stays empty and consumes no random numbers.  Pass
-    mean = mean_matrix(params) to amortize the kernel build across many
-    steps.
+    per-individual offspring law summed over the population.  W is
+    ``mean_matrix``, the scattered kernel band: the entries the band
+    leaves out, all below BAND_FLOOR, are exact zeros there.  A zero mean
+    draws 0 without consuming random numbers, so an empty row stays empty
+    and consumes none.  Pass mean = mean_matrix(params) to amortize the
+    kernel build across many steps.
     """
     z = np.asarray(z)
     if z.ndim not in (1, 2) or z.shape[-1] != params.ell + 1:

@@ -72,13 +72,13 @@ def fitness_vector(params: ModelParams) -> np.ndarray:
     return a
 
 
-def mean_matrix(params: ModelParams, kernel: np.ndarray | None = None) -> np.ndarray:
-    """W(i, j) = A(i) * M(i, j); pass a precomputed kernel to skip rebuilding it.
+def mean_matrix(params: ModelParams) -> np.ndarray:
+    """Dense mean matrix W(i, j) = A(i) * M(i, j): ``lumped_kernel_matrix``,
+    the scattered band, with row 0 scaled by sigma.
 
-    A kernel built here is scaled in place; a kernel passed in is copied and
-    left unchanged.
+    The entries the band leaves out, all below BAND_FLOOR, are exact zeros.
     """
-    w = lumped_kernel_matrix(params) if kernel is None else np.array(kernel, dtype=float)
+    w = lumped_kernel_matrix(params)
     w[0] *= params.sigma
     return w
 

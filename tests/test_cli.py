@@ -17,7 +17,8 @@ import pytest
 
 import quasigw.cli
 import quasigw.spectral
-from quasigw import __version__
+from quasigw import ModelParams, __version__, kernel_band, lumped_kernel_entry
+from quasigw.kernel import BAND_FLOOR
 from quasigw.cli import main, render_csv, render_json
 
 LN2 = math.log(2.0)
@@ -96,6 +97,29 @@ class TestKernelCommand:
                     assert float(text) == jrow[name]
 
 
+    def test_prints_the_band_scattered(self, tmp_path):
+        """Every printed entry is the band's value bit for bit, and the
+        entries outside the band print as 0.  Rows are log-concave, so the
+        entries next to the band, which are below BAND_FLOOR, bound all of
+        those further out."""
+        ell = 300
+        params = ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell)
+        args = ["kernel", "--sigma", "4", "--ell", str(ell), "--q", repr(params.q)]
+        code, _, header, rows = run_csv(args, tmp_path / "k.csv")
+        assert code == 0
+        cols = [header.index(f"c{c}") for c in range(ell + 1)]
+        printed = np.array([[float(row[j]) for j in cols] for row in rows])
+        band = kernel_band(params)
+        width = band.values.shape[1]
+        assert width < ell + 1
+        assert np.array_equal(printed, band.block(0, band.n, 0, band.n))
+        for b, c0 in enumerate(band.offsets.tolist()):
+            assert not printed[b, :c0].any() and not printed[b, c0 + width :].any()
+            for c in (c0 - 1, c0 + width):
+                if 0 <= c <= ell:
+                    assert lumped_kernel_entry(b, c, params) < BAND_FLOOR
+
+
 class TestArgumentHandling:
     def test_q_and_a_mutually_exclusive(self, capsys):
         code = main(["perron", "--sigma", "2", "--ell", "10", "--q", "0.1", "--a", "0.5"])
@@ -141,7 +165,11 @@ class TestArgumentHandling:
         ["extinction", "--sigma", "2", "--ell", "2", "--q", "0.1", "--mc", "10",
          "--n-gens", "-3"],
         ["simulate", "--sigma", "2", "--ell", "2", "--q", "0.1", "--pop-cap", "0"],
-    ], ids=["kmax", "perron-k-report", "converge-k-report", "escape-cap", "n-gens", "pop-cap"])
+        ["extinction", "--sigma", "2", "--ell", "5", "--q", "0.1", "--mc", "-5"],
+        ["extinction", "--sigma", "2", "--ell", "2", "--q", "0.1", "--mc", "10", "--seed", "-4"],
+        ["simulate", "--sigma", "2", "--ell", "2", "--q", "0.1", "--seed", "-4"],
+    ], ids=["kmax", "perron-k-report", "converge-k-report", "escape-cap", "n-gens", "pop-cap",
+            "mc", "extinction-seed", "simulate-seed"])
     def test_out_of_range_count_is_a_usage_error(self, capsys, args):
         code = main(args)
         captured = capsys.readouterr()

@@ -109,13 +109,6 @@ class TestMeanMatrix:
         p = ModelParams(sigma=2.0, ell=5, kappa=2, q=0.3)
         assert np.all(mean_matrix(p) > 0.0)
 
-    def test_precomputed_kernel_shortcut(self):
-        p = ModelParams(sigma=2.0, ell=4, kappa=2, q=0.2)
-        m = lumped_kernel_matrix(p)
-        kept = m.copy()
-        assert np.array_equal(mean_matrix(p, kernel=m), mean_matrix(p))
-        assert np.array_equal(m, kept)
-
 
 class TestPerron:
     """The generic power iteration, kept as the oracle for ``perron``."""
