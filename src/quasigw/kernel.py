@@ -20,7 +20,6 @@ from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ModelParams",
@@ -183,6 +182,69 @@ def lumped_kernel_entry(b: int, c: int, params: ModelParams) -> float:
 BAND_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
+# stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n / e)^n) at n = 0..15, where its
+# asymptotic series is not yet accurate (Loader 2000, as in R's dbinom).
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n / e)^n) at integers n >= 0: the table below
+    16, its asymptotic series 1/12n - 1/360n^3 + ... from 16 on."""
+    r = 1.0 / np.maximum(n, 16.0)
+    r2 = r * r
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r2 / 1188) * r2) * r2) * r2) * r
+    return np.where(n < 16, _STIRLERR[np.minimum(n, 15).astype(np.intp)], series)
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x log(x / m) + m - x for x, m > 0, without its cancellation near x = m.
+
+    There (|x - m| < (x + m) / 10) it is summed as the series
+    (x - m) v + 2 x (v^3 / 3 + v^5 / 5 + ...) in v = (x - m) / (x + m),
+    whose terms fall by v^2 < 1/100 each (Loader 2000); elsewhere it is
+    x log1p((x - m) / m) - (x - m), accurate to a few ulps of x log(x / m).
+    """
+    d = x - m
+    v = d / (x + m)
+    v2 = v * v
+    odd = 1 / 3 + v2 * (1 / 5 + v2 * (1 / 7 + v2 * (1 / 9 + v2 * (1 / 11 + v2 * (
+        1 / 13 + v2 * (1 / 15 + v2 / 17))))))
+    series = d * v + 2.0 * x * v * v2 * odd
+    return np.where(np.abs(d) < 0.1 * (x + m), series, x * np.log1p(d / m) - d)
+
+
+def _binom_logpmf(n: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
+    """log of the Binomial(n, p) pmf at k, for 0 < k < n, by Loader's saddle point.
+
+    log pmf = stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n p)
+    - bd0(n - k, n (1 - p)) - log(2 pi k (n - k) / n)/2 (Loader 2000, the
+    method of R's dbinom).  No term is a difference of large numbers, so
+    the result is accurate to a few ulps of its largest term: near the mode
+    the pmf comes out to a few ulps relative, where a difference of
+    log-factorials loses about log(n!) ulps.
+    """
+    n = np.asarray(n, dtype=float)
+    k = np.asarray(k, dtype=float)
+    return (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+            - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
+            - 0.5 * np.log(2.0 * math.pi * k * (n - k) / n))
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(j!) for j = 0..n, each within a few ulps (``math.lgamma``)."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+
+
+def _binom_mode(n: np.ndarray, p: float) -> np.ndarray:
+    """A mode of Binomial(n[i], p): min(floor((n + 1) p), n)."""
+    return np.minimum(np.floor((n + 1) * p).astype(n.dtype), n)
+
+
 def _binom_windows(n: np.ndarray, p: float, log_fact: np.ndarray, log_min: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Ends lo, hi of the windows where the Binomial(n[i], p) logpmf >= log_min.
@@ -190,59 +252,79 @@ def _binom_windows(n: np.ndarray, p: float, log_fact: np.ndarray, log_min: float
     log_min must lie below the log of the pmf at the mode, which is at least
     -log(n + 1).  The pmf is unimodal, so each window is an interval around
     the mode, and each end is found by bisection on its monotone side, for
-    all rows at once.
+    all rows at once.  The test only places the ends: it takes the log pmf
+    as a difference of log-factorials (log_fact, from ``_log_factorials``),
+    which is cheap and accurate to about log(n!) ulps, so an end can be off
+    by one where the pmf lies within that of exp(log_min).
     """
     if p == 0.0:
         return np.zeros_like(n), np.zeros_like(n)
-    log_p, log_1mp = math.log(p), math.log1p(-p)
+    log_odds = math.log(p) - math.log1p(-p)
+    log_n_fact_p0 = log_fact[n] + n * math.log1p(-p)   # log n! + log P(0)
 
     def inside(k):
-        logpmf = log_fact[n] - log_fact[k] - log_fact[n - k] + k * log_p + (n - k) * log_1mp
-        return logpmf >= log_min
+        return log_n_fact_p0 - log_fact[k] - log_fact[n - k] + k * log_odds >= log_min
 
-    mode = np.minimum(np.floor((n + 1) * p).astype(n.dtype), n)
-    # Invariant: hi is inside, out > hi is not (out = n + 1 is past the end).
-    # Finished rows (out = hi + 1) probe mid = hi and stay put; likewise below.
-    hi, out = mode, n + 1
-    while np.any(out - hi > 1):
-        mid = (hi + out) // 2
-        keep = inside(mid)
-        hi, out = np.where(keep, mid, hi), np.where(keep, out, mid)
-    lo, out = mode, np.full_like(n, -1)
-    while np.any(lo - out > 1):
-        mid = (lo + out + 1) // 2
-        keep = inside(mid)
-        lo, out = np.where(keep, mid, lo), np.where(keep, out, mid)
-    return lo, hi
+    def bisect(inner, outer, round_up):
+        # inner is inside, outer is not (or past the end); each step halves
+        # |outer - inner|, and rows already at 1 probe mid = inner and stay put.
+        for _ in range(int(np.max(np.abs(outer - inner)) - 1).bit_length()):
+            mid = (inner + outer + round_up) // 2
+            keep = inside(mid)
+            inner, outer = np.where(keep, mid, inner), np.where(keep, outer, mid)
+        return inner
+
+    mode = _binom_mode(n, p)
+    return bisect(mode, np.full_like(n, -1), 1), bisect(mode, n + 1, 0)
 
 
-def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray,
-                       log_fact: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binomial(n[i], p) pmfs on lo[i]..hi[i], concatenated end to end: values, starts, ends.
+def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Binomial(n[i], p) pmfs on the windows lo[i]..hi[i], to a few ulps relative.
 
-    All windows are evaluated in one pass, from the log-factorial table
-    log_fact; pmf i is values[starts[i]:ends[i]].
+    Returns a (rows, widest window) array whose row i holds P(lo[i] + j) in
+    column j for j <= hi[i] - lo[i]; the columns past that hold values of
+    no use.  Each row is one pass of cumulative products of the ratios
+    P(k) / P(k - 1) = (n - k + 1) / k * p / (1 - p), scaled to the pmf at the
+    mode m (``_binom_mode``), which lies in every window: (1 - p)^n at
+    m = 0 (where lo = 0) and p^n at m = n, both accurate since their logs
+    are at most about 1 in size, and Loader's saddle point
+    (``_binom_logpmf``) in between.  Anchored at the mode, an entry
+    carries only the rounding of the ratios between it and the mode, a
+    random walk of a few ulps, not the |log P| ulps of the exp of a log
+    far in the tail.  The rounding
+    error delta of p / (1 - p) is common to all ratios and would grow
+    linearly along the window, so column j is corrected by
+    (1 + delta)^-j ~ 1 - j delta, delta from exact integer arithmetic.
     """
-    size = hi - lo + 1
-    ends = np.cumsum(size)
-    # k steps by 1 inside a window and jumps from hi[i-1] to lo[i] between
-    # windows; int32 (k <= ell) keeps the index arrays at half the size.
-    k = np.ones(ends[-1], dtype=np.int32)
-    k[0] = lo[0]
-    k[ends[:-1]] = lo[1:] - hi[:-1]
-    np.cumsum(k, out=k)
     if p == 0.0:
-        return (k == 0).astype(float), ends - size, ends
-    n_k = np.repeat(n.astype(np.int32), size)
-    n_k -= k
-    # log_fact[j] = gammaln(j + 1); with the terms added in this order the
-    # values equal a full-length gammaln evaluation of each pmf bit for bit.
-    logpmf = np.repeat(log_fact[n], size)
-    logpmf -= log_fact[k]
-    logpmf -= log_fact[n_k]
-    logpmf += k * math.log(p)
-    logpmf += n_k * math.log1p(-p)
-    return np.exp(logpmf, out=logpmf), ends - size, ends
+        return np.ones((n.size, 1))
+    width = int(np.max(hi - lo)) + 1
+    pmfs = np.empty((n.size, width))
+    mode = _binom_mode(n, p)
+    up = np.flatnonzero(mode)   # rows whose mode, and so anchor, is above 0
+    pmfs[:, 0] = np.exp(n * math.log1p(-p))   # P(0) = P(lo) where the mode is 0
+    pmfs[up, 0] = 1.0
+    columns = np.arange(1.0, width)
+    k = lo[:, None] + columns
+    ratios = pmfs[:, 1:]
+    np.subtract((n + 1)[:, None], k, out=ratios)
+    ratios /= k
+    del k
+    odds = p / (1.0 - p)
+    ratios *= odds
+    np.cumprod(pmfs, axis=1, out=pmfs)
+    p_num, p_den = p.as_integer_ratio()
+    o_num, o_den = odds.as_integer_ratio()
+    delta = (o_num * (p_den - p_num) - o_den * p_num) / (o_den * p_num)   # odds (1 - p) / p - 1
+    if delta:
+        pmfs[:, 1:] *= 1.0 - delta * columns
+    if up.size:
+        n_up, m_up = n[up], mode[up]
+        at_mode = p ** n_up
+        inner = np.flatnonzero(m_up < n_up)
+        at_mode[inner] = np.exp(_binom_logpmf(n_up[inner], m_up[inner], p))
+        pmfs[up] *= (at_mode / pmfs[up, m_up - lo[up]])[:, None]
+    return pmfs
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,40 +386,40 @@ def kernel_band(params: ModelParams) -> KernelBand:
     term >= BAND_FLOOR / (ell + 1), and both its factors are at least that.
     So each pmf is kept on its window at that level (``_binom_windows``),
     the windows of all rows are evaluated in one pass
-    (``_binom_window_pmfs``), and row b is the convolution of its two
-    windows.  The terms left out sum to at most 2 BAND_FLOOR / (ell + 1)
-    per entry, and every entry outside the rows' supports is below
-    BAND_FLOOR and counts as 0.  Row b is stored on the window of its
-    support, shifted left to end by column ell; the storage is (ell + 1) x
-    (largest support), never more than the dense matrix.  At fixed a = ell q
+    (``_binom_window_pmfs``, to a few ulps relative), and row b is the
+    convolution of its two windows; so the rows sum to 1 within a few ulps
+    (max |fsum - 1| <= 1.1e-15 on acceptance 02's grid and at a = ln 2 up
+    to ell = 10^5).  The terms left out sum to at most
+    2 BAND_FLOOR / (ell + 1) per entry, and every entry outside the rows'
+    supports is below BAND_FLOOR and counts as 0.  Row b is stored on the
+    window of its support, shifted left to end by column ell; the storage
+    is (ell + 1) x (largest support), never more than the dense matrix.  At fixed a = ell q
     the support stays bounded as ell grows (about 160 columns at a = ln 2),
     so the band takes O(ell) memory and time where the dense matrix takes
     O(ell^2): about 130 MB at ell = 10^5 against 80 GB.
     """
     ell, kappa, q = params.ell, params.kappa, params.q
     q_back = q / (kappa - 1)
-    log_fact = gammaln(np.arange(ell + 1) + 1)
+    log_fact = _log_factorials(ell)
     log_min = math.log(BAND_FLOOR) - math.log(ell + 1)
     classes = np.arange(ell + 1)
     g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min)
-    gains, g_starts, g_ends = _binom_window_pmfs(ell - classes, q, g_lo, g_hi, log_fact)
+    gains = _binom_window_pmfs(ell - classes, q, g_lo, g_hi)
     if q_back == q:
         # kappa = 2 (or q = 0): L in row b is G in row ell - b, window and pmf alike.
-        l_lo, l_hi, losses = g_lo[::-1], g_hi[::-1], gains
-        l_starts, l_ends = g_starts[::-1], g_ends[::-1]
+        l_lo, l_hi, losses = g_lo[::-1], g_hi[::-1], gains[::-1]
     else:
         l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min)
-        losses, l_starts, l_ends = _binom_window_pmfs(classes, q_back, l_lo, l_hi, log_fact)
+        losses = _binom_window_pmfs(classes, q_back, l_lo, l_hi)
     # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
     # which lands in class c = b + k - l: row b's support is lo[b]..hi[b].
     lo, hi = classes + g_lo - l_hi, classes + g_hi - l_lo
     width = int(np.max(hi - lo)) + 1
     offsets = np.minimum(lo, ell + 1 - width)
     values = np.zeros((ell + 1, width))
-    bounds = zip((lo - offsets).tolist(), g_starts.tolist(), g_ends.tolist(),
-                 l_starts.tolist(), l_ends.tolist())
-    for b, (start, g0, g1, l0, l1) in enumerate(bounds):
-        row = np.convolve(gains[g0:g1], losses[l0:l1][::-1])
+    bounds = zip((lo - offsets).tolist(), (g_hi - g_lo + 1).tolist(), (l_hi - l_lo + 1).tolist())
+    for b, (start, g_size, l_size) in enumerate(bounds):
+        row = np.convolve(gains[b, :g_size], losses[b, l_size - 1 :: -1])
         values[b, start : start + row.size] = row
     half_width = int(max(np.max(classes - lo), np.max(hi - classes)))
     return KernelBand(values=values, offsets=offsets, half_width=half_width)

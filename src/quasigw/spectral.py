@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
-from .kernel import BAND_FLOOR, KernelBand, ModelParams, kernel_band, lumped_kernel_matrix
+from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _binom_logpmf, kernel_band,
+                     lumped_kernel_matrix)
 
 __all__ = [
     "ConvergenceError",
@@ -122,12 +122,33 @@ def power_iteration(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) ->
 
 
 def _log_stationary_law(params: ModelParams) -> np.ndarray:
-    """Log pmf of Binomial(ell, 1 - 1/kappa), the stationary law of the class kernel."""
+    """Log pmf of Binomial(ell, 1 - 1/kappa), the stationary law of the class kernel.
+
+    p_j = kappa^-ell C(ell, j) (kappa - 1)^j.  Where kappa^-ell is a normal
+    float (ell log kappa < 708: ell <= 1022 at kappa = 2) every p_j is one
+    too, and the p_j are the cumulative products of kappa^-ell and the
+    ratios (ell - j + 1) / j (kappa - 1), a random walk of a few ulps
+    relative.  Beyond that, log p_j comes from Loader's saddle point
+    (``_binom_logpmf``) and the ends from their closed forms.  Either way
+    log p_j is within a few ulps of |log p_j| (plus a few 1e-14) of its exact
+    value wherever p_j is a normal float: that is the accuracy the secular
+    start and the theta = 0 solution get.
+    """
     ell, kappa = params.ell, params.kappa
-    j = np.arange(ell + 1)
-    log_fact = gammaln(j + 1.0)
-    return (log_fact[ell] - log_fact - log_fact[::-1]
-            + j * math.log(kappa - 1) - ell * math.log(kappa))
+    p_0 = float(kappa) ** -ell
+    if p_0 >= _TINY:
+        law = np.empty(ell + 1)
+        law[0] = p_0
+        j = np.arange(1.0, ell + 1)
+        np.divide(j[::-1], j, out=law[1:])   # (ell - j + 1) / j
+        if kappa > 2:
+            law[1:] *= kappa - 1
+        return np.log(np.cumprod(law, out=law), out=law)
+    log_p = np.empty(ell + 1)
+    log_p[0] = -ell * math.log(kappa)
+    log_p[ell] = ell * math.log1p(-1.0 / kappa)
+    log_p[1:ell] = _binom_logpmf(ell, np.arange(1, ell), 1.0 - 1.0 / kappa)
+    return log_p
 
 
 def _secular_root(params: ModelParams, log_p: np.ndarray, lo: float, hi: float) -> float:
@@ -355,8 +376,14 @@ def perron(
     in lam, and its root does not get harder to find as the spectral gap
     closes near the threshold sigma e^-a = 1.
 
-    lam starts at the root of the closed-form secular equation
-    (``_secular_root``); for q >= (kappa - 1) / kappa its terms alternate
+    At theta = 1 - q kappa / (kappa - 1) = 0 every locus forgets its
+    letter, so every row of M is the stationary law pi: then rho = pi and
+    lam = 1 + (sigma - 1) pi_0 directly, with no elimination
+    (``iterations`` 0, method "closed form (theta = 0)"), and only the
+    residual is taken against the band.
+
+    Otherwise lam starts at the root of the closed-form secular equation
+    (``_secular_root``); for q > (kappa - 1) / kappa its terms alternate
     in sign and lam starts at sigma instead.  Newton steps on the
     numerical kernel refine it: each factors lam I - M once by banded
     block elimination (``_BandSolver``) and gives x and
@@ -365,10 +392,12 @@ def perron(
     (bisection otherwise), and the new pair is lam + delta with rho
     proportional to x - delta y.
 
-    lam is kept above a floor: the Perron root of M, 1 + pi (s - 1) to
-    first order (pi the stationary law, s the row sums, which rounding
-    leaves off 1 by up to ~1e-11), plus a few ulps.  Above it lam I - M
-    is a nonsingular M-matrix, so elimination without pivoting is stable.
+    lam is kept above a floor, 1 + pole plus a few ulps: pole = pi (s - 1)
+    (pi the stationary law, s the row sums) is the first-order shift of
+    M's Perron root from 1 by the rounding of the rows, a few ulps, and is
+    not allowed below 0, since M is stochastic.  So lam is never reported
+    below 1.  Above the floor lam I - M is a nonsingular M-matrix, so
+    elimination without pivoting is stable.
     In the disordered regime lam - 1 can lie far below the spacing of
     floats at 1, and the root below the floor; then rho comes from
     inverse iteration at the floor (``_below_floor``) and lam from the
@@ -397,13 +426,30 @@ def perron(
     if band.n != params.ell + 1:
         raise ValueError(f"kernel band must have {params.ell + 1} rows, got {band.n}")
     sigma = params.sigma
-    solver = _BandSolver(band)
+
+    def residual_of(v, lam):
+        rho = v / v.sum()
+        weight = rho.copy()
+        weight[0] *= sigma   # W = M with row 0 scaled by sigma
+        return rho, float(np.abs(band.rmatvec(weight) - lam * rho).sum())
+
     log_pi = _log_stationary_law(params)
-    pole = float(np.exp(log_pi) @ solver.row_excess)
+    kappa = params.kappa
+    if 1.0 - params.q * kappa / (kappa - 1) == 0.0:
+        # theta = 0: every locus forgets its letter, so every row of M is pi
+        pi = np.exp(log_pi)
+        lam = 1.0 + (sigma - 1.0) * float(pi[0] / pi.sum())
+        rho, residual = residual_of(pi, lam)
+        return PerronPair(lam=lam, rho=rho, residual=residual, iterations=0,
+                          method="closed form (theta = 0)")
+    solver = _BandSolver(band)
+    # M is stochastic, so its Perron root is 1; pole, its first-order shift by
+    # the row sums' rounding, may come out below 0, and is kept at 0 or above
+    pole = max(float(np.exp(log_pi) @ solver.row_excess), 0.0)
     margin = _FLOOR_ULPS * _EPS
     floor = lo = pole + margin
     hi = max(sigma - 1.0, lo)
-    if params.q * params.kappa < params.kappa - 1:
+    if params.q * kappa < kappa - 1:
         # the closed form's pole is at mu = 0, the numerical kernel's at pole
         mu = min(pole + _secular_root(params, log_pi, margin, hi - pole), hi)
     else:
@@ -412,12 +458,6 @@ def perron(
     step = residual = np.inf
     it = 0
     reason = ""   # set when the stationary limit would overrun max_iter
-
-    def residual_of(v, lam):
-        rho = v / v.sum()
-        weight = rho.copy()
-        weight[0] *= sigma   # W = M with row 0 scaled by sigma
-        return rho, float(np.abs(band.rmatvec(weight) - lam * rho).sum())
 
     while it < max_iter:
         it += 1

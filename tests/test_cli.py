@@ -461,6 +461,19 @@ class TestEntryPoints:
         assert out.returncode == 0
         assert out.stdout.split() == ["False", "False"]
 
+    def test_cli_import_loads_no_scipy(self):
+        """The binomial pmfs are numpy's own, so start-up imports no scipy
+        module at all (scipy.special alone took ~0.3 s of it)."""
+        src = str(Path(quasigw.cli.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, quasigw.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0
+        assert out.stdout.strip() == "[]"
+
     def test_stdout_default(self, capsys):
         code = main(["kernel", "--sigma", "2", "--ell", "1", "--kappa", "2", "--q", "0.25"])
         assert code == 0

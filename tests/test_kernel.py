@@ -4,14 +4,21 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 from scipy.stats import binom
 
-from quasigw.kernel import BAND_FLOOR, _binom_windows, kernel_band
+from quasigw.kernel import (
+    BAND_FLOOR,
+    _binom_logpmf,
+    _binom_window_pmfs,
+    _binom_windows,
+    _log_factorials,
+    kernel_band,
+)
 from quasigw import (
     ModelParams,
     class_size,
@@ -44,22 +51,19 @@ def brute_force_class_row(u, params):
 
 
 def full_length_binom_pmf(n, p):
-    """Binomial(n, p) pmf on 0..n through log-gamma, with no window."""
+    """Binomial(n, p) pmf on 0..n with no window: the package's saddle point
+    (``_binom_logpmf``) at each 0 < k < n, (1 - p)^n and p^n at the ends.
+    Accurate to about |log P(k)| ulps, which is 1e-13 relative at 1e-150."""
     if n == 0:
         return np.ones(1)
     if p == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
         return out
-    k = np.arange(n + 1)
-    logpmf = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return np.exp(logpmf)
+    out = np.empty(n + 1)
+    out[0], out[n] = math.exp(n * math.log1p(-p)), p**n
+    out[1:n] = np.exp(_binom_logpmf(n, np.arange(1, n), p))
+    return out
 
 
 def full_length_pmfs(b, params):
@@ -67,6 +71,20 @@ def full_length_pmfs(b, params):
     gain = full_length_binom_pmf(params.ell - b, params.q)
     loss = full_length_binom_pmf(b, params.q / (params.kappa - 1))
     return gain, loss
+
+
+def log_factorial_pmfs(b, params, log_fact):
+    """Full-length gain and loss pmfs of row b from differences of log_fact =
+    ``_log_factorials(ell)``: accurate to about log(ell!) ulps, which is
+    plenty to compare entries with BAND_FLOOR, and cheap."""
+    def pmf(n, p):
+        k = np.arange(n + 1)
+        if p == 0.0:
+            return (k == 0).astype(float)
+        return np.exp(log_fact[n] - log_fact[k] - log_fact[n - k]
+                      + k * math.log(p) + (n - k) * math.log1p(-p))
+
+    return pmf(params.ell - b, params.q), pmf(b, params.q / (params.kappa - 1))
 
 
 def full_length_kernel_row(b, params):
@@ -343,11 +361,13 @@ def band_slack(params):
     return 2 * BAND_FLOOR / (params.ell + 1)
 
 
-def assert_matches_full_length_rows(m, rows, params, rtol=1e-15):
+def assert_matches_full_length_rows(m, rows, params, rtol=1e-12):
     """Rows of m equal the full-length oracle rows up to the terms the band
-    leaves out: each entry within rtol plus band_slack, or at least as close
-    to the exactly summed value as the oracle is, plus band_slack (both
-    round ~10^3-term sums); and every zero of m is below BAND_FLOOR."""
+    leaves out: each entry within rtol (the oracle's pmfs are accurate to
+    about 1e-13 relative in their tails, the band's to a few ulps) plus
+    band_slack, or at least as close to the exactly summed value as the
+    oracle is, plus band_slack (both round ~10^3-term sums); and every zero
+    of m is below BAND_FLOOR."""
     slack = band_slack(params)
     for b in rows:
         ref = full_length_kernel_row(b, params)
@@ -355,6 +375,33 @@ def assert_matches_full_length_rows(m, rows, params, rtol=1e-15):
         for c in np.flatnonzero(np.abs(m[b] - ref) > rtol * ref + slack):
             exact = exact_convolution_entry(b, c, params)
             assert abs(m[b, c] - exact) <= abs(ref[c] - exact) + slack, (b, c, m[b, c], ref[c])
+
+
+# The window ends are placed by log-factorial differences, accurate to about
+# log(ell!) ulps: a pmf value this close to the window level may fall either side.
+WINDOW_RTOL = 1e-9
+
+
+def window_pmf(n, p, params):
+    """Binomial(n, p) pmf on its window at level BAND_FLOOR / (ell + 1),
+    evaluated as one row of ``_binom_window_pmfs``: (lo, values)."""
+    log_min = math.log(BAND_FLOOR) - math.log(params.ell + 1)
+    lo, hi = _binom_windows(np.array([n]), p, _log_factorials(params.ell), log_min)
+    return int(lo[0]), _binom_window_pmfs(np.array([n]), p, lo, hi)[0, : hi[0] - lo[0] + 1]
+
+
+def assert_window_keeps_every_term_above_the_level(n, p, params):
+    """The window of Binomial(n, p) drops only terms below BAND_FLOOR / (ell + 1),
+    and its values agree with the full-length oracle's within 1e-12 (the
+    oracle's tails are accurate to about 1e-13)."""
+    level = BAND_FLOOR / (params.ell + 1)
+    lo, values = window_pmf(n, p, params)
+    full = full_length_binom_pmf(n, p)
+    inside = np.zeros(n + 1, dtype=bool)
+    inside[lo : lo + values.size] = True
+    assert np.all(full[~inside] < level * (1 + WINDOW_RTOL)), (n, p)
+    assert np.all(full[inside] >= level * (1 - WINDOW_RTOL)), (n, p)
+    assert np.allclose(values, full[inside], rtol=1e-12, atol=0.0), (n, p)
 
 
 class TestKernelWindows:
@@ -376,13 +423,16 @@ class TestKernelWindows:
     @pytest.mark.parametrize("ell", [300, 1000, 2000])
     def test_end_rows_are_the_binomial_pmfs_bit_for_bit(self, ell, q):
         """Rows 0 and ell convolve with a point mass, so they are the gain and
-        loss pmfs themselves wherever those reach BAND_FLOOR / (ell + 1), and
-        0 elsewhere."""
+        loss pmfs on their windows bit for bit, and 0 elsewhere; the windows
+        drop only terms below BAND_FLOOR / (ell + 1)."""
         p = ModelParams(sigma=2.0, ell=ell, kappa=3, q=q)
         m = lumped_kernel_matrix(p)
-        for row, pmf in ((m[0], full_length_binom_pmf(ell, q)),
-                         (m[ell], full_length_binom_pmf(ell, q / 2)[::-1])):
-            assert np.array_equal(row, np.where(pmf >= BAND_FLOOR / (ell + 1), pmf, 0.0))
+        for row, n, prob in ((m[0], ell, q), (m[ell][::-1], ell, q / 2)):
+            lo, values = window_pmf(n, prob, p)
+            expected = np.zeros(ell + 1)
+            expected[lo : lo + values.size] = values
+            assert np.array_equal(row, expected)
+            assert_window_keeps_every_term_above_the_level(n, prob, p)
 
     @pytest.mark.parametrize("kappa,q", [(2, 0.99), (4, 0.99), (3, 0.7)])
     def test_high_mutation_rates_match_full_length_build(self, kappa, q):
@@ -404,6 +454,42 @@ class TestKernelWindows:
         assert np.all(ref[m == 0.0] < BAND_FLOOR * (1 + 1e-11))
 
 
+def mpmath_binom_pmf(n, k, p):
+    """Binomial(n, p) pmf at k in 40-digit arithmetic, p taken exactly."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        return mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k)
+
+
+class TestPmfAccuracy:
+    """The pmf windows and the rows built from them, to relative accuracy."""
+
+    @pytest.mark.parametrize("ell,q", [(1000, LN2 / 1000), (5000, LN2 / 5000),
+                                       (20000, LN2 / 20000), (2000, 0.1), (2000, 0.5)])
+    def test_window_pmfs_match_mpmath(self, ell, q):
+        """Every entry of the gain and loss windows of a spread of rows is
+        within 1e-13 relative of the pmf in 40-digit arithmetic (log-factorial
+        differences are off by up to 2e-11 at ell = 20000)."""
+        p = ModelParams(sigma=2.0, ell=ell, kappa=3, q=q)
+        worst = 0.0
+        for b in (0, 1, ell // 3, ell // 2, ell - 7, ell):
+            for n, prob in ((ell - b, q), (b, q / 2)):
+                lo, values = window_pmf(n, prob, p)
+                for k, value in enumerate(values.tolist(), start=lo):
+                    ref = mpmath_binom_pmf(n, k, prob)
+                    worst = max(worst, abs(float((value - ref) / ref)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("ell,q", [(ell, q) for ell in (10, 100, 500, 2000)
+                                       for q in (1e-4, 1e-2, 0.1, 0.5)]
+                             + [(20000, LN2 / 20000)])
+    def test_rows_sum_to_one_to_rounding(self, ell, q):
+        """On acceptance 02's grid and at ell = 20000 every row of the band
+        sums to 1 within 1e-14, summed exactly (math.fsum)."""
+        band = kernel_band(ModelParams(sigma=2.0, ell=ell, kappa=2, q=q))
+        assert max(abs(math.fsum(row) - 1.0) for row in band.values.tolist()) <= 1e-14
+
+
 def assert_dense_is_the_band_scattered(p):
     """The dense build is the band's rows scattered into zeros, bit for bit,
     every window lies inside 0..ell, and the full-length entries next to
@@ -415,8 +501,9 @@ def assert_dense_is_the_band_scattered(p):
     assert n == p.ell + 1 and 1 <= width <= n
     assert np.all((band.offsets >= 0) & (band.offsets + width <= n))
     assert np.array_equal(m, band.block(0, n, 0, n))
+    log_fact = _log_factorials(p.ell)
     for b, c0 in enumerate(band.offsets.tolist()):
-        pmfs = full_length_pmfs(b, p)
+        pmfs = log_factorial_pmfs(b, p, log_fact)
         for c in (c0 - 1, c0 + width):
             if 0 <= c < n:
                 assert np.dot(*convolution_factors(*pmfs, b, c)) < BAND_FLOOR, (b, c)
@@ -476,38 +563,24 @@ class TestKernelBand:
 
 
 def per_row_band(p):
-    """The band built one row at a time: each pmf on its window
-    (``_binom_windows``) through log-gamma, then np.convolve."""
+    """The band built one row at a time: each pmf on its window, evaluated
+    as a one-row array (``window_pmf``), then np.convolve."""
     ell = p.ell
     q_back = p.q / (p.kappa - 1)
-    log_fact = gammaln(np.arange(ell + 1) + 1)
-    log_min = math.log(BAND_FLOOR) - math.log(ell + 1)
-    classes = np.arange(ell + 1)
-    g_lo, g_hi = _binom_windows(ell - classes, p.q, log_fact, log_min)
-    l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min)
-
-    def window_pmf(n, prob, lo, hi):
-        k = np.arange(lo, hi + 1)
-        if prob == 0.0:
-            return (k == 0).astype(float)
-        logpmf = (
-            log_fact[n]
-            - log_fact[lo : hi + 1]
-            - log_fact[n - hi : n - lo + 1][::-1]
-            + k * math.log(prob)
-            + (n - k) * math.log1p(-prob)
-        )
-        return np.exp(logpmf)
-
-    rows = [np.convolve(window_pmf(ell - b, p.q, g_lo[b], g_hi[b]),
-                        window_pmf(b, q_back, l_lo[b], l_hi[b])[::-1]) for b in classes]
-    lo = classes + g_lo - l_hi
+    lo, rows = [], []
+    for b in range(ell + 1):
+        g_lo, gain = window_pmf(ell - b, p.q, p)
+        l_lo, loss = window_pmf(b, q_back, p)
+        lo.append(b + g_lo - (l_lo + loss.size - 1))
+        rows.append(np.convolve(gain, loss[::-1]))
+    lo = np.array(lo)
     hi = lo + np.array([row.size for row in rows]) - 1
     width = int(np.max(hi - lo)) + 1
     offsets = np.minimum(lo, ell + 1 - width)
     values = np.zeros((ell + 1, width))
     for b, row in enumerate(rows):
         values[b, lo[b] - offsets[b] : lo[b] - offsets[b] + row.size] = row
+    classes = np.arange(ell + 1)
     return values, offsets, int(max(np.max(classes - lo), np.max(hi - classes)))
 
 

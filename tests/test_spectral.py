@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,7 +25,7 @@ from quasigw import (
     power_iteration,
 )
 from quasigw.kernel import BAND_FLOOR
-from quasigw.spectral import _classes_reaching_master, _inverse, _solve
+from quasigw.spectral import _classes_reaching_master, _inverse, _log_stationary_law, _solve
 
 LN2 = math.log(2.0)
 
@@ -253,6 +254,28 @@ class TestSecularPerron:
         assert pair.iterations > 1
         assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
 
+    @pytest.mark.parametrize("ell", [5000, 20000])
+    def test_one_newton_step_at_long_sequences(self, ell):
+        """With the kernel and the stationary law accurate to rounding, the
+        closed-form start is within tol of the numerical root."""
+        pair = perron(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell))
+        assert pair.method == "secular Newton" and pair.iterations == 1
+
+    @pytest.mark.parametrize("ell,kappa", [(1000, 2), (1022, 2), (1023, 2), (3000, 2),
+                                           (700, 3), (2000, 4)])
+    def test_stationary_law_matches_mpmath(self, ell, kappa):
+        """log pi_j within a few ulps of the 40-digit value wherever pi_j is a
+        normal float, on both sides of ell log kappa = 708 (products of
+        ratios below, the saddle point above)."""
+        log_pi = _log_stationary_law(ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=0.1))
+        with mpmath.workdps(40):
+            p = mpmath.mpf(kappa - 1) / kappa
+            ref = np.array([float(mpmath.log(mpmath.binomial(ell, j)) + j * mpmath.log(p)
+                                  + (ell - j) * mpmath.log(1 - p)) for j in range(ell + 1)])
+        normal = ref > math.log(1e-300)
+        err = np.abs(log_pi - ref)[normal]
+        assert np.all(err <= 1e-13 + 4 * np.finfo(float).eps * np.abs(ref[normal]))
+
     def test_larger_alphabet(self):
         p = ModelParams(sigma=4.0, ell=200, kappa=4, q=LN2 / 200)
         pair = perron(p)
@@ -293,14 +316,50 @@ class TestSecularPerron:
         assert exc.value.residual > 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_underflowed_master_entry_bisects_without_dividing(self):
-        """At kappa=2, q=0.5, M(0, 0) = 2^-ell is left out of the band from
-        ell = 521 on, so x_0 = y_0 = 0; the step bisects instead of dividing
-        0 by 0, and lam and method are those of the 0/0 path it replaces."""
-        pair = perron(ModelParams(sigma=2.0, ell=521, kappa=2, q=0.5))
-        assert pair.method == "secular Newton"
-        assert pair.iterations == 6
-        assert pair.lam == pytest.approx(1.0000000000000722, abs=1e-15)
+    def test_underflowed_master_entry_bisects_without_dividing(self, monkeypatch):
+        """At kappa=3, q=0.5 (theta = 1/4), every M(b, 0) <= 2^-ell is below
+        BAND_FLOOR from ell = 512 on, so the elimination drops column 0 and
+        x_0 = y_0 = 0; the step bisects instead of dividing 0 by 0, down to
+        the stationary limit, where lam - 1 ~ 3^-521."""
+        p = ModelParams(sigma=2.0, ell=521, kappa=3, q=0.5)
+        band = kernel_band(p)
+        assert np.all(band.block(0, band.n, 0, 1) < BAND_FLOOR)
+        master = []
+        solve = quasigw.spectral._BandSolver.solve
+
+        def recording_solve(self, b):
+            x = solve(self, b)
+            master.append(float(x[0]))
+            return x
+
+        monkeypatch.setattr(quasigw.spectral._BandSolver, "solve", recording_solve)
+        pair = perron(p, band=band)
+        assert master and all(x_0 == 0.0 for x_0 in master)
+        assert pair.method == "secular Newton (stationary limit)"
+        assert pair.lam == 1.0
+        assert pair.residual <= 1e-12
+
+    @pytest.mark.parametrize("kappa,q,ell", [(2, 0.5, 521), (2, 0.5, 600), (2, 0.5, 1100),
+                                             (3, 2 / 3, 300), (4, 0.75, 40)])
+    def test_theta_zero_is_the_stationary_law(self, kappa, q, ell):
+        """theta = 1 - q kappa / (kappa - 1) = 0: every row of M is the
+        stationary law pi, so rho = pi and lam = 1 + (sigma - 1) pi_0, with no
+        elimination."""
+        p = ModelParams(sigma=3.0, ell=ell, kappa=kappa, q=q)
+        pair = perron(p)
+        pi = binom.pmf(np.arange(ell + 1), ell, (kappa - 1) / kappa)
+        assert pair.method == "closed form (theta = 0)" and pair.iterations == 0
+        assert np.abs(pair.rho - pi).sum() < 1e-14
+        assert pair.lam == 1.0 + 2.0 * pair.rho[0] and pair.lam >= 1.0
+        assert pair.residual <= 1e-12 * pair.lam
+
+    @pytest.mark.parametrize("sigma,kappa,q,ell", [
+        (2.0, 2, 0.9, 200), (2.0, 2, 0.9, 521), (2.0, 2, 0.5, 521), (2.0, 2, 0.5, 600),
+        (2.0, 2, 0.5, 1100), (2.0, 3, 0.5, 600), (2.0, 3, 0.9, 600), (2.0, 2, 0.7, 800)])
+    def test_root_is_never_below_one(self, sigma, kappa, q, ell):
+        """W >= M entrywise and M is stochastic, so lam >= 1, also where
+        rounding leaves the row sums of the band just below 1."""
+        assert perron(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)).lam >= 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
