@@ -327,6 +327,38 @@ def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray) 
     return pmfs
 
 
+def _log_stationary_law(params: ModelParams) -> np.ndarray:
+    """Log pmf of Binomial(ell, 1 - 1/kappa), the stationary law of the class kernel.
+
+    p_j = kappa^-ell C(ell, j) (kappa - 1)^j.  Where kappa^-ell is a normal
+    float (ell log kappa < 708: ell <= 1022 at kappa = 2) every p_j is one
+    too, and the p_j are the cumulative products of kappa^-ell and the
+    ratios (ell - j + 1) / j (kappa - 1), a random walk of a few ulps
+    relative.  This is the recurrence of ``_binom_window_pmfs`` on one full
+    row, specialised to odds kappa - 1, an exact integer, so neither the
+    mode anchor nor the odds correction is needed; the general routine
+    costs about 0.1 ms more per call.  Beyond that range, log p_j comes
+    from Loader's saddle point (``_binom_logpmf``) and the ends from their
+    closed forms.  Either way log p_j is within a few ulps of |log p_j|
+    (plus a few 1e-14) of its exact value wherever p_j is a normal float.
+    """
+    ell, kappa = params.ell, params.kappa
+    p_0 = float(kappa) ** -ell
+    if p_0 >= np.finfo(float).tiny:
+        law = np.empty(ell + 1)
+        law[0] = p_0
+        j = np.arange(1.0, ell + 1)
+        np.divide(j[::-1], j, out=law[1:])   # (ell - j + 1) / j
+        if kappa > 2:
+            law[1:] *= kappa - 1
+        return np.log(np.cumprod(law, out=law), out=law)
+    log_p = np.empty(ell + 1)
+    log_p[0] = -ell * math.log(kappa)
+    log_p[ell] = ell * math.log1p(-1.0 / kappa)
+    log_p[1:ell] = _binom_logpmf(ell, np.arange(1, ell), 1.0 - 1.0 / kappa)
+    return log_p
+
+
 @dataclass(frozen=True, eq=False)
 class KernelBand:
     """The class kernel M on its band: M(b, offsets[b] + j) = values[b, j].

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _binom_logpmf, kernel_band,
+from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _log_stationary_law, kernel_band,
                      lumped_kernel_matrix)
 
 __all__ = [
@@ -119,36 +119,6 @@ def power_iteration(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) ->
         residual=residual,
         iterations=max_iter,
     )
-
-
-def _log_stationary_law(params: ModelParams) -> np.ndarray:
-    """Log pmf of Binomial(ell, 1 - 1/kappa), the stationary law of the class kernel.
-
-    p_j = kappa^-ell C(ell, j) (kappa - 1)^j.  Where kappa^-ell is a normal
-    float (ell log kappa < 708: ell <= 1022 at kappa = 2) every p_j is one
-    too, and the p_j are the cumulative products of kappa^-ell and the
-    ratios (ell - j + 1) / j (kappa - 1), a random walk of a few ulps
-    relative.  Beyond that, log p_j comes from Loader's saddle point
-    (``_binom_logpmf``) and the ends from their closed forms.  Either way
-    log p_j is within a few ulps of |log p_j| (plus a few 1e-14) of its exact
-    value wherever p_j is a normal float: that is the accuracy the secular
-    start and the theta = 0 solution get.
-    """
-    ell, kappa = params.ell, params.kappa
-    p_0 = float(kappa) ** -ell
-    if p_0 >= _TINY:
-        law = np.empty(ell + 1)
-        law[0] = p_0
-        j = np.arange(1.0, ell + 1)
-        np.divide(j[::-1], j, out=law[1:])   # (ell - j + 1) / j
-        if kappa > 2:
-            law[1:] *= kappa - 1
-        return np.log(np.cumprod(law, out=law), out=law)
-    log_p = np.empty(ell + 1)
-    log_p[0] = -ell * math.log(kappa)
-    log_p[ell] = ell * math.log1p(-1.0 / kappa)
-    log_p[1:ell] = _binom_logpmf(ell, np.arange(1, ell), 1.0 - 1.0 / kappa)
-    return log_p
 
 
 def _secular_root(params: ModelParams, log_p: np.ndarray, lo: float, hi: float) -> float:
@@ -379,8 +349,9 @@ def perron(
     At theta = 1 - q kappa / (kappa - 1) = 0 every locus forgets its
     letter, so every row of M is the stationary law pi: then rho = pi and
     lam = 1 + (sigma - 1) pi_0 directly, with no elimination
-    (``iterations`` 0, method "closed form (theta = 0)"), and only the
-    residual is taken against the band.
+    (``iterations`` 0, method "closed form (theta = 0)").  Only the
+    residual is taken against the band, and, as on every other path, a
+    residual above tol * lam raises ConvergenceError.
 
     Otherwise lam starts at the root of the closed-form secular equation
     (``_secular_root``); for q > (kappa - 1) / kappa its terms alternate
@@ -440,6 +411,12 @@ def perron(
         pi = np.exp(log_pi)
         lam = 1.0 + (sigma - 1.0) * float(pi[0] / pi.sum())
         rho, residual = residual_of(pi, lam)
+        if residual > tol * lam:
+            raise ConvergenceError(
+                f"theta = 0 closed form misses the band (residual {residual:.3e})",
+                residual=residual,
+                iterations=0,
+            )
         return PerronPair(lam=lam, rho=rho, residual=residual, iterations=0,
                           method="closed form (theta = 0)")
     solver = _BandSolver(band)

@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -454,7 +453,7 @@ class TestKernelWindows:
         assert np.all(ref[m == 0.0] < BAND_FLOOR * (1 + 1e-11))
 
 
-def mpmath_binom_pmf(n, k, p):
+def mpmath_binom_pmf(mpmath, n, k, p):
     """Binomial(n, p) pmf at k in 40-digit arithmetic, p taken exactly."""
     with mpmath.workdps(40):
         p = mpmath.mpf(p)
@@ -470,13 +469,14 @@ class TestPmfAccuracy:
         """Every entry of the gain and loss windows of a spread of rows is
         within 1e-13 relative of the pmf in 40-digit arithmetic (log-factorial
         differences are off by up to 2e-11 at ell = 20000)."""
+        mpmath = pytest.importorskip("mpmath")
         p = ModelParams(sigma=2.0, ell=ell, kappa=3, q=q)
         worst = 0.0
         for b in (0, 1, ell // 3, ell // 2, ell - 7, ell):
             for n, prob in ((ell - b, q), (b, q / 2)):
                 lo, values = window_pmf(n, prob, p)
                 for k, value in enumerate(values.tolist(), start=lo):
-                    ref = mpmath_binom_pmf(n, k, prob)
+                    ref = mpmath_binom_pmf(mpmath, n, k, prob)
                     worst = max(worst, abs(float((value - ref) / ref)))
         assert worst <= 1e-13
 

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,8 +23,8 @@ from quasigw import (
     perron_bounds_check,
     power_iteration,
 )
-from quasigw.kernel import BAND_FLOOR
-from quasigw.spectral import _classes_reaching_master, _inverse, _log_stationary_law, _solve
+from quasigw.kernel import BAND_FLOOR, _log_stationary_law
+from quasigw.spectral import _classes_reaching_master, _inverse, _solve
 
 LN2 = math.log(2.0)
 
@@ -267,6 +266,7 @@ class TestSecularPerron:
         """log pi_j within a few ulps of the 40-digit value wherever pi_j is a
         normal float, on both sides of ell log kappa = 708 (products of
         ratios below, the saddle point above)."""
+        mpmath = pytest.importorskip("mpmath")
         log_pi = _log_stationary_law(ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=0.1))
         with mpmath.workdps(40):
             p = mpmath.mpf(kappa - 1) / kappa
@@ -352,6 +352,16 @@ class TestSecularPerron:
         assert np.abs(pair.rho - pi).sum() < 1e-14
         assert pair.lam == 1.0 + 2.0 * pair.rho[0] and pair.lam >= 1.0
         assert pair.residual <= 1e-12 * pair.lam
+        with pytest.raises(ConvergenceError) as err:
+            perron(p, tol=1e-300)
+        assert err.value.iterations == 0 and err.value.residual == pair.residual
+
+    def test_theta_zero_checks_the_band(self):
+        """The closed form is checked against the band it is given: a band of
+        another q, where the rows are not pi, fails the residual test."""
+        p = ModelParams(sigma=3.0, ell=4, kappa=2, q=0.5)
+        with pytest.raises(ConvergenceError):
+            perron(p, band=kernel_band(dataclasses.replace(p, q=0.1)))
 
     @pytest.mark.parametrize("sigma,kappa,q,ell", [
         (2.0, 2, 0.9, 200), (2.0, 2, 0.9, 521), (2.0, 2, 0.5, 521), (2.0, 2, 0.5, 600),
