@@ -160,23 +160,38 @@ _TABLES = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its options only when argparse hands it
+    arguments: a run builds the options of the one command it selects, and
+    help and usage text come out as if every command had them."""
+
+    def __init__(self, *args, table: dict | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._table = table
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._table is not None:
+            for name, (conv, _default, help_text) in self._table.items():
+                self.add_argument(
+                    "--" + name.replace("_", "-"),
+                    dest=name,
+                    type=conv,
+                    default=None,
+                    help=help_text,
+                )
+            self._table = None
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasigw",
         description="sharp-peak quasispecies toolkit",
     )
     parser.add_argument("--version", action="version", version=f"quasigw {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, table in _TABLES.items():
-        sub = subs.add_parser(command)
-        for name, (conv, _default, help_text) in table.items():
-            sub.add_argument(
-                "--" + name.replace("_", "-"),
-                dest=name,
-                type=conv,
-                default=None,
-                help=help_text,
-            )
+        subs.add_parser(command, table=table)
     return parser
 
 
@@ -282,7 +297,9 @@ def cmd_perron(resolved: dict):
         "method": pair.method,
         "iterations": pair.iterations,
         "identity_gap": identity_gap,
-        "lambda_in_range": bool(1.0 < pair.lam < params.sigma),
+        # lambda - 1 = (sigma - 1) rho_0 exactly, so 1 < lambda < sigma is
+        # 0 < rho_0 < 1, which holds where lambda - 1 rounds away
+        "lambda_in_range": bool(params.sigma > 1.0 and 0.0 < pair.rho[0] < 1.0),
         "bounds_ok": bounds.passed,
     }
     return table, diagnostics, 0

@@ -361,49 +361,151 @@ def _log_stationary_law(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelBand:
-    """The class kernel M on its band: M(b, offsets[b] + j) = values[b, j].
+    """The class kernel M on its band, stored by diagonal: M(b, offsets[b] + j) = values[b, j].
 
-    values is (ell + 1) x width, width <= ell + 1, and every window
-    offsets[b] .. offsets[b] + width - 1 lies inside 0..ell.  Entries of M
-    outside the windows are below BAND_FLOOR and count as 0; entries inside
-    them but outside the row's support are stored as 0.  half_width bounds
-    |c - b| over the row supports.  ``matvec`` and ``rmatvec`` give M x and
-    x M, and ``block`` dense pieces of M, all without forming M: the
-    Perron and extinction solves run on these alone.
+    values is (ell + 1) x width with width = min(2 half_width + 1, ell + 1),
+    and row b's window starts at offsets[b] = clip(b - half_width, 0,
+    ell + 1 - width): away from the ends values[b, half_width + d] =
+    M(b, b + d), so column j holds diagonal j - half_width (the DIA layout
+    of Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 3.4),
+    and the first and last half_width rows keep the window clipped to
+    0..ell.  So the storage is never larger than the dense matrix; at
+    a = ln 2 it is 185 columns, 7.4 MB at ell = 5000 and 148 MB at
+    ell = 10^5.  half_width bounds |c - b| over the row supports.  Entries
+    of M outside the windows are below BAND_FLOOR and count as 0; entries
+    inside them but outside the row's support are stored as 0.  ``matvec``
+    and ``rmatvec`` give M x and x M, and ``block`` dense pieces of M, all
+    on strided views of values without forming M: the Perron and
+    extinction solves run on these alone.
     """
 
     values: np.ndarray
-    offsets: np.ndarray
     half_width: int
+
+    def __post_init__(self) -> None:
+        # the products and blocks read values through strided views
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == np.float64
+                and v.flags.c_contiguous and self.half_width >= 0
+                and v.shape[1] == min(2 * self.half_width + 1, v.shape[0])):
+            raise ValueError("values must be a C-contiguous float64 (ell + 1) x "
+                             "min(2 half_width + 1, ell + 1) array")
 
     @property
     def n(self) -> int:
         """Number of classes, ell + 1."""
         return self.values.shape[0]
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Column of M at which each row's window starts."""
+        n, width = self.values.shape
+        return np.clip(np.arange(n) - self.half_width, 0, n - width)
+
+    @property
+    def _middle(self) -> tuple[int, int]:
+        """Rows s1..s2-1, whose windows start at b - half_width; the rows before
+        them start at column 0 and those after at ell + 1 - width."""
+        n, width = self.values.shape
+        s1 = min(self.half_width + 1, n)
+        return s1, max(n - width + self.half_width, s1)
+
+    def _windows(self, x: np.ndarray, r0: int, r1: int) -> list:
+        """Rows r0..r1-1 in at most three runs (b0, b1, windows), windows[i]
+        the view x[offsets[b] : offsets[b] + width] for row b = b0 + i, or
+        one such view (1-D) shared by the run's rows; x is contiguous."""
+        n, width = self.values.shape
+        s1, s2 = self._middle
+        runs = []
+        if r0 < min(r1, s1):
+            runs.append((r0, min(r1, s1), x[:width]))
+        b0, b1 = max(r0, s1), min(r1, s2)
+        if b0 < b1:
+            step = x.itemsize
+            start = (b0 - self.half_width) * step
+            runs.append((b0, b1, np.ndarray((b1 - b0, width), x.dtype, x, start, (step, step))))
+        if max(r0, s2) < r1:
+            runs.append((max(r0, s2), r1, x[n - width :]))
+        return runs
+
+    def _skewed(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """The view values[b, c - b + half_width] over rows r0..r1-1, columns
+        c0..c1-1: M(b, c) for a middle row b and |c - b| <= half_width, and
+        other rows' entries beyond.  Every b, c in 0..ell read inside values,
+        at flat index b (width - 1) + c + half_width <= ell width + half_width."""
+        width = self.values.shape[1]
+        step = self.values.itemsize
+        start = (r0 * (width - 1) + c0 + self.half_width) * step
+        return np.ndarray((r1 - r0, c1 - c0), float, self.values, start, ((width - 1) * step, step))
+
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """M[r0:r1, c0:c1] as a dense array."""
-        width = self.values.shape[1]
-        j = np.arange(c0, c1) - self.offsets[r0:r1, None]
-        inside = (j >= 0) & (j < width)
-        got = np.take_along_axis(self.values[r0:r1], np.clip(j, 0, width - 1), axis=1)
-        return np.where(inside, got, 0.0)
+        n, width = self.values.shape
+        h = self.half_width
+        s1, s2 = self._middle
+        out = np.zeros((r1 - r0, c1 - c0))
+        for b0, b1, start in ((r0, min(r1, s1), 0), (max(r0, s2), r1, n - width)):
+            lo, hi = max(c0, start), min(c1, start + width)
+            if b0 < b1 and lo < hi:
+                part = self.values[b0:b1, lo - start : hi - start]
+                out[b0 - r0 : b1 - r0, lo - c0 : hi - c0] = part
+        b0, b1 = max(r0, s1, c0 - h), min(r1, s2, c1 + h)
+        if b0 < b1:
+            lo, hi = max(c0, b0 - h), min(c1, b1 + h)
+            part = self._skewed(b0, b1, lo, hi)
+            # entry (i, j) of part is M(b, c) for c - b = d + j - i in -h..h
+            d = lo - b0
+            if d + hi - lo - 1 > h:
+                part = np.tril(part, h - d)
+            if d - (b1 - b0 - 1) < -h:
+                part = np.triu(part, -h - d)
+            out[b0 - r0 : b1 - r0, lo - c0 : hi - c0] = part
+        return out
+
+    def _vector(self, x) -> np.ndarray:
+        """x as a contiguous float vector of length ell + 1, or ValueError."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
+        return x
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M @ x, in O(ell x width)."""
-        x = np.ascontiguousarray(x, dtype=float)
-        n, width = self.values.shape
-        if x.shape != (n,):
-            raise ValueError(f"x must have shape ({n},), got {x.shape}")
-        # row k of windows is the view x[k : k + width]
-        windows = np.ndarray((n - width + 1, width), float, x, 0, (x.itemsize, x.itemsize))
-        return np.einsum("ij,ij->i", self.values, windows[self.offsets])
+        x = self._vector(x)
+        n = self.n
+        out = np.empty(n)
+        for b0, b1, windows in self._windows(x, 0, n):
+            np.vecdot(self.values[b0:b1], windows, out=out[b0:b1])
+        return out
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """x @ M, in O(ell x width)."""
-        out = np.zeros(self.n)
-        for j in range(self.values.shape[1]):
-            out += np.bincount(self.offsets + j, weights=x * self.values[:, j], minlength=self.n)
+        """x @ M, in O(ell x width).
+
+        Columns h..ell-h (h = half_width) sum the middle rows' entries along
+        a skewed view, values[c - h + k, 2h - k] x[c - h + k] over k, with x
+        zeroed outside the middle rows; the first and last rows, and the
+        middle rows' entries in the first and last h columns, are added from
+        values and from ``block``.
+        """
+        x = self._vector(x)
+        n, width = self.values.shape
+        h = self.half_width
+        s1, s2 = self._middle
+        out = np.zeros(n)
+        if s1 < s2:   # then width = 2h + 1 and 2h < ell
+            middle = np.zeros(n)
+            middle[s1:s2] = x[s1:s2]
+            step = x.itemsize
+            skew = np.ndarray((n - 2 * h, width), float, self.values, 2 * h * step,
+                              (width * step, (width - 1) * step))
+            windows = np.ndarray((n - 2 * h, width), float, middle, 0, (step, step))
+            np.vecdot(skew, windows, out=out[h : n - h])
+            edge = max(min(2 * h, s2), s1)   # rows s1..edge-1 reach columns below h
+            out[:h] += np.einsum("i,ij->j", x[s1:edge], self.block(s1, edge, 0, h))
+            edge = min(max(n - 2 * h, s1), s2)
+            out[n - h :] += np.einsum("i,ij->j", x[edge:s2], self.block(edge, s2, n - h, n))
+        out[:width] += np.einsum("i,ij->j", x[:s1], self.values[:s1])
+        out[n - width :] += np.einsum("i,ij->j", x[s2:], self.values[s2:])
         return out
 
 
@@ -423,12 +525,23 @@ def kernel_band(params: ModelParams) -> KernelBand:
     (max |fsum - 1| <= 1.1e-15 on acceptance 02's grid and at a = ln 2 up
     to ell = 10^5).  The terms left out sum to at most
     2 BAND_FLOOR / (ell + 1) per entry, and every entry outside the rows'
-    supports is below BAND_FLOOR and counts as 0.  Row b is stored on the
-    window of its support, shifted left to end by column ell; the storage
-    is (ell + 1) x (largest support), never more than the dense matrix.  At fixed a = ell q
-    the support stays bounded as ell grows (about 160 columns at a = ln 2),
-    so the band takes O(ell) memory and time where the dense matrix takes
-    O(ell^2): about 130 MB at ell = 10^5 against 80 GB.
+    supports is below BAND_FLOOR and counts as 0.
+
+    At kappa = 2 the kernel is symmetric under b -> ell - b: G in row b and
+    L in row ell - b are both Binomial(ell - b, q), so M(ell - b, ell - c) =
+    M(b, c), and so are the windows.  Then only rows 0 .. ceil((ell+1)/2) - 1
+    are convolved, and the rest are their reflections, values[ell - b] =
+    values[b, ::-1], which the storage rule of ``KernelBand`` keeps.  The
+    middle row at even ell convolves a pmf with its own reverse, an
+    autocorrelation: its entries at lags d and -d sum the same products in
+    the same order, so it is symmetric as convolved.  A reflected row is
+    the direct one summed in another order, within a few ulps.
+
+    The storage is (ell + 1) x min(2 half_width + 1, ell + 1) floats, never
+    more than the dense matrix.  At fixed a = ell q the support stays
+    bounded as ell grows (half width about 92 at a = ln 2, so 185 columns),
+    and the band takes O(ell) memory and time where the dense matrix takes
+    O(ell^2): about 148 MB at ell = 10^5 against 80 GB.
     """
     ell, kappa, q = params.ell, params.kappa, params.q
     q_back = q / (kappa - 1)
@@ -437,8 +550,9 @@ def kernel_band(params: ModelParams) -> KernelBand:
     classes = np.arange(ell + 1)
     g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min)
     gains = _binom_window_pmfs(ell - classes, q, g_lo, g_hi)
-    if q_back == q:
-        # kappa = 2 (or q = 0): L in row b is G in row ell - b, window and pmf alike.
+    reflected = q_back == q   # kappa = 2 (or q = 0)
+    if reflected:
+        # L in row b is G in row ell - b, window and pmf alike.
         l_lo, l_hi, losses = g_lo[::-1], g_hi[::-1], gains[::-1]
     else:
         l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min)
@@ -446,15 +560,19 @@ def kernel_band(params: ModelParams) -> KernelBand:
     # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
     # which lands in class c = b + k - l: row b's support is lo[b]..hi[b].
     lo, hi = classes + g_lo - l_hi, classes + g_hi - l_lo
-    width = int(np.max(hi - lo)) + 1
-    offsets = np.minimum(lo, ell + 1 - width)
+    half_width = int(max(np.max(classes - lo), np.max(hi - classes)))
+    width = min(2 * half_width + 1, ell + 1)
+    starts = lo - np.clip(classes - half_width, 0, ell + 1 - width)
     values = np.zeros((ell + 1, width))
-    bounds = zip((lo - offsets).tolist(), (g_hi - g_lo + 1).tolist(), (l_hi - l_lo + 1).tolist())
+    n_direct = (ell + 2) // 2 if reflected else ell + 1
+    bounds = zip(starts[:n_direct].tolist(), (g_hi - g_lo + 1)[:n_direct].tolist(),
+                 (l_hi - l_lo + 1)[:n_direct].tolist())
     for b, (start, g_size, l_size) in enumerate(bounds):
         row = np.convolve(gains[b, :g_size], losses[b, l_size - 1 :: -1])
         values[b, start : start + row.size] = row
-    half_width = int(max(np.max(classes - lo), np.max(hi - classes)))
-    return KernelBand(values=values, offsets=offsets, half_width=half_width)
+    if reflected:
+        values[n_direct:] = values[ell - n_direct :: -1, ::-1]
+    return KernelBand(values=values, half_width=half_width)
 
 
 def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:
@@ -467,10 +585,17 @@ def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:
     takes O(ell) at fixed a = ell q.
     """
     band = kernel_band(params)
-    width = band.values.shape[1]
-    m = np.zeros((band.n, band.n))
-    for b, (c0, row) in enumerate(zip(band.offsets.tolist(), band.values)):
-        m[b, c0 : c0 + width] = row
+    n, width = band.values.shape
+    s1, s2 = band._middle
+    m = np.zeros((n, n))
+    m[:s1, :width] = band.values[:s1]
+    m[s2:, n - width :] = band.values[s2:]
+    if s1 < s2:
+        # row b's window, columns b - h .. b + h, as one strided view of m
+        step = m.itemsize
+        start = (s1 * (n + 1) - band.half_width) * step
+        windows = np.ndarray((s2 - s1, width), float, m, start, ((n + 1) * step, step))
+        windows[:] = band.values[s1:s2]
     return m
 
 

@@ -222,8 +222,10 @@ class _BandSolver:
     """Solves with A = c I - diag(d) M, M the class kernel on its band.
 
     A is block tridiagonal for blocks as wide as the band's half width
-    (``KernelBand.half_width``), at least _MIN_BLOCK.  The blocks of M next
-    to the diagonal are formed once from the band, and those on it once per
+    (``KernelBand.half_width``), at least _MIN_BLOCK; a remainder shorter
+    than _MIN_BLOCK joins the last block.  The blocks of M next to the
+    diagonal are copied once from strided views of the band
+    (``KernelBand.block``), and those on it once per
     factorisation or, for ``solve_right``, once in all; their entries below
     BAND_FLOOR are set to 0, as are those of the blocks the eliminations
     store (``_flush``).  With the band itself that is O(ell x band width)
@@ -243,7 +245,10 @@ class _BandSolver:
     def __init__(self, band: KernelBand):
         width = max(band.half_width, _MIN_BLOCK)
         self.n = band.n
-        self.edges = list(range(0, self.n, width)) + [self.n]
+        self.edges = list(range(0, self.n, width))
+        if len(self.edges) > 1 and self.n - self.edges[-1] < _MIN_BLOCK:
+            self.edges.pop()   # a short last block joins the one before it
+        self.edges.append(self.n)
         self.band = band
         n_blocks = len(self.edges) - 1
         self.upper = [self.block(i, i + 1) for i in range(n_blocks - 1)]   # M(i, i+1)
@@ -295,11 +300,10 @@ class _BandSolver:
     def solve_right(self, d: np.ndarray, f: np.ndarray) -> np.ndarray:
         """x with A x = f for A = I - diag(d) M.
 
-        The sweep runs from the last block up, so that the last block,
-        often the narrowest, is the one solved with many right-hand sides.
-        Pivot block i is T_i = I - D_i (M(i, i) + M(i, i+1) G_{i+1}), and
-        one solve gives [G_i | g_i] = T_i^-1 [D_i M(i, i-1) | f_i + D_i
-        M(i, i+1) g_{i+1}]; then x_0 = g_0 and x_i = g_i + G_i x_{i-1}.
+        The sweep runs from the last block up.  Pivot block i is
+        T_i = I - D_i (M(i, i) + M(i, i+1) G_{i+1}), and one solve gives
+        [G_i | g_i] = T_i^-1 [D_i M(i, i-1) | f_i + D_i M(i, i+1) g_{i+1}];
+        then x_0 = g_0 and x_i = g_i + G_i x_{i-1}.
         """
         e = self.edges
         sweeps = []
@@ -389,9 +393,9 @@ def perron(
     rho W = rho M + (sigma - 1) rho_0 r, taken against the band.  The
     entries of M the band leaves out are below BAND_FLOOR and move rho W by
     less than 1e-150.  No dense matrix is built: the working set is the
-    band plus about 3 (ell + 1) x half width floats of blocks, O(ell x band
-    width) in all.  At ell = 10^5 and a = ln 2 that is about 350 MB, where
-    W alone would take 80 GB.
+    band, (ell + 1) x (2 half width + 1) floats, plus about 3 (ell + 1) x
+    half width floats of blocks, O(ell x band width) in all.  At ell = 10^5
+    and a = ln 2 that is about 150 + 220 MB, where W alone would take 80 GB.
     """
     band = kernel_band(params) if band is None else band
     if band.n != params.ell + 1:
@@ -577,7 +581,8 @@ def perron_bounds_check(
     rho = np.asarray(pair.rho, dtype=float)
     slack = rtol * max(1.0, lam)
     k_top = min(k_max, params.ell)
-    w = band.block(0, band.n, 0, k_top + 1)
+    # rows past k_top + half_width have no entry in columns 0..k_top
+    w = band.block(0, min(band.n, k_top + 1 + band.half_width), 0, k_top + 1)
     w[0] *= params.sigma
     rows = []
     for k in range(k_top + 1):
@@ -596,21 +601,22 @@ def _classes_reaching_master(band: KernelBand) -> np.ndarray:
     A breadth-first search from class 0 against the direction of M's
     edges: class b joins the next frontier once some M(b, c) >= BAND_FLOOR
     has c in this one.  Such b lie within half_width of c, so each level
-    scans only the band rows within half_width of its frontier.  Class 0
+    scans only the band rows within half_width of its frontier, each
+    against the view of the frontier mask its window covers.  Class 0
     itself is always returned.
     """
-    n, width = band.values.shape
-    keep = band.values >= BAND_FLOOR
-    columns = np.arange(width)
+    n, h = band.n, band.half_width
     found = np.zeros(n, dtype=bool)
     found[0] = True
     marked = np.zeros(n, dtype=bool)   # the frontier, as a mask
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        lo = max(int(frontier[0]) - band.half_width, 0)
-        hi = min(int(frontier[-1]) + band.half_width + 1, n)
+        lo = max(int(frontier[0]) - h, 0)
+        hi = min(int(frontier[-1]) + h + 1, n)
         marked[frontier] = True
-        hit = (keep[lo:hi] & marked[band.offsets[lo:hi, None] + columns]).any(axis=1)
+        hit = np.zeros(hi - lo, dtype=bool)
+        for b0, b1, windows in band._windows(marked, lo, hi):
+            hit[b0 - lo : b1 - lo] = ((band.values[b0:b1] >= BAND_FLOOR) & windows).any(axis=1)
         hit &= ~found[lo:hi]
         marked[frontier] = False
         frontier = np.flatnonzero(hit) + lo

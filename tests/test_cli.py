@@ -4,6 +4,7 @@ Each test drives main() in-process with --out to a temp file, then parses
 the emitted CSV or JSON.  stderr notices are checked through capsys.
 """
 
+import argparse
 import json
 import math
 import os
@@ -232,6 +233,16 @@ class TestPerronCommand:
         assert code == 0 and rows
         assert calls == []
 
+    def test_lambda_in_range_where_lambda_rounds_to_one(self, tmp_path):
+        """At kappa = 2, q = 0.5, ell = 600, lambda - 1 = rho_0 = 2^-600 is far
+        below the spacing of floats at 1, so lambda prints as 1; it still lies
+        in (1, sigma), as rho_0 in (0, 1) says."""
+        code, meta, _, _ = run_csv(["perron", "--sigma", "2", "--ell", "600", "--q", "0.5"],
+                                   tmp_path / "p.csv")
+        assert code == 0
+        assert float(meta["diagnostics.lambda"]) == 1.0
+        assert meta["diagnostics.lambda_in_range"] == "true"
+
     def test_nonconvergence_exit_code(self, capsys):
         code = main(
             ["perron", "--sigma", "3", "--ell", "30", "--q", "0.8", "--max-iter", "2"]
@@ -439,6 +450,52 @@ class TestExtinctionCommand:
         assert [row["k"] for row in doc["results"]] == [0, 1, 2]
         assert all(0.0 < row["p_extinct"] < 1.0 for row in doc["results"])
         assert doc["config"]["command"] == "extinction"
+
+
+def eager_parser():
+    """The parser with every command's options added up front, as main()'s
+    was built before it added only the selected command's: the oracle for
+    its help, version and usage-error output."""
+    parser = argparse.ArgumentParser(prog="quasigw", description="sharp-peak quasispecies toolkit")
+    parser.add_argument("--version", action="version", version=f"quasigw {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, table in quasigw.cli._TABLES.items():
+        sub = subs.add_parser(command)
+        for name, (conv, _default, help_text) in table.items():
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, type=conv, default=None,
+                             help=help_text)
+    return parser
+
+
+def exit_output(parse, argv, capsys):
+    """(exit status, stdout, stderr) of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], [], ["bogus"], ["-5", "perron"],
+        *([command, "--help"] for command in quasigw.cli._TABLES),
+        ["perron", "--bogus", "3"], ["perron", "--ell"], ["perron", "--ell", "x"],
+        ["converge", "--ell-grid", "a,b"], ["simulate", "--mode", "bad"],
+        ["kernel", "--format", "xml"], ["perron", "-h", "--bogus"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_help_version_and_usage_errors_match_the_eager_parser(self, argv, capsys):
+        assert exit_output(main, argv, capsys) == exit_output(eager_parser().parse_args, argv,
+                                                              capsys)
+
+    def test_adds_only_the_selected_commands_options(self):
+        parser = quasigw.cli.build_parser()
+        args = parser.parse_args(["perron", "--sigma", "2", "--ell", "10", "--q", "0.1"])
+        assert (args.sigma, args.ell, args.q) == (2.0, 10, 0.1)
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {command: len(sub._actions) - 1 for command, sub in subparsers.choices.items()}
+        assert options == {command: len(quasigw.cli._TABLES["perron"]) if command == "perron"
+                           else 0 for command in quasigw.cli._TABLES}
 
 
 class TestEntryPoints:

@@ -12,6 +12,7 @@ from scipy.stats import binom
 
 from quasigw.kernel import (
     BAND_FLOOR,
+    KernelBand,
     _binom_logpmf,
     _binom_window_pmfs,
     _binom_windows,
@@ -492,14 +493,15 @@ class TestPmfAccuracy:
 
 def assert_dense_is_the_band_scattered(p):
     """The dense build is the band's rows scattered into zeros, bit for bit,
-    every window lies inside 0..ell, and the full-length entries next to
-    each window are below BAND_FLOOR (rows are log-concave, so the entries
-    further out are too)."""
+    every window lies inside 0..ell and starts at b - half_width where it
+    can, and the full-length entries next to each window are below
+    BAND_FLOOR (rows are log-concave, so the entries further out are too)."""
     m = lumped_kernel_matrix(p)
     band = kernel_band(p)
     n, width = band.values.shape
-    assert n == p.ell + 1 and 1 <= width <= n
+    assert n == p.ell + 1 and width == min(2 * band.half_width + 1, n)
     assert np.all((band.offsets >= 0) & (band.offsets + width <= n))
+    assert np.array_equal(band.offsets, np.clip(np.arange(n) - band.half_width, 0, n - width))
     assert np.array_equal(m, band.block(0, n, 0, n))
     log_fact = _log_factorials(p.ell)
     for b, c0 in enumerate(band.offsets.tolist()):
@@ -548,13 +550,70 @@ class TestKernelBand:
         with pytest.raises(ValueError, match=r"x must have shape \(51,\)"):
             band.matvec(np.ones(40))
 
+    @pytest.mark.parametrize("values,half_width", [
+        (np.zeros((9, 3)), 2), (np.zeros((9, 5), dtype=np.float32), 2),
+        (np.zeros((5, 9)).T, 2), (np.zeros(9), 0)])
+    def test_rejects_values_that_break_the_layout(self, values, half_width):
+        with pytest.raises(ValueError, match="values must be"):
+            KernelBand(values=values, half_width=half_width)
+
+    def test_rmatvec_rejects_a_vector_of_another_length(self):
+        band = kernel_band(ModelParams(sigma=2.0, ell=50, kappa=2, q=0.02))
+        with pytest.raises(ValueError, match=r"x must have shape \(51,\)"):
+            band.rmatvec(np.ones(52))
+
     def test_band_is_narrow_at_fixed_mutation_pressure(self):
         """At a = ln 2 the band stays about +-90 wide as ell grows, and its
-        storage about 160 columns."""
+        storage one column per diagonal, under 200 columns."""
         for ell in (1000, 5000):
             band = kernel_band(ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell))
             assert band.half_width < 100
-            assert band.values.shape[1] < 170
+            assert band.values.shape == (ell + 1, 2 * band.half_width + 1)
+
+    def test_reflected_rows_are_within_4_ulps_at_fixed_mutation_pressure(self):
+        """At a = ln 2 the rows the build fills by reflection differ from
+        their direct convolutions by at most 4 ulps relative, entry by entry."""
+        p = ModelParams(sigma=4.0, ell=1000, kappa=2, q=LN2 / 1000)
+        band = kernel_band(p)
+        direct, _, _ = per_row_band(p, reflect=False)
+        stored = direct != 0.0
+        rel = np.abs(band.values - direct)[stored] / direct[stored]
+        assert np.all(band.values[~stored] == 0.0)
+        assert rel.max() <= 4 * np.finfo(float).eps
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=300),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.sampled_from([0.0, 1e-300]) | st.floats(min_value=1e-300, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(ell=300, kappa=2, q=0.5, seed=0)    # the widest bands: width = ell + 1
+    @example(ell=124, kappa=2, q=0.52, seed=1)
+    @example(ell=299, kappa=3, q=0.3, seed=2)
+    @example(ell=200, kappa=2, q=1e-300, seed=3)
+    def test_layout_property(self, ell, kappa, q, seed):
+        """``block`` on random rectangles is the dense scatter bit for bit; the
+        storage is never larger than the dense matrix; at kappa = 2 the band
+        equals its reflection bit for bit, and each reflected row is within
+        the rounding of its direct convolution: both sum the same k
+        products, in two orders, so they differ by at most k eps relative,
+        k the row's longest sum."""
+        p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
+        band = kernel_band(p)
+        dense = lumped_kernel_matrix(p)
+        n = ell + 1
+        assert band.values.size <= n * n
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            (r0, r1), (c0, c1) = np.sort(rng.integers(0, n + 1, (2, 2)), axis=1).tolist()
+            assert np.array_equal(band.block(r0, r1, c0, c1), dense[r0:r1, c0:c1])
+        if kappa == 2:
+            assert np.array_equal(band.values, band.values[::-1, ::-1])
+            direct, _, _ = per_row_band(p, reflect=False)
+            terms = per_row_terms(p)
+            gap = np.abs(band.values - direct)
+            assert np.all(gap <= terms[:, None] * np.finfo(float).eps * direct)
 
     def test_q_zero_band_is_the_diagonal(self):
         band = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))
@@ -562,9 +621,12 @@ class TestKernelBand:
         assert np.array_equal(band.offsets, np.arange(8)) and band.half_width == 0
 
 
-def per_row_band(p):
+def per_row_band(p, reflect=True):
     """The band built one row at a time: each pmf on its window, evaluated
-    as a one-row array (``window_pmf``), then np.convolve."""
+    as a one-row array (``window_pmf``), then np.convolve, each row stored
+    from column clip(b - half_width, 0, ell + 1 - width) on.  With reflect,
+    at kappa = 2 the rows from ceil((ell + 1) / 2) on are the earlier rows
+    reversed, as the build does; without, every row is convolved."""
     ell = p.ell
     q_back = p.q / (p.kappa - 1)
     lo, rows = [], []
@@ -575,13 +637,25 @@ def per_row_band(p):
         rows.append(np.convolve(gain, loss[::-1]))
     lo = np.array(lo)
     hi = lo + np.array([row.size for row in rows]) - 1
-    width = int(np.max(hi - lo)) + 1
-    offsets = np.minimum(lo, ell + 1 - width)
+    classes = np.arange(ell + 1)
+    half_width = int(max(np.max(classes - lo), np.max(hi - classes)))
+    width = min(2 * half_width + 1, ell + 1)
+    offsets = np.clip(classes - half_width, 0, ell + 1 - width)
     values = np.zeros((ell + 1, width))
     for b, row in enumerate(rows):
         values[b, lo[b] - offsets[b] : lo[b] - offsets[b] + row.size] = row
-    classes = np.arange(ell + 1)
-    return values, offsets, int(max(np.max(classes - lo), np.max(hi - classes)))
+    if reflect and q_back == p.q:
+        for b in range((ell + 2) // 2, ell + 1):
+            values[b] = values[ell - b, ::-1]
+    return values, offsets, half_width
+
+
+def per_row_terms(p):
+    """Per row, the most products any entry of its convolution sums: the
+    shorter of its two pmf windows."""
+    q_back = p.q / (p.kappa - 1)
+    return np.array([min(window_pmf(p.ell - b, p.q, p)[1].size, window_pmf(b, q_back, p)[1].size)
+                     for b in range(p.ell + 1)])
 
 
 class TestOnePassWindows:

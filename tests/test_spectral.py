@@ -434,6 +434,22 @@ class TestPivotBlockSplit:
         assert np.max(np.abs(split.rho - whole.rho)) <= 1e-13
 
 
+    @pytest.mark.parametrize("ell,a,edges", [
+        (20, 0.69, [0, 21]), (300, 2.0 * LN2, [0, 101, 202, 301]), (1000, LN2, None)])
+    def test_a_short_last_block_joins_the_one_before(self, ell, a, edges):
+        """Blocks are half_width (at least _MIN_BLOCK) rows wide, and a
+        remainder shorter than _MIN_BLOCK joins the last block: at ell = 20
+        the band is the whole matrix, one block, not blocks of 20 and 1 rows."""
+        band = kernel_band(ModelParams(sigma=2.0, ell=ell, kappa=2, q=a / ell))
+        got = quasigw.spectral._BandSolver(band).edges
+        width = max(band.half_width, quasigw.spectral._MIN_BLOCK)
+        sizes = np.diff(got)
+        assert got[0] == 0 and got[-1] == band.n
+        assert np.all(sizes[:-1] == width)
+        assert quasigw.spectral._MIN_BLOCK <= sizes[-1] < width + quasigw.spectral._MIN_BLOCK
+        if edges is not None:
+            assert got == edges
+
     def test_solve_with_a_wide_m_matrix(self):
         rng = np.random.default_rng(1)
         m = rng.random((250, 250))
