@@ -85,7 +85,18 @@ def _int_list(s):
 
 
 def _big_int(s):
-    return int(float(s))
+    """An integer, spelled exactly or as a finite integral float such as 1e6."""
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    try:
+        x = float(s)
+    except ValueError:
+        x = math.nan
+    if not x.is_integer():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
+    return int(x)
 
 
 _OUT_OPTS = {
@@ -108,8 +119,7 @@ _TABLES = {
         **_MODEL_OPTS,
         "tol": (float, 1e-12, "bound on the last Newton step in lambda and on the residual "
                               "||rho W - lambda rho||_1, both relative to lambda"),
-        "max_iter": (int, 100, "budget of Newton steps (one banded elimination each) plus, "
-                               "in the disordered regime, inverse-iteration solves"),
+        "max_iter": (int, 100, "budget of banded eliminations, one per Newton step"),
         "k_report": (int, 10, "report classes 0..k_report"),
         **_OUT_OPTS,
     },
@@ -127,8 +137,8 @@ _TABLES = {
         "k_report": (int, 5, "compare classes 0..k_report"),
         "tol": (float, 1e-12, "Perron solve tolerance per length: bound on the last Newton "
                               "step and on the residual, relative to lambda"),
-        "max_iter": (int, 100, "Perron solve budget per length: Newton steps plus, in the "
-                               "disordered regime, inverse-iteration solves"),
+        "max_iter": (int, 100, "Perron solve budget per length, in banded "
+                               "eliminations (one per Newton step)"),
         **_OUT_OPTS,
     },
     "simulate": {

@@ -42,7 +42,6 @@ _MAX_INV = 99
 # lam is kept this many ulps of 1 above the Perron root of the class kernel.
 _FLOOR_ULPS = 16
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 
 
 class ConvergenceError(RuntimeError):
@@ -351,11 +350,9 @@ def perron(
     closes near the threshold sigma e^-a = 1.
 
     At theta = 1 - q kappa / (kappa - 1) = 0 every locus forgets its
-    letter, so every row of M is the stationary law pi: then rho = pi and
-    lam = 1 + (sigma - 1) pi_0 directly, with no elimination
-    (``iterations`` 0, method "closed form (theta = 0)").  Only the
-    residual is taken against the band, and, as on every other path, a
-    residual above tol * lam raises ConvergenceError.
+    letter, so every row of M is the stationary law pi (``iterations`` 0,
+    method "closed form (theta = 0)"): then rho = pi and
+    lam = 1 + (sigma - 1) pi_0 directly, with no elimination.
 
     Otherwise lam starts at the root of the closed-form secular equation
     (``_secular_root``); for q > (kappa - 1) / kappa its terms alternate
@@ -368,24 +365,34 @@ def perron(
     proportional to x - delta y.
 
     lam is kept above a floor, 1 + pole plus a few ulps: pole = pi (s - 1)
-    (pi the stationary law, s the row sums) is the first-order shift of
-    M's Perron root from 1 by the rounding of the rows, a few ulps, and is
-    not allowed below 0, since M is stochastic.  So lam is never reported
-    below 1.  Above the floor lam I - M is a nonsingular M-matrix, so
-    elimination without pivoting is stable.
+    (s the row sums) is the first-order shift of M's Perron root from 1 by
+    the rounding of the rows, a few ulps, and is not allowed below 0,
+    since M is stochastic.  So lam is never reported below 1.  Above the
+    floor lam I - M is a nonsingular M-matrix, so elimination without
+    pivoting is stable.
     In the disordered regime lam - 1 can lie far below the spacing of
-    floats at 1, and the root below the floor; then rho comes from
-    inverse iteration at the floor (``_below_floor``) and lam from the
-    identity lam = (Perron root of M) + (sigma - 1) rho_0.
+    floats at 1, and the root below the floor (method "secular Newton
+    (stationary limit)").  Then x, from the elimination at the floor, is
+    (sum x) pi + T with T the transient, and the secular equation at the
+    true lam fixes how much of T is left: rho = pi + k T with
+    k = (sigma - 1) pi_0 / (1 - (sigma - 1) T_0), which matters only in
+    the lowest classes, where pi is as small as k T.  pi comes from the
+    closed form (``_log_stationary_law``), so every class is accurate
+    relative to its own size, and lam from the identity
+    lam = (Perron root of M) + (sigma - 1) rho_0.  Where theta rounds to
+    1 (q = 0, or nearly), M is the identity to rounding and x stands for
+    pi: at sigma = 1 that gives rho = e_0, the limit of W's Perron vector
+    as sigma falls to 1.
 
-    Stops once |delta| <= tol * lam, |delta| ||y||_1 <= ||x||_1 / 2 (the
-    step stays within half the distance to the pole of x, about
+    Newton stops once |delta| <= tol * lam, |delta| ||y||_1 <= ||x||_1 / 2
+    (the step stays within half the distance to the pole of x, about
     ||x|| / ||y||, where x - delta y is a first-order update), and the
-    residual ||rho W - lam rho||_1 is at most tol * lam.  ``iterations``
-    counts the Newton steps (one elimination each) plus the
-    inverse-iteration solves of the disordered regime, and max_iter bounds
-    that count; a step too small to change lam in floating point also ends
-    the solve.
+    residual ||rho W - lam rho||_1 is at most tol * lam; a step too small
+    to change lam in floating point also ends the solve.  The closed form
+    and the stationary limit are only checked against the band: on every
+    path, a residual above tol * lam raises ConvergenceError.
+    ``iterations`` counts the eliminations (one per Newton step, and the
+    one at the floor for the stationary limit), and max_iter bounds it.
 
     Everything runs on M's band (``kernel_band``; pass band =
     kernel_band(params) to reuse it): r is its row 0, the elimination
@@ -408,25 +415,25 @@ def perron(
         weight[0] *= sigma   # W = M with row 0 scaled by sigma
         return rho, float(np.abs(band.rmatvec(weight) - lam * rho).sum())
 
-    log_pi = _log_stationary_law(params)
-    kappa = params.kappa
-    if 1.0 - params.q * kappa / (kappa - 1) == 0.0:
-        # theta = 0: every locus forgets its letter, so every row of M is pi
-        pi = np.exp(log_pi)
-        lam = 1.0 + (sigma - 1.0) * float(pi[0] / pi.sum())
-        rho, residual = residual_of(pi, lam)
+    def checked(v, lam, iterations, method):
+        rho, residual = residual_of(v, lam)
         if residual > tol * lam:
-            raise ConvergenceError(
-                f"theta = 0 closed form misses the band (residual {residual:.3e})",
-                residual=residual,
-                iterations=0,
-            )
-        return PerronPair(lam=lam, rho=rho, residual=residual, iterations=0,
-                          method="closed form (theta = 0)")
+            raise ConvergenceError(f"{method} misses the band (residual {residual:.3e})",
+                                   residual=residual, iterations=iterations)
+        return PerronPair(lam=lam, rho=rho, residual=residual, iterations=iterations,
+                          method=method)
+
+    log_pi = _log_stationary_law(params)
+    pi = np.exp(log_pi)
+    kappa = params.kappa
+    theta = 1.0 - params.q * kappa / (kappa - 1)
+    if theta == 0.0:
+        return checked(pi, 1.0 + (sigma - 1.0) * float(pi[0] / pi.sum()), 0,
+                       "closed form (theta = 0)")
     solver = _BandSolver(band)
     # M is stochastic, so its Perron root is 1; pole, its first-order shift by
     # the row sums' rounding, may come out below 0, and is kept at 0 or above
-    pole = max(float(np.exp(log_pi) @ solver.row_excess), 0.0)
+    pole = max(float(pi @ solver.row_excess), 0.0)
     margin = _FLOOR_ULPS * _EPS
     floor = lo = pole + margin
     hi = max(sigma - 1.0, lo)
@@ -438,36 +445,28 @@ def perron(
     r = band.block(0, 1, 0, band.n)[0]
     step = residual = np.inf
     it = 0
-    reason = ""   # set when the stationary limit would overrun max_iter
 
     while it < max_iter:
         it += 1
         lam_x = 1.0 + mu
         solver.factor(lam_x)
         x = solver.solve(r)
-        y = solver.solve(x)
         f = (sigma - 1.0) * float(x[0]) - 1.0
         if f > 0.0:
             lo = mu
         else:
             hi = mu
-        if hi == floor:
-            n_solves = _inverse_solves(params, margin)
-            if it + n_solves > max_iter:
-                reason = f"the stationary limit needs {n_solves} more inverse-iteration solves"
-                break
-            rho = _below_floor(solver, x, y, params, n_solves)
-            it += n_solves
-            lam = 1.0 + pole + (sigma - 1.0) * float(rho[0])
-            rho, residual = residual_of(rho, lam)
-            if residual <= tol * lam:
-                return PerronPair(lam=lam, rho=rho, residual=residual, iterations=it,
-                                  method="secular Newton (stationary limit)")
-            break
+        if hi == floor:   # the root lies below the floor: the stationary limit
+            if theta == 1.0:
+                pi = x / x.sum()
+            t = x - x.sum() * pi
+            k = (sigma - 1.0) * pi[0] / (1.0 - (sigma - 1.0) * t[0])
+            rho = np.maximum(pi + k * t, 0.0)
+            return checked(rho, 1.0 + pole + (sigma - 1.0) * float(rho[0]), it,
+                           "secular Newton (stationary limit)")
+        y = solver.solve(x)
         mid = pole + math.sqrt((lo - pole) * (hi - pole))
-        if sigma == 1.0:
-            new = floor
-        elif y[0] == 0.0:
+        if y[0] == 0.0:
             new = mid   # M(0, 0) underflows, so x_0 = y_0 = 0 and Newton's step is 0/0
         else:
             new = mu + f * float(x[0] / y[0])
@@ -493,49 +492,10 @@ def perron(
         residual = residual_of(x, lam_x)[1]
     raise ConvergenceError(
         f"Perron Newton iteration did not converge in {it} steps "
-        f"(last residual {residual:.3e}, {reason or f'last step {step:.3e}'})",
+        f"(last residual {residual:.3e}, last step {step:.3e})",
         residual=residual,
         iterations=it,
     )
-
-
-def _inverse_solves(params: ModelParams, margin: float) -> float:
-    """Inverse-iteration solves ``_below_floor`` needs at a floor margin above M's Perron root.
-
-    Each solve multiplies the transient's share by at most margin / gap,
-    gap = 1 - |theta| the spectral gap of M; enough of them take it below
-    the smallest normal float.  0 when gap = 0 (M = I), inf when the
-    gap is too small for the solves to separate anything.
-    """
-    kappa = params.kappa
-    gap = 1.0 - abs(1.0 - params.q * kappa / (kappa - 1))
-    if gap <= 0.0:
-        return 0
-    ratio = margin / gap
-    return math.ceil(math.log(_TINY) / math.log(ratio)) if ratio < 0.5 else math.inf
-
-
-def _below_floor(solver: _BandSolver, x: np.ndarray, y: np.ndarray, params: ModelParams,
-                 n_solves: int) -> np.ndarray:
-    """Perron vector of W when lam lies within the floor's margin of M's Perron root.
-
-    band is factored at the floor, where x = c pi + T: pi the Perron vector
-    of M, c = 1 / (floor - its root) = 1 / margin, T the transient, which
-    sums to about 0.  At the true lam, c is far larger still.  n_solves
-    steps of inverse iteration from y (``_inverse_solves``) give pi.  The
-    secular equation (sigma - 1) x_0 = 1 at the true lam then fixes how
-    much transient is left: rho = pi + k T with
-    k = (sigma - 1) pi_0 / (1 - (sigma - 1) T_0), which matters only in
-    the lowest classes, where pi is as small as k T.
-    """
-    sigma = params.sigma
-    pi = y / y.sum()
-    for _ in range(n_solves):   # none when M = I, where pi = e_0 already
-        pi = solver.solve(pi)
-        pi /= pi.sum()
-    t = x - x.sum() * pi
-    k = (sigma - 1.0) * pi[0] / (1.0 - (sigma - 1.0) * t[0])
-    return np.maximum(pi + k * t, 0.0)
 
 
 @dataclass(frozen=True)

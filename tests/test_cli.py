@@ -178,6 +178,33 @@ class TestArgumentHandling:
         assert captured.out == ""
         assert re.search(args[-2][2:].replace("-", "[-_]") + " must be >= ", captured.err)
 
+    CAPPED = {
+        "pop-cap": ["simulate", "--sigma", "2", "--ell", "2", "--q", "0.1"],
+        "escape-cap": ["extinction", "--sigma", "2", "--ell", "2", "--q", "0.1", "--mc", "10"],
+    }
+
+    @pytest.mark.parametrize("value", ["1e400", "inf", "1.5"])
+    @pytest.mark.parametrize("option", ["pop-cap", "escape-cap"])
+    def test_cap_that_is_no_integer_is_a_usage_error(self, tmp_path, capsys, option, value):
+        """As a flag it exits 2 naming the option; from a config file, main returns 2."""
+        args = self.CAPPED[option]
+        with pytest.raises(SystemExit) as exited:
+            main([*args, f"--{option}", value])
+        assert exited.value.code == 2
+        assert f"--{option}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option.replace('-', '_')}={value}\n")
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert option.replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,echo", [("12345678901234567891", "12345678901234567891"),
+                                            ("1e6", "1000000")])
+    def test_cap_is_echoed_exactly(self, tmp_path, value, echo):
+        code, meta, _, _ = run_csv([*self.CAPPED["pop-cap"], "--pop-cap", value],
+                                   tmp_path / "s.csv")
+        assert code == 0
+        assert meta["config.pop_cap"] == echo
+
 
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_win(self, tmp_path, capsys):
@@ -292,7 +319,8 @@ class TestConvergeCommand:
             assert gaps[2] < gaps[0]
 
     def test_reports_method_and_steps_per_length(self, tmp_path):
-        """sigma e^-a = 0.5: only the longer length needs the stationary limit."""
+        """sigma e^-a = 0.5: only the longer length needs the stationary limit;
+        each length takes one elimination."""
         code, meta, header, rows = run_csv(
             ["converge", "--sigma", "2", "--a", "1.386", "--ell-grid", "10,100"],
             tmp_path / "c.csv",
@@ -302,7 +330,7 @@ class TestConvergeCommand:
         methods = [r[header.index("method")] for r in rows]
         assert methods == ["secular Newton", "secular Newton (stationary limit)"]
         steps = [int(r[header.index("iterations")]) for r in rows]
-        assert steps[0] >= 1 and steps[1] > steps[0]
+        assert steps == [1, 1]
 
     def test_a_zero_grid_is_exact(self, tmp_path):
         code, _, header, rows = run_csv(

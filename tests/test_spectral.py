@@ -243,6 +243,12 @@ class TestSecularPerron:
         assert pair.lam == 3.0
         assert np.array_equal(pair.rho, np.eye(6)[0])
         assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
+        # sigma = 1: W is the identity to rounding (theta rounds to 1 at
+        # q = 1e-300 too), and rho is e_0, the limit as sigma falls to 1
+        for q in (0.0, 1e-300):
+            pair = perron(dataclasses.replace(p, sigma=1.0, q=q))
+            assert pair.lam == 1.0
+            assert np.array_equal(pair.rho, np.eye(6)[0])
 
     @pytest.mark.parametrize("sigma,ell,kappa,q", [(3.0, 30, 2, 0.8), (5.0, 10, 3, 0.9),
                                                    (10.0, 2, 2, 0.95)])
@@ -291,15 +297,30 @@ class TestSecularPerron:
         assert pair.residual <= 1e-12 * pair.lam
         assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
 
-    def test_disordered_regime_counts_inverse_iteration_solves(self):
+    def test_disordered_regime_takes_one_elimination(self):
+        """The stationary limit needs only the elimination at the floor."""
         p = ModelParams(sigma=2.0, ell=300, kappa=2, q=2.0 * LN2 / 300)
-        pair = perron(p)
+        pair = perron(p, max_iter=1)
         assert pair.method == "secular Newton (stationary limit)"
-        assert pair.iterations > 10    # one Newton step, then the solves
-        with pytest.raises(ConvergenceError, match="inverse-iteration") as exc:
-            perron(p, max_iter=pair.iterations - 1)
-        assert exc.value.iterations == 1
-        assert exc.value.residual is not None
+        assert pair.iterations == 1
+
+    @pytest.mark.parametrize("sigma,kappa,q,ell", [
+        (2.0, 2, 2.0 * LN2 / 100, 100), (2.0, 2, 2.0 * LN2 / 300, 300),
+        (1.5, 3, 0.02, 200), (2.0, 3, 0.5, 521)])
+    def test_stationary_limit_is_accurate_per_class(self, sigma, kappa, q, ell):
+        """rho is the stationary law pi to 1e-12 relative in every class
+        >= ell / 2 where pi is a normal float, and rho_0 is the limit of the
+        secular equation as mu -> 0: pi_0 / (1 - (sigma - 1) S) with
+        S = sum_{j >= 1} pi_j theta^j / (1 - theta^j)."""
+        pair = perron(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q))
+        assert pair.method == "secular Newton (stationary limit)" and pair.iterations == 1
+        j = np.arange(ell + 1)
+        law = binom.pmf(j, ell, (kappa - 1) / kappa)
+        far = (j >= ell / 2) & (law >= np.finfo(float).tiny)
+        np.testing.assert_allclose(pair.rho[far], law[far], rtol=1e-12, atol=0.0)
+        jt = j[1:] * math.log1p(-q * kappa / (kappa - 1))   # log theta^j
+        s = float(np.sum(law[1:] * np.exp(jt) / -np.expm1(jt)))
+        assert pair.rho[0] == pytest.approx(law[0] / (1.0 - (sigma - 1.0) * s), rel=1e-12, abs=0.0)
 
     def test_disordered_regime_long_sequence(self):
         """At ell = 1000 rho is the stationary law to the kernel's accuracy."""
