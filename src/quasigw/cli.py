@@ -17,10 +17,13 @@ config and seed the output is byte-identical across runs on one platform,
 except for the recorded wall-clock duration.
 
 Each command returns its results as a table: a dict from column name to a
-1-D array, one dtype per column.  The renderers format each row of the
-table with one ``%`` call, spelling every value as ``_fmt`` (CSV) or
-``json.dumps`` (JSON) spells it, so the bytes match rendering value by
-value; config and diagnostics go through ``_fmt`` and ``json.dumps``.
+1-D array, one dtype per column.  The renderers spell the floats of a
+block of adjacent float columns by one ``%`` call, each distinct value
+once when the block is large, and format each row of the table with one
+``%`` call from those strings and the other columns' values.  Every value comes out as ``_fmt``
+(CSV) or ``json.dumps`` (JSON) spells it, so the bytes match rendering
+value by value; config and diagnostics go through ``_fmt`` and
+``json.dumps``.
 
 Exit status: 0 on success (including a disordered-regime notice), 2 on bad
 usage or non-convergence, 3 when every simulation replica went extinct.
@@ -33,7 +36,7 @@ import json
 import math
 import sys
 import time
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -331,7 +334,7 @@ def cmd_quasispecies(resolved: dict):
         table = {"k": k, "closed_form": zeros, "recurrence": zeros, "abs_diff": zeros,
                  "running_sum": zeros}
         return table, diagnostics, 0
-    closed = np.array([qs_pmf(qp, j) for j in range(kmax + 1)])
+    closed = qs_pmf(qp, k)
     rec = np.asarray(qs_pmf_by_recurrence(qp, kmax), dtype=float)
     abs_diff = np.abs(closed - rec)
     partial, tail = qs_normalization_check(qp, kmax)
@@ -355,7 +358,7 @@ def cmd_converge(resolved: dict):
     if not grid:
         raise ValueError("--ell-grid must list at least one length")
     k_top = min(_nonnegative(resolved, "k_report"), min(grid))
-    q_limit = np.array([qs_pmf(qp, k) for k in range(k_top + 1)])
+    q_limit = qs_pmf(qp, np.arange(k_top + 1))
     qs, pairs = [], []
     for ell in grid:
         params = ModelParams(sigma=resolved["sigma"], ell=ell, kappa=resolved["kappa"],
@@ -483,9 +486,7 @@ def _jsonable(v):
 
 
 def _csv_column(a: np.ndarray) -> tuple[str, np.ndarray]:
-    """printf spec and values of one CSV column, spelled as ``_fmt`` spells each value."""
-    if a.dtype.kind == "f":
-        return "%.17g", a
+    """printf spec and values of one non-float CSV column, as ``_fmt`` spells them."""
     if a.dtype.kind in "iu":
         return "%d", a
     if a.dtype.kind == "b":
@@ -493,16 +494,13 @@ def _csv_column(a: np.ndarray) -> tuple[str, np.ndarray]:
     return "%s", a.astype(str)
 
 
+def _csv_floats(values: list) -> list:
+    """``_fmt``'s spelling of each float in values, made by one ``%`` call."""
+    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+
+
 def _json_column(a: np.ndarray) -> tuple[str, np.ndarray]:
-    """printf spec and values of one JSON column, spelled as ``json.dumps`` spells each value."""
-    if a.dtype.kind == "f":
-        if np.isfinite(a).all():
-            return "%r", a
-        text = np.array([repr(x) for x in a.tolist()], dtype=object)
-        text[np.isnan(a)] = "NaN"
-        text[a == np.inf] = "Infinity"
-        text[a == -np.inf] = "-Infinity"
-        return "%s", text
+    """printf spec and values of one non-float JSON column, as ``json.dumps`` spells them."""
     if a.dtype.kind in "iu":
         return "%d", a
     if a.dtype.kind == "b":
@@ -510,32 +508,85 @@ def _json_column(a: np.ndarray) -> tuple[str, np.ndarray]:
     return "%s", np.array([json.dumps(x) for x in a.tolist()], dtype=object)
 
 
-def _records(table: dict, names: list, spell, layout):
-    """One string per table row: the columns names, each spelled by spell,
-    in the row template layout(specs).
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Runs of adjacent columns of one dtype are stacked into 2-D blocks, so a
-    row's values come out with one ``tolist`` per block and are formatted by
-    one ``%`` call per row.
+
+def _json_floats(values: list) -> list:
+    """``json.dumps``'s spelling of each float in values, made by one ``%`` call."""
+    text = ("\n".join(["%r"] * len(values)) % tuple(values)).split("\n")
+    return [_JSON_NONFINITE.get(word, word) for word in text]
+
+
+_CHUNK = 1 << 12  # entries of a float block spelled at a time, whole rows
+
+
+def _float_rows(block: np.ndarray, spell_floats):
+    """Each row of a 2-D float block, as the list of its values' spellings.
+
+    A block of at most _CHUNK entries is spelled value by value, in one
+    spell_floats call.  In a larger one every distinct nonzero value is
+    spelled once, in one spell_floats call that also spells 0.0, and the
+    rows are assembled from those strings about _CHUNK entries at a time.
+    Values are told apart by bit pattern, so -0.0, NaN and the infinities
+    keep their own spellings.  Only the nonzeros are sorted, as a dense
+    kernel is mostly exact zeros, and the block is released before the
+    sort: no other array of its size is made.
+    """
+    n_rows, n_cols = block.shape
+    if block.size <= _CHUNK:  # too few values for the sort to pay
+        words = spell_floats(block.ravel().tolist())
+        yield from (words[lo : lo + n_cols] for lo in range(0, block.size, n_cols))
+        return
+    bits = block.view(np.int64).ravel()
+    where = np.flatnonzero(bits)
+    nonzero_bits = bits[where]
+    del block, bits
+    distinct, which = np.unique(nonzero_bits, return_inverse=True)
+    del nonzero_bits
+    words = np.array(spell_floats([0.0, *distinct.view(np.float64).tolist()]), dtype=object)
+    nonzero_words, zero = words[which + 1], words[0]
+    del distinct, which, words  # keep only what the rows are made from
+    step = max(1, _CHUNK // n_cols) * n_cols
+    for lo in range(0, n_rows * n_cols, step):
+        hi = min(lo + step, n_rows * n_cols)
+        first, last = np.searchsorted(where, (lo, hi)).tolist()
+        spelled = np.full(hi - lo, zero, dtype=object)
+        spelled[where[first:last] - lo] = nonzero_words[first:last]
+        yield from spelled.reshape(-1, n_cols).tolist()
+
+
+def _records(table: dict, names: list, spell_column, spell_floats, layout):
+    """One string per table row: the columns names, spelled by spell_column
+    (one column, not float) and spell_floats (a list of floats), in the row
+    template layout(specs).
+
+    Runs of adjacent columns of one dtype are stacked into 2-D blocks.  A
+    float block's rows come from ``_float_rows``, which spells each distinct
+    value of a large block once; any other block's rows come out with one
+    ``tolist`` each.  A row is then formatted by one ``%`` call.
     """
     specs, blocks = [], []
-    for _, run in groupby((spell(table[name]) for name in names), key=lambda sa: sa[1].dtype):
+    for dtype, run in groupby((table[name] for name in names), key=lambda a: a.dtype):
         run = list(run)
-        specs += [spec for spec, _ in run]
-        blocks.append(np.column_stack([a for _, a in run]))
+        if dtype.kind == "f":
+            specs += ["%s"] * len(run)
+            block = np.column_stack(run)
+            blocks.append(_float_rows(block, spell_floats))
+            del block  # _float_rows releases it before the first row
+        else:
+            spelled = [spell_column(a) for a in run]
+            specs += [spec for spec, _ in spelled]
+            blocks.append(map(np.ndarray.tolist, np.column_stack([a for _, a in spelled])))
     template = layout(specs)
-    for i in range(blocks[0].shape[0]):
-        row = blocks[0][i].tolist()
-        for block in blocks[1:]:
-            row += block[i].tolist()
-        yield template % tuple(row)
+    for parts in zip(*blocks):
+        yield template % tuple(chain.from_iterable(parts))
 
 
 def render_csv(config: dict, table: dict, diagnostics: dict) -> str:
     lines = [f"# config.{k}={_fmt(config[k])}" for k in sorted(config)]
     lines += [f"# diagnostics.{k}={_fmt(diagnostics[k])}" for k in sorted(diagnostics)]
     lines.append(",".join(table))
-    lines += _records(table, list(table), _csv_column, ",".join)
+    lines += _records(table, list(table), _csv_column, _csv_floats, ",".join)
     return "\n".join(lines) + "\n"
 
 
@@ -554,7 +605,7 @@ def render_json(config: dict, table: dict, diagnostics: dict) -> str:
     def layout(specs):
         return "    {\n" + ",\n".join(map(str.__add__, labels, specs)) + "\n    }"
 
-    records = ",\n".join(_records(table, keys, _json_column, layout))
+    records = ",\n".join(_records(table, keys, _json_column, _json_floats, layout))
     # With sort_keys, "results" comes last: after "diagnostics", before head's closing brace.
     results = ("[\n", records, "\n  ]") if records else ("[]",)
     return "".join((head[:-2], ',\n  "results": ', *results, "\n}\n"))

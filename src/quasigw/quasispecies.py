@@ -60,7 +60,7 @@ def classify_regime(params: QuasispeciesParams) -> Regime:
     return Regime.QUASISPECIES if params.threshold > 1.0 else Regime.DISORDERED
 
 
-def _log_power_series(n: int, log_base: float) -> float:
+def _log_power_series(n, log_base: float):
     """log of sum_{i >= 1} i^n * x^i with x = exp(-log_base), for log_base > 0.
 
     Uses the closed form x * A_n(x) / (1 - x)^(n+1), where A_n is the
@@ -74,19 +74,33 @@ def _log_power_series(n: int, log_base: float) -> float:
     backwards.  Every term is positive, so nothing cancels, and the cost
     is O(n^2) whatever the base; a direct sum would need about
     n / log_base terms, which grows without bound as the base nears 1.
+
+    n may also be a sequence of orders: then one pass over the triangle,
+    up to the largest, gives the array of their values, each equal bit for
+    bit to its own call, since every row is built and summed the same way.
     """
     if log_base <= 0.0:
         raise ValueError("series requires log_base > 0")
-    log_m1 = np.log(np.arange(1, n + 1))  # log(m + 1) for m = 0..n-1
-    row = np.zeros(max(n, 1))  # log A(1, 0) in row[:1]; also stands for A_0 = 1
-    grown = np.full(max(n, 1), -np.inf)  # log((m+1) A(j-1, m)), -inf at m = j-1
-    for j in range(2, n + 1):
-        np.add(log_m1[: j - 1], row[: j - 1], out=grown[: j - 1])
-        np.logaddexp(grown[:j], grown[j - 1 :: -1], out=row[:j])
-    terms = row - log_base * np.arange(row.size)
-    top = float(terms.max())
-    log_eulerian = top + math.log(float(np.exp(terms - top).sum()))
-    return -log_base + log_eulerian - (n + 1) * math.log(-math.expm1(-log_base))
+    orders = [int(j) for j in np.atleast_1d(n)]
+    size = max([1, *orders])
+    log_m1 = np.log(np.arange(1, size + 1))  # log(m + 1) for m = 0..size-1
+    row = np.zeros(size)  # log A(1, 0) in row[:1]; also stands for A_0 = 1
+    grown = np.full(size, -np.inf)  # log((m+1) A(j-1, m)), -inf at m = j-1
+    log_one_minus_x = math.log(-math.expm1(-log_base))
+    wanted, values = set(orders), {}
+    for j in range(size + 1):
+        if j >= 2:
+            np.add(log_m1[: j - 1], row[: j - 1], out=grown[: j - 1])
+            np.logaddexp(grown[:j], grown[j - 1 :: -1], out=row[:j])
+        if j in wanted:
+            width = max(j, 1)
+            terms = row[:width] - log_base * np.arange(width)
+            top = float(terms.max())
+            log_eulerian = top + math.log(float(np.exp(terms - top).sum()))
+            values[j] = -log_base + log_eulerian - (j + 1) * log_one_minus_x
+    if np.ndim(n) == 0:
+        return values[orders[0]]
+    return np.array([values[j] for j in orders])
 
 
 def power_sigma_series(k: int, sigma: float) -> float:
@@ -98,26 +112,31 @@ def power_sigma_series(k: int, sigma: float) -> float:
     return math.exp(_log_power_series(k, math.log(sigma)))
 
 
-def qs_pmf(params: QuasispeciesParams, k: int) -> float:
-    """Limiting probability of class k.
+def qs_pmf(params: QuasispeciesParams, k):
+    """Limiting probability of class k, or the array of them for a sequence k.
 
     Returns 0 for every k in the disordered regime.  The Poisson-like
     factor a^k / k! and the power series are combined in log space, so
-    large k and near-threshold parameters pose no overflow problem.
+    large k and near-threshold parameters pose no overflow problem.  A
+    sequence of classes takes one pass over the series' Eulerian triangle,
+    O(K^2) for all classes up to K, and each value equals its own call bit
+    for bit.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    classes = [int(j) for j in np.atleast_1d(k)]
+    if min(classes, default=0) < 0:
+        raise ValueError(f"k must be >= 0, got {min(classes)}")
     if classify_regime(params) is Regime.DISORDERED:
-        return 0.0
-    if params.a == 0.0:
-        return 1.0 if k == 0 else 0.0
-    log_val = (
-        math.log(params.threshold - 1.0)
-        + k * math.log(params.a)
-        - math.lgamma(k + 1)
-        + _log_power_series(k, math.log(params.sigma))
-    )
-    return math.exp(log_val)
+        values = [0.0] * len(classes)
+    elif params.a == 0.0:
+        values = [1.0 if j == 0 else 0.0 for j in classes]
+    else:
+        log_series = _log_power_series(classes, math.log(params.sigma)).tolist()
+        log_mass, log_a = math.log(params.threshold - 1.0), math.log(params.a)
+        values = [
+            math.exp(log_mass + j * log_a - math.lgamma(j + 1) + s)
+            for j, s in zip(classes, log_series)
+        ]
+    return values[0] if np.ndim(k) == 0 else np.array(values)
 
 
 def qs_pmf_by_recurrence(params: QuasispeciesParams, k_max: int) -> np.ndarray:
@@ -179,7 +198,7 @@ def qs_normalization_check(params: QuasispeciesParams, k_max: int) -> tuple[floa
     """
     if classify_regime(params) is Regime.DISORDERED:
         raise ValueError("normalization check applies to the quasispecies regime only")
-    partial = math.fsum(qs_pmf(params, k) for k in range(k_max + 1))
+    partial = math.fsum(qs_pmf(params, np.arange(k_max + 1)).tolist())
     if params.a == 0.0:
         return partial, 0.0
     a, thr = params.a, params.threshold

@@ -628,6 +628,8 @@ def mask_duration(text):
 INT_COLUMNS = re.compile(r"(b|k|generation|total|ell|iterations|count\d+)$")
 BYTE_CASES = {
     "kernel": ["kernel", "--sigma", "2", "--ell", "12", "--kappa", "3", "--q", "0.3"],
+    # kappa = 2: exact zeros past the band, and M(ell-b, ell-c) = M(b, c) repeats each value
+    "kernel-kappa2": ["kernel", "--sigma", "4", "--ell", "100", "--a", str(LN2)],
     "perron": ["perron", "--sigma", "4", "--ell", "100", "--a", str(LN2)],
     "quasispecies": ["quasispecies", "--sigma", "4", "--a", str(LN2), "--kmax", "12"],
     "quasispecies-disordered": ["quasispecies", "--sigma", "1.5", "--a", "2", "--kmax", "4"],
@@ -663,6 +665,9 @@ class TestOutputBytes:
         main([*BYTE_CASES["converge"], "--out", str(out)])
         assert "# config.ell_grid=100;200\n" in out.read_text()
         assert ",secular Newton," in out.read_text()
+        main([*BYTE_CASES["kernel-kappa2"], "--out", str(out)])
+        m = np.loadtxt(out, delimiter=",", skiprows=1 + out.read_text().count("#"))[:, 1:-1]
+        assert (m == 0).sum() > 0 and np.array_equal(m, m[::-1, ::-1])
 
     @pytest.mark.parametrize("case", sorted(BYTE_CASES))
     def test_column_types(self, tmp_path, case):
@@ -689,6 +694,7 @@ class TestOutputBytes:
         table = {
             "k": np.arange(6),
             "x%d": np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1]),
+            "y": np.array([0.0, -0.0, np.nan, np.inf, -0.0, -np.nan]),  # repeats in x%d's block
             "flag": np.array([True, False, True, False, True, False]),
             "name": np.array(["a", "b%s", 'q"', "\u00e9", "tab\t", ""]),
             "big": np.array([0, -1, 2**62, 7, 8, 9]),
@@ -696,11 +702,18 @@ class TestOutputBytes:
         config = {"command": "x", "ell_grid": [1, 2], "z": -0.0}
         diagnostics = {"nan": math.nan, "inf": -math.inf, "ok": True}
         render = render_csv if fmt == "csv" else render_json
-        text = render(config, table, diagnostics)
-        assert text == oracle_render(config, table, diagnostics, fmt)
-        if fmt == "csv":
-            assert [line.split(",")[1] for line in text.splitlines()[-6:]] == [
-                "-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "0.10000000000000001"]
-        else:
-            for spelled in ("-0.0", "Infinity", "-Infinity", "NaN", "5e-324", "0.1"):
-                assert f'"x%d": {spelled}\n' in text
+        # 12 float entries are spelled one by one; 12,000 go through the sort by bit pattern
+        for repeat in (1, 1000):
+            tiled = {name: np.tile(a, repeat) for name, a in table.items()}
+            text = render(config, tiled, diagnostics)
+            assert text == oracle_render(config, tiled, diagnostics, fmt)
+            if fmt == "csv":
+                assert [line.split(",")[1] for line in text.splitlines()[-6:]] == [
+                    "-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "0.10000000000000001"]
+                assert [line.split(",")[2] for line in text.splitlines()[-6:]] == [
+                    "0", "-0", "nan", "inf", "-0", "nan"]
+            else:
+                for spelled in ("-0.0", "Infinity", "-Infinity", "NaN", "5e-324", "0.1"):
+                    assert f'"x%d": {spelled},\n' in text
+                assert [text.count(f'"y": {spelled}\n') for spelled in ("0.0", "-0.0", "NaN")] == [
+                    repeat, 2 * repeat, 2 * repeat]

@@ -94,7 +94,7 @@ class TestPowerSigmaSeries:
         for k, value in expected.items():
             assert power_sigma_series(k, s) == pytest.approx(value, rel=1e-12)
 
-    @pytest.mark.parametrize("sigma", ["1.00005", "1.001", "1.5", "4", "1000000"])
+    @pytest.mark.parametrize("sigma", ["1.00005", "1.001", "1.5", "2", "4", "1000000"])
     @pytest.mark.parametrize("n,rel", [(0, 1e-14), (1, 1e-14), (7, 3e-14), (31, 1e-13),
                                        (171, 2e-12), (250, 2e-12)])
     def test_matches_exact_closed_form(self, sigma, n, rel):
@@ -103,6 +103,16 @@ class TestPowerSigmaSeries:
         sigma = float(sigma)
         got = _log_power_series(n, math.log(sigma))  # the sum itself overflows past n ~ 150
         assert abs(math.expm1(got - exact_log_power_series(n, Fraction(sigma)))) <= rel
+
+    @pytest.mark.parametrize("sigma", [1.00005, 2.0, 4.0])
+    def test_one_pass_matches_each_order(self, sigma):
+        """A sequence of orders takes one pass over the Eulerian triangle and
+        gives each order's own value bit for bit, in the order asked."""
+        log_base = math.log(sigma)
+        each = [_log_power_series(n, log_base) for n in range(201)]
+        assert _log_power_series(np.arange(201), log_base).tolist() == each
+        orders = [7, 0, 200, 7, 1]
+        assert _log_power_series(orders, log_base).tolist() == [each[n] for n in orders]
 
     def test_brute_force_partial_sum(self):
         # direct summation oracle, long enough for the geometric tail to vanish
@@ -140,6 +150,16 @@ class TestClosedFormPmf:
         values = [qs_pmf(p, k) for k in range(200)]
         assert all(v >= 0.0 for v in values)
         assert values[150] < values[20] < values[5]
+
+    @pytest.mark.parametrize("sigma,a", [(4.0, LN2), (2.0, 0.6931), (3.0, 0.0), (2.0, 2.0 * LN2)])
+    def test_sequence_of_classes_matches_each_class(self, sigma, a):
+        p = QuasispeciesParams(sigma, a)
+        each = [qs_pmf(p, k) for k in range(31)]
+        assert qs_pmf(p, np.arange(31)).tolist() == each
+        assert qs_pmf(p, [5, 0, 5]).tolist() == [each[5], each[0], each[5]]
+        assert qs_pmf(p, np.arange(0)).shape == (0,)
+        with pytest.raises(ValueError):
+            qs_pmf(p, [0, -1])
 
     def test_boundary_continuity(self):
         """Mass at zero vanishes linearly as the threshold drops to 1."""
