@@ -32,6 +32,7 @@ from .kernel import (
 from .spectral import (
     BoundsReport,
     ConvergenceError,
+    ExtinctionReport,
     PerronPair,
     extinction_probabilities,
     fitness_vector,
@@ -84,6 +85,7 @@ __all__ = [
     "limit_kernel",
     "ConvergenceError",
     "PerronPair",
+    "ExtinctionReport",
     "BoundsReport",
     "fitness_vector",
     "mean_matrix",

@@ -158,10 +158,11 @@ _TABLES = {
     "extinction": {
         **_MODEL_OPTS,
         "tol": (float, 1e-12, "Newton tolerance on the survival probabilities (absolute, "
-                              "on both the last step and the residual); a survival "
-                              "probability below tol is an upper bound from Newton's "
-                              "descent, not a value (at sigma=4, ell=200, a=ln 2 the far "
-                              "classes report ~6.6e-13, where a fit gives ~7e-31)"),
+                              "on both the last step and the residual); survival "
+                              "probabilities are accurate to about tol in absolute terms, "
+                              "so one below tol is not resolved (at sigma=4, ell=200, "
+                              "a=ln 2 the far classes report p_extinct = 1, where a fit "
+                              "gives a survival probability of ~7e-31)"),
         "max_iter": (int, 100, "Newton step budget"),
         "mc": (int, 0, "Monte Carlo replicas per starting class, >= 0; 0 skips the Monte Carlo run"),
         "n_gens": (int, 100, "Monte Carlo horizon"),
@@ -423,13 +424,18 @@ def cmd_extinction(resolved: dict):
     params = _model_params(resolved)
     n_mc, seed = _nonnegative(resolved, "mc"), _nonnegative(resolved, "seed")
     band = kernel_band(params)
-    s = extinction_probabilities(params, resolved["tol"], resolved["max_iter"], band=band)
+    report = extinction_probabilities(params, resolved["tol"], resolved["max_iter"], band=band)
+    s = report.s
     fit = fitness_vector(params)
     residual = float(np.max(np.abs(np.exp(fit * (band.matvec(s) - 1.0)) - s)))
     table = {"k": np.arange(params.ell + 1), "p_extinct": s}
-    diagnostics = {"fixed_point_residual": residual}
+    diagnostics = {
+        "fixed_point_residual": residual,
+        "newton_steps": report.iterations,
+        "extrapolated_steps": report.extrapolations,
+    }
     if n_mc > 0:
-        w = mean_matrix(params)
+        w = mean_matrix(params, band=band)
         reps = [
             extinction_mc(
                 params,

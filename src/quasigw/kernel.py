@@ -575,16 +575,19 @@ def kernel_band(params: ModelParams) -> KernelBand:
     return KernelBand(values=values, half_width=half_width)
 
 
-def lumped_kernel_matrix(params: ModelParams) -> np.ndarray:
+def lumped_kernel_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarray:
     """Dense (ell+1) x (ell+1) class transition matrix M, row b = parent class.
 
     The rows of ``kernel_band`` scattered into zeros: each stored entry is
     the band's value bit for bit, and the entries the band leaves out (all
     below BAND_FLOOR) are exact zeros, so this is the M the Perron and
     extinction solves run on.  It takes O(ell^2) memory where the band
-    takes O(ell) at fixed a = ell q.
+    takes O(ell) at fixed a = ell q.  Pass band = kernel_band(params) to
+    reuse a band already built.
     """
-    band = kernel_band(params)
+    band = kernel_band(params) if band is None else band
+    if band.n != params.ell + 1:
+        raise ValueError(f"kernel band must have {params.ell + 1} rows, got {band.n}")
     n, width = band.values.shape
     s1, s2 = band._middle
     m = np.zeros((n, n))

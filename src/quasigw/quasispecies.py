@@ -172,9 +172,8 @@ def qs_pmf_by_recurrence(params: QuasispeciesParams, k_max: int) -> np.ndarray:
     for j in range(1, k_max + 1):
         w[j] = w[j - 1] * a / j
     for k in range(1, k_max + 1):
-        acc = sigma * pmf[0] * w[k]
-        for i in range(1, k):
-            acc += pmf[i] * w[k - i]
+        # sum_{i=1}^{k-1} pmf(i) w(k-i), as one dot product
+        acc = sigma * pmf[0] * w[k] + np.dot(pmf[1:k], w[k - 1 : 0 : -1])
         pmf[k] = acc / (sigma - 1.0)
     return pmf
 

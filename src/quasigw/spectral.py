@@ -21,6 +21,7 @@ from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _log_stationary_law, k
 __all__ = [
     "ConvergenceError",
     "PerronPair",
+    "ExtinctionReport",
     "BoundsRow",
     "BoundsReport",
     "fitness_vector",
@@ -42,6 +43,12 @@ _MAX_INV = 99
 # lam is kept this many ulps of 1 above the Perron root of the class kernel.
 _FLOOR_ULPS = 16
 _EPS = float(np.finfo(float).eps)
+# Extinction Newton: a class's step is extrapolated once the ratio r of its
+# steps lies in (_RATIO_LO, _RATIO_HI) and agrees with the last ratio to
+# _RATIO_AGREE relative; the extrapolated point u may have F_k down to
+# -_DIP * u_k * max(u).
+_RATIO_LO, _RATIO_HI, _RATIO_AGREE = 0.3, 0.9, 0.05
+_DIP = 1e-3
 
 
 class ConvergenceError(RuntimeError):
@@ -64,6 +71,19 @@ class PerronPair:
     method: str
 
 
+@dataclass(frozen=True)
+class ExtinctionReport:
+    """Extinction probability s per starting class, and how the solve got it:
+    Newton steps (``iterations``), how many of them were extrapolated, and
+    the residual max|F(1 - s)| at the end."""
+
+    s: np.ndarray
+    iterations: int
+    extrapolations: int
+    residual: float
+    method: str
+
+
 def fitness_vector(params: ModelParams) -> np.ndarray:
     """Per-class reproduction rates (sigma, 1, ..., 1)."""
     a = np.ones(params.ell + 1)
@@ -71,13 +91,14 @@ def fitness_vector(params: ModelParams) -> np.ndarray:
     return a
 
 
-def mean_matrix(params: ModelParams) -> np.ndarray:
+def mean_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarray:
     """Dense mean matrix W(i, j) = A(i) * M(i, j): ``lumped_kernel_matrix``,
     the scattered band, with row 0 scaled by sigma.
 
     The entries the band leaves out, all below BAND_FLOOR, are exact zeros.
+    Pass band = kernel_band(params) to reuse a band already built.
     """
-    w = lumped_kernel_matrix(params)
+    w = lumped_kernel_matrix(params, band=band)
     w[0] *= params.sigma
     return w
 
@@ -584,13 +605,40 @@ def _classes_reaching_master(band: KernelBand) -> np.ndarray:
     return np.flatnonzero(found)
 
 
+def _residual(band: KernelBand, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M u and F(u) = u + expm1(-a M u), for ``extinction_probabilities``."""
+    mu = band.matvec(u)
+    return mu, u + np.expm1(-a * mu)
+
+
+def _extrapolated(band, a, u, delta, r, ratio, live):
+    """The extrapolated point of ``extinction_probabilities``, with M u and F
+    there, from the Newton step delta at u and the step ratios r and ratio
+    before it; None where no class is steady or a guard fails."""
+    steady = (r > _RATIO_LO) & (r < _RATIO_HI) & (np.abs(r - ratio) <= _RATIO_AGREE * r)
+    if not steady.any():
+        return None
+    trial = u - np.where(steady, delta / (1.0 - r), delta)
+    if not np.all(trial[live] > 0.0):
+        return None
+    floor = -_DIP * float(np.max(trial)) * trial
+    if live[0]:   # class 0 first, from its own row: an overshoot usually shows there
+        mu_0 = float(band.values[0] @ trial[: band.values.shape[1]])
+        if trial[0] + math.expm1(-a[0] * mu_0) < floor[0]:
+            return None
+    mu, f = _residual(band, a, trial)
+    if not np.all((f >= floor)[live]):
+        return None
+    return trial, mu, f
+
+
 def extinction_probabilities(
     params: ModelParams,
     tol: float = 1e-12,
     max_iter: int = 100,
     band: KernelBand | None = None,
-) -> np.ndarray:
-    """Extinction probability per starting class.
+) -> ExtinctionReport:
+    """Extinction probability per starting class, with how the solve got it.
 
     The generating function of the class-k offspring vector is
     f_k(s) = exp(A(k) * (sum_l M(k,l) s(l) - 1)), and the extinction
@@ -603,9 +651,39 @@ def extinction_probabilities(
     (I - diag(A exp(-A M u)) M) delta = F(u) by one banded block Thomas
     sweep (``_BandSolver.solve_right``), O(ell x w^2) flops for a band of
     half width w.  F is convex and its Jacobian an M-matrix above the
-    root, so the exact iterates decrease monotonically to it and the
-    number of steps does not grow with closeness to criticality the way a
-    fixed-point iteration's does (Hautphenne, Latouche & Remiche 2008).
+    root, so plain Newton steps from above the root stay above it, and
+    the number of steps does not grow with closeness to criticality the
+    way a fixed-point iteration's does (Hautphenne, Latouche & Remiche
+    2008).
+
+    Near-critical classes make the root nearly singular, and there Newton
+    converges only linearly, its steps shrinking by a steady ratio r
+    (1/2 at a simple singular root; Decker, Keller & Kelley 1983).  Where
+    r, the ratio of a class's Newton step to its last one, lies in
+    (0.3, 0.9) and agrees to 5% with the ratio one step before, the step
+    is extrapolated: u - delta / (1 - r), the limit of the geometric
+    series the remaining steps would sum to (Griewank 1985); other classes
+    take the plain step.  After an extrapolated step the ratios start
+    afresh.  Two guards keep the iteration on the right root:
+
+    * The extrapolated point is kept only if every live class stays above
+      0 and has F_k >= -1e-3 u_k max(u).  F < 0 means u has passed below
+      the root, and from far below it Newton runs to the trivial root
+      u = 0.  Just below the root a plain step lands back above it, by
+      convexity, so a small dip is allowed; near a nearly singular root
+      F ~ (c / 2) u (u - u*) with c of order 1, so the bound keeps the dip
+      to a fraction of about 2e-3 / c of the root, where the Jacobian
+      turns singular only about halfway down to 0.  The check costs one
+      banded product, which the next step reuses when the point is kept;
+      class 0, where an overshoot usually shows, is checked first from its
+      own row, so most points turned down cost no product.
+    * Where extrapolation has taken near-critical classes down to the
+      level of rounding, the Newton step from there can take them below 0,
+      and clamping would then end their solve with a residual above tol.
+      If the step from an extrapolated point takes any live class below
+      0, the solve goes back to the plain point the extrapolation replaced,
+      and the ratios start afresh (method "..., k undone").  That step is
+      lost, and counted.
 
     A class from which class 0 cannot be reached (at q = 0, every class
     but class 0), and every class when sigma = 1, starts a critical
@@ -616,16 +694,19 @@ def extinction_probabilities(
     elimination keeps.  Where every route to class 0 passes through a
     smaller entry (at kappa = 2, q = 0.5 from ell ~ 512 on, where M(b, 0) =
     2^-ell; at q = 1e-300) the true survival probability is below ~1e-150,
-    and u is 0.
-    Iterates are clamped at 0, which removes only rounding on classes
+    and u is 0.  At sigma = 1 no class is left to solve for, and s is 1
+    with no Newton step (method "certain extinction").
+    Plain steps are clamped at 0, which removes only rounding on classes
     whose survival probability is far below tol, and each step solves
     only for the classes where u > 0 (the others get d = 0 and F = 0).
 
-    Stops once both the last Newton step and the residual max|F(u)| are
-    at most tol, absolute in u; max_iter bounds the number of Newton
-    steps.  A survival probability below tol is an upper bound, not a
-    value: far classes are near-critical, where Newton converges only
-    linearly, and the solve stops while they still sit near tol.
+    Stops once both the last step and the residual max|F(u)| are at most
+    tol, absolute in u; max_iter bounds the number of Newton steps
+    (``iterations``; ``extrapolations`` counts the extrapolated points
+    kept).  Survival probabilities are accurate to about tol in
+    absolute terms, so one below tol is not resolved: far classes are
+    near-critical, and their u, of order tol when the solve stops, may be
+    far larger than the true value.
 
     Everything runs on M's band (``kernel_band``; pass band =
     kernel_band(params) to reuse it), with M u from ``KernelBand.matvec``:
@@ -639,22 +720,54 @@ def extinction_probabilities(
     u = np.zeros(band.n)
     if params.sigma > 1.0:
         u[_classes_reaching_master(band)] = 1.0
+    if not u.any():
+        return ExtinctionReport(s=np.ones(band.n), iterations=0, extrapolations=0,
+                                residual=0.0, method="certain extinction")
+
     solver = _BandSolver(band)
-    step = residual = np.inf
+    mu, f = _residual(band, a, u)
+    step = np.inf
+    extrapolations = undone = 0
+    last = ratio = None   # per class: the last Newton step, and its ratio to the one before
+    fallback = None       # the plain point the last extrapolated point replaced
     for it in range(max_iter + 1):
-        mu = band.matvec(u)
-        f = u + np.expm1(-a * mu)
-        residual = float(np.max(np.abs(f)))
-        if residual <= tol and step <= tol:
-            return 1.0 - u
+        if step <= tol and (residual := float(np.max(np.abs(f)))) <= tol:
+            method = "extrapolated Newton" if extrapolations else "Newton"
+            if undone:
+                method += f", {undone} undone"
+            return ExtinctionReport(s=1.0 - u, iterations=it, extrapolations=extrapolations,
+                                    residual=residual, method=method)
         if it == max_iter:
             break
         live = u > 0.0
-        d = np.where(live, a * np.exp(-a * mu), 0.0)
-        delta = solver.solve_right(d, np.where(live, f, 0.0))
-        new = np.where(live, np.maximum(u - delta, 0.0), 0.0)
+        delta = solver.solve_right(a * np.exp(-a * mu) * live, f * live)
+        if fallback is not None:
+            if np.any((u - delta < 0.0) & live):
+                u, step, fallback = fallback, np.inf, None
+                mu, f = _residual(band, a, u)
+                extrapolations -= 1
+                undone += 1
+                continue
+            fallback = None
+        extrapolated = None
+        if last is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = delta / last
+                if ratio is not None:
+                    extrapolated = _extrapolated(band, a, u, delta, r, ratio, live)
+            ratio = r
+        last = delta
+        plain = np.maximum(u - delta, 0.0) * live
+        if extrapolated is None:
+            new = plain
+            mu, f = _residual(band, a, new)
+        else:
+            new, mu, f = extrapolated
+            fallback, last, ratio = plain, None, None
+            extrapolations += 1
         step = float(np.max(np.abs(new - u)))
         u = new
+    residual = float(np.max(np.abs(f)))
     raise ConvergenceError(
         f"extinction Newton iteration did not converge in {max_iter} steps "
         f"(last residual {residual:.3e}, last step {step:.3e})",

@@ -194,7 +194,7 @@ def test_10_extinction_probability():
             break
         x = x_next
     p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.0)
-    fp = float(extinction_probabilities(p, tol=1e-10, max_iter=10**6)[0])
+    fp = float(extinction_probabilities(p, tol=1e-10, max_iter=10**6).s[0])
     mc = extinction_mc(p, n_replicas=100_000, start_class=0, n_gens=150,
                        escape_cap=10**5, seed=0)
     fixed_point_ok = abs(fp - x_next) < 1e-6

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import quasigw.cli
+import quasigw.kernel
 import quasigw.spectral
 from quasigw import ModelParams, __version__, kernel_band, lumped_kernel_entry
 from quasigw.kernel import BAND_FLOOR
@@ -452,14 +453,22 @@ class TestExtinctionCommand:
         assert calls == []
 
     def test_mc_builds_the_kernel_once(self, tmp_path, monkeypatch):
-        builds = []
+        """One band, built by the CLI: the solve and the sampler's dense mean
+        matrix both take it."""
+        builds, bands = [], []
 
-        def counting(params, _build=quasigw.spectral.lumped_kernel_matrix):
+        def counting(params, band=None, _build=quasigw.spectral.lumped_kernel_matrix):
             builds.append(params)
+            return _build(params, band=band)
+
+        def counting_band(params, _build=quasigw.kernel.kernel_band):
+            bands.append(params)
             return _build(params)
 
         monkeypatch.setattr(quasigw.cli, "lumped_kernel_matrix", counting)
         monkeypatch.setattr(quasigw.spectral, "lumped_kernel_matrix", counting)
+        for module in (quasigw.cli, quasigw.spectral, quasigw.kernel):
+            monkeypatch.setattr(module, "kernel_band", counting_band)
         code, _, header, _ = run_csv(
             ["extinction", "--sigma", "4", "--ell", "20", "--a", "0.6931",
              "--mc", "10", "--n-gens", "5"],
@@ -468,6 +477,16 @@ class TestExtinctionCommand:
         assert code == 0
         assert header == ["k", "p_extinct", "mc_freq", "mc_se"]
         assert len(builds) == 1
+        assert len(bands) == 1
+
+    def test_reports_newton_steps(self, tmp_path):
+        code, meta, _, _ = run_csv(
+            ["extinction", "--sigma", "2", "--ell", "200", "--a", "0.1"], tmp_path / "e.csv"
+        )
+        assert code == 0
+        assert int(meta["diagnostics.newton_steps"]) == 14
+        assert 0 < int(meta["diagnostics.extrapolated_steps"]) < 14
+        assert float(meta["diagnostics.fixed_point_residual"]) <= 1e-12
 
     def test_json_structure(self, tmp_path):
         code, doc = run_json(

@@ -391,7 +391,7 @@ class TestExtinctionMC:
         """Empirical extinction frequency vs the generating-function fixed
         point, within 3 binomial standard errors (worst observed 1.8)."""
         p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=q)
-        fp = extinction_probabilities(p, tol=1e-10, max_iter=10**6)
+        fp = extinction_probabilities(p, tol=1e-10, max_iter=10**6).s
         rep = extinction_mc(
             p, n_replicas=20_000, start_class=0, n_gens=150, escape_cap=10**5, seed=0
         )
@@ -401,7 +401,7 @@ class TestExtinctionMC:
     def test_nonmaster_start(self):
         # class-1 founders at ell=1: lineages either die or re-enter class 0
         p = ModelParams(sigma=2.0, ell=1, kappa=2, q=0.1)
-        fp = extinction_probabilities(p)
+        fp = extinction_probabilities(p).s
         rep = extinction_mc(
             p, n_replicas=20_000, start_class=1, n_gens=150, escape_cap=10**5, seed=0
         )

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -489,7 +489,7 @@ class TestPivotBlockSplit:
                 return _fn(a, *args)
 
             monkeypatch.setattr(np.linalg, name, recording)
-        s = extinction_probabilities(p, max_iter=1, tol=1.0)
+        s = extinction_probabilities(p, max_iter=1, tol=1.0).s
         assert sizes and max(sizes) <= 99
         assert np.all((s >= 0.0) & (s <= 1.0))
 
@@ -533,34 +533,35 @@ class TestPerronBoundsCheck:
 class TestExtinctionProbabilities:
     def test_neutral_sigma_certain_extinction(self):
         # critical case: at sigma = 1 every class dies out surely, and the solve
-        # sets u = 1 - s to 0 exactly before any Newton step, so s is exactly 1
+        # sets u = 1 - s to 0 exactly and takes no Newton step, so s is exactly 1
         p = ModelParams(sigma=1.0, ell=3, kappa=2, q=0.2)
-        s = extinction_probabilities(p, tol=1e-10, max_iter=10**6)
-        assert np.all(s <= 1.0)
-        assert np.all(s > 1.0 - 5e-5)
+        report = extinction_probabilities(p, tol=1e-10, max_iter=10**6)
+        assert np.all(report.s == 1.0)
+        assert report.method == "certain extinction"
+        assert (report.iterations, report.extrapolations, report.residual) == (0, 0, 0.0)
 
     def test_q_zero_master_class_matches_scalar_oracle(self):
         p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.0)
-        s = extinction_probabilities(p, tol=1e-10, max_iter=10**6)
+        s = extinction_probabilities(p, tol=1e-10, max_iter=10**6).s
         oracle = scalar_master_extinction(2.0)
         assert oracle == pytest.approx(0.2031878699799799, abs=1e-12)
         assert s[0] == pytest.approx(oracle, abs=1e-6)
 
     def test_q_zero_other_classes_go_extinct(self):
         p = ModelParams(sigma=2.0, ell=2, kappa=2, q=0.0)
-        s = extinction_probabilities(p, tol=1e-10, max_iter=10**6)
+        s = extinction_probabilities(p, tol=1e-10, max_iter=10**6).s
         assert np.all(s[1:] > 1.0 - 5e-5)
         assert np.all(s[1:] <= 1.0)
 
     def test_supercritical_survival_from_every_class(self):
         p = ModelParams(sigma=4.0, ell=3, kappa=2, q=0.1)
-        s = extinction_probabilities(p)
+        s = extinction_probabilities(p).s
         assert np.all(s > 0.0)
         assert np.all(s < 1.0)
 
     def test_stronger_selection_lowers_extinction(self):
-        weak = extinction_probabilities(ModelParams(sigma=2.0, ell=3, kappa=2, q=0.1))
-        strong = extinction_probabilities(ModelParams(sigma=4.0, ell=3, kappa=2, q=0.1))
+        weak = extinction_probabilities(ModelParams(sigma=2.0, ell=3, kappa=2, q=0.1)).s
+        strong = extinction_probabilities(ModelParams(sigma=4.0, ell=3, kappa=2, q=0.1)).s
         assert np.all(strong < weak)
 
     def test_iterates_increase_monotonically(self):
@@ -580,14 +581,14 @@ class TestExtinctionProbabilities:
         a = fitness_vector(p)
         ones = np.ones(5)
         assert np.max(np.abs(np.exp(a * (m @ ones - 1.0)) - ones)) < 1e-12
-        s = extinction_probabilities(p)
+        s = extinction_probabilities(p).s
         assert np.all(s < 1.0)
 
     def test_fixed_point_residual(self):
         p = ModelParams(sigma=2.0, ell=5, kappa=2, q=0.15)
         m = lumped_kernel_matrix(p)
         a = fitness_vector(p)
-        s = extinction_probabilities(p, tol=1e-13)
+        s = extinction_probabilities(p, tol=1e-13).s
         assert np.max(np.abs(np.exp(a * (m @ s - 1.0)) - s)) < 1e-12
 
     def test_nonconvergence_raises(self):
@@ -599,7 +600,7 @@ class TestExtinctionProbabilities:
 
     def test_q_zero_critical_classes_are_exact(self):
         # classes k >= 1 cannot reach the master class at q = 0
-        s = extinction_probabilities(ModelParams(sigma=2.0, ell=2, kappa=2, q=0.0))
+        s = extinction_probabilities(ModelParams(sigma=2.0, ell=2, kappa=2, q=0.0)).s
         assert s[0] == pytest.approx(scalar_master_extinction(2.0), abs=1e-15)
         assert np.all(s[1:] == 1.0)
 
@@ -608,7 +609,7 @@ class TestExtinctionProbabilities:
         """Instances the fixed-point iteration could not finish in 10^5 steps."""
         p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
         m = lumped_kernel_matrix(p)
-        s = extinction_probabilities(p, band=kernel_band(p))
+        s = extinction_probabilities(p, band=kernel_band(p)).s
         u = 1.0 - s
         assert np.max(np.abs(u + np.expm1(-fitness_vector(p) * (m @ u)))) <= 1e-12
         assert np.all(np.diff(s) >= -1e-12)
@@ -620,7 +621,7 @@ class TestExtinctionProbabilities:
         p = ModelParams(sigma=2.0, ell=1100, kappa=2, q=0.5)
         m = lumped_kernel_matrix(p)
         assert not np.any(m[:, 0])
-        s = extinction_probabilities(p, band=kernel_band(p))
+        s = extinction_probabilities(p, band=kernel_band(p)).s
         assert np.all(s == 1.0)
 
     @settings(max_examples=40, deadline=None)
@@ -634,7 +635,7 @@ class TestExtinctionProbabilities:
         p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
         m = lumped_kernel_matrix(p)
         a = fitness_vector(p)
-        s = extinction_probabilities(p, band=kernel_band(p))
+        s = extinction_probabilities(p, band=kernel_band(p)).s
         assert np.all((s >= 0.0) & (s <= 1.0))
         assert np.max(np.abs(np.exp(a * (m @ s - 1.0)) - s)) <= 1e-12
         # the fixed-point iterates from 0 increase to the minimal fixed point
@@ -651,18 +652,86 @@ class TestExtinctionProbabilities:
         q=st.just(0.0) | st.floats(min_value=1e-6, max_value=0.5),
     )
     def test_matches_dense_newton_property(self, sigma, ell, kappa, q):
-        """The banded Newton steps land where the dense-LU ones do, wherever
-        the band search and the dense search find the same classes."""
+        """The solve lands within tol of dense-LU Newton run to 1e-14, wherever
+        the band search and the dense search find the same classes.  The two
+        stop at different iterates (extrapolated steps), each within tol of
+        the root, so tol is the bound both meet."""
         p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
         band = kernel_band(p)
-        oracle, reach = dense_newton_extinction(p)
+        oracle, reach = dense_newton_extinction(p, tol=1e-14, max_iter=300)
         assume(np.array_equal(reach, np.sort(_classes_reaching_master(band))))
-        assert np.max(np.abs(extinction_probabilities(p, band=band) - oracle)) <= 1e-13
+        assert np.max(np.abs(extinction_probabilities(p, band=band).s - oracle)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigma=st.floats(min_value=1.01, max_value=10.0),
+        ell=st.integers(min_value=1, max_value=60),
+        kappa=st.sampled_from([2, 3]),
+        depth=st.floats(min_value=0.0, max_value=8.0),
+    )
+    @example(sigma=3.9258382478028717, ell=30, kappa=3, depth=2.041644971012189)
+    def test_supercritical_master_class_survives_property(self, sigma, ell, kappa, depth):
+        """Where sigma e^-a > 1 (a = ln(sigma) (1 - 10^-depth)), u_0 is not 0.
+
+        Near the crossover u_0 can be tiny: the @example has u_0 = 1.2e-9,
+        where extrapolated points that dip below the root by 1e-15 in F
+        (far more than 1e-3 u_0 max(u)) led Newton to u = 0.  Where plain
+        Newton finds u_0 below 1e-10, 0 is within tol of it, and the
+        instance is left out.  So are the rare instances where the root is
+        too ill-conditioned for either solve to meet tol: its steps stall
+        at about eps / (lambda - 1) (sigma=3.11, ell=60, depth=5.24 has
+        lambda - 1 = 3.8e-5, and plain banded Newton raises there too)."""
+        a = math.log(sigma) * (1.0 - 10.0**-depth)
+        assume(sigma * math.exp(-a) > 1.0 and a / ell < 0.5)
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=a / ell)
+        try:
+            plain, _ = dense_newton_extinction(p)
+            u_0 = 1.0 - extinction_probabilities(p).s[0]
+        except ConvergenceError:
+            reject()
+        assume(1.0 - plain[0] > 1e-10)
+        assert u_0 > 0.5 * (1.0 - plain[0])   # the root plain Newton finds, not u = 0
+
+    def test_extrapolation_keeps_the_master_root(self):
+        """sigma=2, a=0.69, ell=20: extrapolating wherever the step ratio is
+        steady, with neither guard, converges to u = 0 with step and residual
+        below tol, though u_0 = 0.0476.  The guarded solve keeps the root."""
+        p = ModelParams(sigma=2.0, ell=20, kappa=2, q=0.69 / 20)
+        plain, _ = dense_newton_extinction(p)
+        report = extinction_probabilities(p)
+        assert 1.0 - plain[0] == pytest.approx(0.0476, abs=1e-4)
+        assert abs(report.s[0] - plain[0]) <= 1e-12
+
+    def test_undoes_an_extrapolated_step(self):
+        """sigma=5.88, kappa=3, ell=56: an extrapolated step takes the far
+        classes to ~1e-17, and the Newton step from there takes them below 0.
+        Clamped, they would hold the residual at 1.7e-12 for good; the solve
+        goes back to the plain point instead, and converges."""
+        p = ModelParams(sigma=5.8806297367344005, ell=56, kappa=3, q=1.6877176385629673 / 56)
+        report = extinction_probabilities(p)
+        oracle, _ = dense_newton_extinction(p, tol=1e-14, max_iter=300)
+        assert report.method.startswith("extrapolated Newton, ")
+        assert report.method.endswith(" undone")
+        assert report.residual <= 1e-12
+        assert np.max(np.abs(report.s - oracle)) <= 1e-12
+
+    def test_report(self):
+        p = ModelParams(sigma=2.0, ell=200, kappa=2, q=0.1 / 200)
+        report = extinction_probabilities(p)
+        assert report.method == "extrapolated Newton"
+        assert 0 < report.extrapolations < report.iterations
+        assert report.residual <= 1e-12
+        u = 1.0 - report.s   # u to rounding: the solve keeps u, and s = 1 - u
+        f = u + np.expm1(-fitness_vector(p) * kernel_band(p).matvec(u))
+        assert report.residual == pytest.approx(np.max(np.abs(f)), abs=1e-15)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.iterations = 0
 
     @pytest.mark.parametrize("sigma,ell,a,steps", [
-        (2.0, 20, 0.69, 17), (2.0, 100, 0.69, 47), (2.0, 200, 0.1, 40), (4.0, 1000, LN2, 40)])
+        (2.0, 20, 0.69, 17), (2.0, 100, 0.69, 25), (2.0, 200, 0.1, 14), (4.0, 1000, LN2, 17)])
     def test_newton_step_counts(self, monkeypatch, sigma, ell, a, steps):
-        """The benchmark's instances take as many steps as the dense solve did."""
+        """The benchmark's instances: 17 / 47 / 40 / 40 plain Newton steps,
+        fewer where extrapolated steps skip the halving of near-critical classes."""
         calls = []
         solve_right = quasigw.spectral._BandSolver.solve_right
 
@@ -671,16 +740,16 @@ class TestExtinctionProbabilities:
             return solve_right(self, *args)
 
         monkeypatch.setattr(quasigw.spectral._BandSolver, "solve_right", counting)
-        extinction_probabilities(ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell))
-        assert len(calls) == steps
+        report = extinction_probabilities(ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell))
+        assert len(calls) == report.iterations == steps
 
     def test_band_search_sets_unreachable_classes_to_certain_extinction(self):
         """Every route to class 0 passes through an entry below BAND_FLOOR: at
         kappa=2, q=0.5, ell=600, M(b, 0) = 2^-600; at q=1e-300 every step down
         has probability about 1e-300.  Those classes get s = 1 exactly."""
-        s = extinction_probabilities(ModelParams(sigma=2.0, ell=600, kappa=2, q=0.5))
+        s = extinction_probabilities(ModelParams(sigma=2.0, ell=600, kappa=2, q=0.5)).s
         assert np.all(s == 1.0)
-        s = extinction_probabilities(ModelParams(sigma=2.0, ell=30, kappa=2, q=1e-300))
+        s = extinction_probabilities(ModelParams(sigma=2.0, ell=30, kappa=2, q=1e-300)).s
         assert np.all(s[1:] == 1.0)
         assert s[0] == pytest.approx(scalar_master_extinction(2.0), abs=1e-12)
 
