@@ -293,7 +293,7 @@ def cmd_kernel(resolved: dict):
     table.update((f"c{j}", m[:, j]) for j in range(params.ell + 1))
     table["row_sum_dev"] = dev
     diagnostics = {"max_row_sum_dev": float(dev.max())}
-    return table, diagnostics, 0
+    return table, diagnostics
 
 
 def cmd_perron(resolved: dict):
@@ -316,7 +316,7 @@ def cmd_perron(resolved: dict):
         "lambda_in_range": bool(params.sigma > 1.0 and 0.0 < pair.rho[0] < 1.0),
         "bounds_ok": bounds.passed,
     }
-    return table, diagnostics, 0
+    return table, diagnostics
 
 
 def cmd_quasispecies(resolved: dict):
@@ -334,7 +334,7 @@ def cmd_quasispecies(resolved: dict):
         zeros = np.zeros(k.size)
         table = {"k": k, "closed_form": zeros, "recurrence": zeros, "abs_diff": zeros,
                  "running_sum": zeros}
-        return table, diagnostics, 0
+        return table, diagnostics
     closed = qs_pmf(qp, k)
     rec = np.asarray(qs_pmf_by_recurrence(qp, kmax), dtype=float)
     abs_diff = np.abs(closed - rec)
@@ -348,7 +348,7 @@ def cmd_quasispecies(resolved: dict):
             "max_abs_diff": max(abs_diff.tolist()),
         }
     )
-    return table, diagnostics, 0
+    return table, diagnostics
 
 
 def cmd_converge(resolved: dict):
@@ -380,7 +380,7 @@ def cmd_converge(resolved: dict):
     table.update((f"rho{k}", rho[:, k]) for k in range(k_top + 1))
     table.update((f"gap{k}", gap[:, k]) for k in range(k_top + 1))
     diagnostics = {"regime": regime.value, "threshold": qp.threshold, "lambda_limit": lam_limit}
-    return table, diagnostics, 0
+    return table, diagnostics
 
 
 def cmd_simulate(resolved: dict):
@@ -390,7 +390,7 @@ def cmd_simulate(resolved: dict):
     if resolved["mode"] == "trajectory":
         rng = RngSpec(seed, 0).generator()
         t = run_trajectory(z0, params, resolved["n_gens"], rng, pop_cap=resolved["pop_cap"])
-        total = t.counts.sum(axis=1)
+        total = t.totals
         table = {"generation": np.arange(t.counts.shape[0]), "total": total,
                  "extinct": total == 0}
         table.update((f"count{k}", t.counts[:, k]) for k in range(params.ell + 1))
@@ -401,7 +401,7 @@ def cmd_simulate(resolved: dict):
             "capped_at": -1 if t.capped_at is None else t.capped_at,
             "recorded_generations": int(t.counts.shape[0]),
         }
-        return table, diagnostics, 0
+        return table, diagnostics
     est = conditioned_frequencies(
         params,
         z0,
@@ -417,7 +417,7 @@ def cmd_simulate(resolved: dict):
         "n_generations": est.n_generations,
         "n_capped": est.n_capped,
     }
-    return table, diagnostics, 0
+    return table, diagnostics
 
 
 def cmd_extinction(resolved: dict):
@@ -452,7 +452,7 @@ def cmd_extinction(resolved: dict):
         table["mc_freq"] = np.array([rep.extinct_fraction for rep in reps], dtype=float)
         table["mc_se"] = np.array([rep.se for rep in reps], dtype=float)
         diagnostics["mc_replicas"] = n_mc
-    return table, diagnostics, 0
+    return table, diagnostics
 
 
 _COMMANDS = {
@@ -623,7 +623,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         resolved = _resolve(args, _TABLES[args.command])
-        table, diagnostics, code = _COMMANDS[args.command](resolved)
+        table, diagnostics = _COMMANDS[args.command](resolved)
     except AllExtinctError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -642,7 +642,7 @@ def main(argv=None) -> int:
         Path(resolved["out"]).write_text(text)
     else:
         sys.stdout.write(text)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ __all__ = [
     "lumped_kernel_matrix",
     "KernelBand",
     "kernel_band",
-    "limit_kernel",
 ]
 
 Genotype = tuple
@@ -601,21 +600,3 @@ def lumped_kernel_matrix(params: ModelParams, band: KernelBand | None = None) ->
         windows[:] = band.values[s1:s2]
     return m
 
-
-def limit_kernel(i: int, k: int, a: float) -> float:
-    """Long-sequence limit of the class kernel with q = a / ell.
-
-    Back-mutations vanish in the limit, so a class-i parent begets a
-    class-k child with the Poisson(a) weight at k - i, and never moves
-    down in class.
-    """
-    if i < 0 or k < 0:
-        raise ValueError("class indices must be nonnegative")
-    if not (math.isfinite(a) and a >= 0):
-        raise ValueError(f"a must be finite and >= 0, got {a}")
-    if k < i:
-        return 0.0
-    d = k - i
-    if a == 0.0:
-        return 1.0 if d == 0 else 0.0
-    return math.exp(-a + d * math.log(a) - math.lgamma(d + 1))

@@ -27,7 +27,6 @@ __all__ = [
     "fitness_vector",
     "mean_matrix",
     "perron",
-    "power_iteration",
     "perron_bounds_check",
     "extinction_probabilities",
 ]
@@ -103,44 +102,6 @@ def mean_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarr
     return w
 
 
-def power_iteration(w: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6) -> PerronPair:
-    """Left power iteration for the Perron eigenpair of a nonnegative matrix.
-
-    Starts from the uniform distribution, renormalizes in 1-norm each
-    step, and stops once both the change in the eigenvalue estimate and
-    the residual ||rho W - lam rho||_1 drop below tol (relative to lam).
-    The number of steps grows like 1 / log(lam / |lam_2|), so near the
-    survival threshold it takes thousands; ``perron`` is the solver for
-    the model's mean matrix, and this generic one is kept as its oracle.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {w.shape}")
-    if w.min() < 0:
-        raise ValueError("matrix must be entrywise nonnegative")
-    n = w.shape[0]
-    v = np.full(n, 1.0 / n)
-    lam_prev = np.inf
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        y = v @ w
-        lam = float(y.sum())
-        if not lam > 0.0:
-            raise ValueError("power iteration hit a zero vector; matrix has a zero row sum")
-        residual = float(np.abs(y - lam * v).sum())
-        if residual < tol * lam and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return PerronPair(lam=lam, rho=v, residual=residual, iterations=it,
-                              method="power iteration")
-        lam_prev = lam
-        v = y / lam
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last residual {residual:.3e})",
-        residual=residual,
-        iterations=max_iter,
-    )
-
-
 def _secular_root(params: ModelParams, log_p: np.ndarray, lo: float, hi: float) -> float:
     """Root mu = lam - 1 in [lo, hi] of the closed-form secular equation.
 
@@ -214,21 +175,20 @@ def _inverse(t: np.ndarray) -> np.ndarray:
 
 
 def _solve(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with t x = b (b of shape (n, k)), t a nonsingular M-matrix, with no
-    numpy.linalg.solve call above _MAX_INV rows.
+    """x with t x = b (b of shape (n, k)), t a nonsingular M-matrix.
 
-    Larger t is split as [[A, B], [C, D]]: one solve with A gives
-    [Y | y] = A^-1 [B | b_1], then x_2 solves (D - C Y) x_2 = b_2 - C y and
-    x_1 = y - Y x_2.  As in ``_inverse``, the split needs no pivoting.
+    Up to _MAX_INV rows with fewer than 2n right-hand sides this is one
+    numpy.linalg.solve; otherwise it is _inverse(t) @ b, which keeps every
+    numpy.linalg call at or below _MAX_INV rows.  OpenBLAS inverts and
+    multiplies faster than it solves with many sides (2-vCPU host: 33
+    against 65 us at 20 rows and 82 sides, even at 50 rows and 51), and
+    above _MAX_INV rows faster than a split solve with a sweep's n + 1
+    sides (257 against 342 us at 107 rows, 1.9 against 3.2 ms at 250); with
+    the one side of a sweep's last block it is about 1.6 times slower.
     """
-    n = t.shape[0]
-    if n <= _MAX_INV:
+    if t.shape[0] <= _MAX_INV and b.shape[1] < 2 * t.shape[0]:
         return np.linalg.solve(t, b)
-    h = n // 2
-    top = _solve(t[:h, :h], np.hstack((t[:h, h:], b[:h])))
-    y_mat, y = top[:, : n - h], top[:, n - h :]
-    x_2 = _solve(t[h:, h:] - t[h:, :h] @ y_mat, b[h:] - t[h:, :h] @ y)
-    return np.vstack((y - y_mat @ x_2, x_2))
+    return _inverse(t) @ b
 
 
 def _flush(a: np.ndarray) -> None:
@@ -338,13 +298,8 @@ class _BandSolver:
             t.flat[:: t.shape[0] + 1] += 1.0
             if i:
                 rhs = np.concatenate((d_i * self.lower[i - 1], rhs), axis=1)
-                # OpenBLAS solves a narrow block with many right-hand sides
-                # slower than it inverts it and multiplies (2-vCPU host, 20
-                # rows and 82 sides: 65 against 33 us; even at 50 and 51)
-                sweep = _inverse(t) @ rhs if 2 * t.shape[0] <= rhs.shape[1] else _solve(t, rhs)
-                _flush(sweep[:, :-1])
-            else:
-                sweep = _solve(t, rhs)
+            sweep = _solve(t, rhs)
+            _flush(sweep[:, :-1])
             sweeps.append(sweep)
         x = np.empty(self.n)
         v = sweeps[-1][:, 0]

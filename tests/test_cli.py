@@ -633,7 +633,7 @@ def oracle_output(argv):
     """The command's table and diagnostics, rendered by the oracle, with duration_s = 0."""
     args = quasigw.cli.build_parser().parse_args(argv)
     resolved = quasigw.cli._resolve(args, quasigw.cli._TABLES[args.command])
-    table, diagnostics, _ = quasigw.cli._COMMANDS[args.command](resolved)
+    table, diagnostics = quasigw.cli._COMMANDS[args.command](resolved)
     diagnostics["duration_s"] = 0.0
     config = {"command": args.command, "version": __version__}
     config.update({k: v for k, v in resolved.items() if v is not None})

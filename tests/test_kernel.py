@@ -27,7 +27,6 @@ from quasigw import (
     genotypes,
     hamming_class,
     hamming_distance,
-    limit_kernel,
     lumped_kernel_entry,
     lumped_kernel_matrix,
     master_sequence,
@@ -682,42 +681,17 @@ class TestOnePassWindows:
 
 
 class TestLimitKernel:
-    def test_no_move_weight(self):
-        for i in range(4):
-            assert limit_kernel(i, i, 0.7) == pytest.approx(math.exp(-0.7), rel=1e-15)
-
-    def test_a_zero_indicator(self):
-        assert limit_kernel(2, 2, 0.0) == 1.0
-        assert limit_kernel(2, 3, 0.0) == 0.0
-
-    def test_hand_value(self):
-        assert limit_kernel(0, 1, LN2) == pytest.approx(LN2 / 2.0, rel=1e-15)
-
-    def test_downward_moves_forbidden(self):
-        assert limit_kernel(3, 1, 0.5) == 0.0
-
-    def test_rows_sum_to_one(self):
-        for i in (0, 2, 5):
-            total = math.fsum(limit_kernel(i, k, 1.3) for k in range(i, i + 80))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            limit_kernel(-1, 0, 0.5)
-        with pytest.raises(ValueError):
-            limit_kernel(0, 0, -0.5)
-
     def test_finite_kernel_converges_to_limit(self):
-        """With q = a/ell the class kernel approaches the limit as ell grows."""
+        """With q = a/ell the class kernel approaches its long-sequence limit as
+        ell grows: back-mutations vanish, and a class-i parent begets a class-k
+        child with the Poisson(a) weight at k - i."""
         a = LN2
+        limit = np.array([[math.exp(-a) * a ** (k - i) / math.factorial(k - i) if k >= i else 0.0
+                           for k in range(6)] for i in range(6)])
         gaps = {}
         for ell in (100, 10_000):
             p = ModelParams(sigma=2.0, ell=ell, kappa=2, q=a / ell)
-            gaps[ell] = np.array(
-                [
-                    [abs(lumped_kernel_entry(i, k, p) - limit_kernel(i, k, a)) for k in range(6)]
-                    for i in range(6)
-                ]
-            )
+            kernel = np.array([[lumped_kernel_entry(i, k, p) for k in range(6)] for i in range(6)])
+            gaps[ell] = np.abs(kernel - limit)
         assert np.all(gaps[10_000] < gaps[100] + 1e-15)
         assert np.max(gaps[10_000]) < 1e-3

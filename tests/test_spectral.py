@@ -14,6 +14,7 @@ import quasigw.spectral
 from quasigw import (
     ConvergenceError,
     ModelParams,
+    PerronPair,
     extinction_probabilities,
     fitness_vector,
     kernel_band,
@@ -21,12 +22,49 @@ from quasigw import (
     mean_matrix,
     perron,
     perron_bounds_check,
-    power_iteration,
 )
 from quasigw.kernel import BAND_FLOOR, _log_stationary_law
 from quasigw.spectral import _classes_reaching_master, _inverse, _solve
 
 LN2 = math.log(2.0)
+
+
+def power_iteration(w, tol=1e-12, max_iter=10**6):
+    """Left power iteration for the Perron eigenpair of a nonnegative matrix:
+    the generic solver, kept as the oracle for ``perron``.
+
+    Starts from the uniform distribution, renormalizes in 1-norm each
+    step, and stops once both the change in the eigenvalue estimate and
+    the residual ||rho W - lam rho||_1 drop below tol (relative to lam).
+    The number of steps grows like 1 / log(lam / |lam_2|), so near the
+    survival threshold it takes thousands.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {w.shape}")
+    if w.min() < 0:
+        raise ValueError("matrix must be entrywise nonnegative")
+    n = w.shape[0]
+    v = np.full(n, 1.0 / n)
+    lam_prev = np.inf
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        y = v @ w
+        lam = float(y.sum())
+        if not lam > 0.0:
+            raise ValueError("power iteration hit a zero vector; matrix has a zero row sum")
+        residual = float(np.abs(y - lam * v).sum())
+        if residual < tol * lam and abs(lam - lam_prev) <= tol * max(1.0, lam):
+            return PerronPair(lam=lam, rho=v, residual=residual, iterations=it,
+                              method="power iteration")
+        lam_prev = lam
+        v = y / lam
+    raise ConvergenceError(
+        f"power iteration did not converge in {max_iter} iterations "
+        f"(last residual {residual:.3e})",
+        residual=residual,
+        iterations=max_iter,
+    )
 
 
 def scalar_master_extinction(sigma, tol=1e-15, max_iter=10_000):
@@ -471,12 +509,18 @@ class TestPivotBlockSplit:
         if edges is not None:
             assert got == edges
 
-    def test_solve_with_a_wide_m_matrix(self):
+    @pytest.mark.parametrize("sides", ["1", "n+1", "2n"])
+    @pytest.mark.parametrize("n", [20, 99, 100, 250])
+    def test_solve_with_a_wide_m_matrix(self, n, sides):
+        """Each of _solve's branches, one numpy.linalg.solve up to _MAX_INV
+        rows with fewer than 2n sides and _inverse(t) @ b otherwise, on the
+        shapes a sweep gives it: n + 1 sides for a pivot block with its
+        coupling block, 1 for the last block."""
         rng = np.random.default_rng(1)
-        m = rng.random((250, 250))
+        m = rng.random((n, n))
         m /= m.sum(axis=1, keepdims=True)
-        t = 1.01 * np.eye(250) - 0.9 * np.diag(rng.random(250)) @ m
-        b = rng.random((250, 3))
+        t = 1.01 * np.eye(n) - 0.9 * np.diag(rng.random(n)) @ m
+        b = rng.random((n, {"1": 1, "n+1": n + 1, "2n": 2 * n}[sides]))
         assert np.max(np.abs(t @ _solve(t, b) - b)) < 1e-12
 
     def test_no_extinction_solve_reaches_100_rows(self, monkeypatch):
