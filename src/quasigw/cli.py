@@ -64,8 +64,9 @@ from .spectral import (
     extinction_probabilities,
     fitness_vector,
     mean_matrix,
-    perron,
+    perron,  # no CLI path calls it; the benchmark's tracer wraps this name (ROADMAP item 3)
     perron_bounds_check,
+    perron_head,
 )
 
 _REQUIRED = object()
@@ -120,9 +121,9 @@ _TABLES = {
     "kernel": {**_MODEL_OPTS, **_OUT_OPTS},
     "perron": {
         **_MODEL_OPTS,
-        "tol": (float, 1e-12, "bound on the last Newton step in lambda and on the residual "
-                              "||rho W - lambda rho||_1, both relative to lambda"),
-        "max_iter": (int, 100, "budget of banded eliminations, one per Newton step"),
+        "tol": (float, 1e-12, "tolerance of the closed-form lambda solve: bound on its last "
+                              "Newton step in log(lambda - 1), relative in lambda - 1"),
+        "max_iter": (int, 100, "step budget of the closed-form lambda solve"),
         "k_report": (int, 10, "report classes 0..k_report"),
         **_OUT_OPTS,
     },
@@ -138,10 +139,9 @@ _TABLES = {
         "kappa": (int, 2, "alphabet size, >= 2"),
         "ell_grid": (_int_list, _REQUIRED, "comma-separated sequence lengths"),
         "k_report": (int, 5, "compare classes 0..k_report"),
-        "tol": (float, 1e-12, "Perron solve tolerance per length: bound on the last Newton "
-                              "step and on the residual, relative to lambda"),
-        "max_iter": (int, 100, "Perron solve budget per length, in banded "
-                               "eliminations (one per Newton step)"),
+        "tol": (float, 1e-12, "tolerance of the closed-form lambda solve per length: bound "
+                              "on its last Newton step in log(lambda - 1)"),
+        "max_iter": (int, 100, "step budget of the closed-form lambda solve per length"),
         **_OUT_OPTS,
     },
     "simulate": {
@@ -299,21 +299,20 @@ def cmd_kernel(resolved: dict):
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
     k_report = _nonnegative(resolved, "k_report")
-    band = kernel_band(params)
-    pair = perron(params, band=band, tol=resolved["tol"], max_iter=resolved["max_iter"])
-    bounds = perron_bounds_check(pair, params, band=band, k_max=k_report)
-    identity_gap = abs(pair.lam - ((params.sigma - 1.0) * float(pair.rho[0]) + 1.0))
-    k = np.arange(min(k_report, params.ell) + 1)
-    table = {"k": k, "rho": pair.rho[k]}
+    head = perron_head(params, k_max=k_report, tol=resolved["tol"], max_iter=resolved["max_iter"])
+    # the band serves only to check the closed form against the numerical kernel
+    bounds = perron_bounds_check(head, params, band=kernel_band(params), k_max=k_report)
+    identity_gap = abs(head.lam - ((params.sigma - 1.0) * float(head.rho[0]) + 1.0))
+    table = {"k": np.arange(head.rho.size), "rho": head.rho}
     diagnostics = {
-        "lambda": pair.lam,
-        "residual": pair.residual,
-        "method": pair.method,
-        "iterations": pair.iterations,
+        "lambda": head.lam,
+        "residual": head.residual,
+        "method": head.method,
+        "iterations": head.iterations,
         "identity_gap": identity_gap,
         # lambda - 1 = (sigma - 1) rho_0 exactly, so 1 < lambda < sigma is
         # 0 < rho_0 < 1, which holds where lambda - 1 rounds away
-        "lambda_in_range": bool(params.sigma > 1.0 and 0.0 < pair.rho[0] < 1.0),
+        "lambda_in_range": bool(params.sigma > 1.0 and 0.0 < head.rho[0] < 1.0),
         "bounds_ok": bounds.passed,
     }
     return table, diagnostics
@@ -360,22 +359,23 @@ def cmd_converge(resolved: dict):
         raise ValueError("--ell-grid must list at least one length")
     k_top = min(_nonnegative(resolved, "k_report"), min(grid))
     q_limit = qs_pmf(qp, np.arange(k_top + 1))
-    qs, pairs = [], []
+    qs, heads = [], []
     for ell in grid:
         params = ModelParams(sigma=resolved["sigma"], ell=ell, kappa=resolved["kappa"],
                              q=resolved["a"] / ell)
         qs.append(params.q)
-        pairs.append(perron(params, tol=resolved["tol"], max_iter=resolved["max_iter"]))
-    lam = np.array([pair.lam for pair in pairs])
-    rho = np.array([pair.rho[np.arange(k_top + 1)] for pair in pairs])
+        heads.append(perron_head(params, k_max=k_top, tol=resolved["tol"],
+                                 max_iter=resolved["max_iter"]))
+    lam = np.array([head.lam for head in heads])
+    rho = np.array([head.rho for head in heads])
     gap = np.abs(rho - q_limit)
     table = {
         "ell": np.array(grid),
         "q": np.array(qs),
         "lambda": lam,
         "lambda_gap": np.abs(lam - lam_limit),
-        "method": np.array([pair.method for pair in pairs]),
-        "iterations": np.array([pair.iterations for pair in pairs]),
+        "method": np.array([head.method for head in heads]),
+        "iterations": np.array([head.iterations for head in heads]),
     }
     table.update((f"rho{k}", rho[:, k]) for k in range(k_top + 1))
     table.update((f"gap{k}", gap[:, k]) for k in range(k_top + 1))

@@ -218,20 +218,24 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _binom_logpmf(n: np.ndarray, k: np.ndarray, p: float) -> np.ndarray:
-    """log of the Binomial(n, p) pmf at k, for 0 < k < n, by Loader's saddle point.
+    """log of the Binomial(n, p) pmf at 0 <= k <= n, for 0 < p < 1.
 
-    log pmf = stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n p)
-    - bd0(n - k, n (1 - p)) - log(2 pi k (n - k) / n)/2 (Loader 2000, the
-    method of R's dbinom).  No term is a difference of large numbers, so
-    the result is accurate to a few ulps of its largest term: near the mode
-    the pmf comes out to a few ulps relative, where a difference of
-    log-factorials loses about log(n!) ulps.
+    For 0 < k < n, by Loader's saddle point: log pmf = stirlerr(n)
+    - stirlerr(k) - stirlerr(n - k) - bd0(k, n p) - bd0(n - k, n (1 - p))
+    - log(2 pi k (n - k) / n)/2 (Loader 2000, the method of R's dbinom).
+    No term is a difference of large numbers, so the result is accurate to
+    a few ulps of its largest term: near the mode the pmf comes out to a
+    few ulps relative, where a difference of log-factorials loses about
+    log(n!) ulps.  The ends are exact: n log(1 - p) at k = 0, n log p at
+    k = n.
     """
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
-    return (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
-            - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
-            - 0.5 * np.log(2.0 * math.pi * k * (n - k) / n))
+    with np.errstate(divide="ignore", invalid="ignore"):   # the ends, replaced below
+        inner = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+                 - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
+                 - 0.5 * np.log(2.0 * math.pi * k * (n - k) / n))
+    return np.where(k == 0, n * math.log1p(-p), np.where(k == n, n * math.log(p), inner))
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -326,8 +330,9 @@ def _binom_window_pmfs(n: np.ndarray, p: float, lo: np.ndarray, hi: np.ndarray) 
     return pmfs
 
 
-def _log_stationary_law(params: ModelParams) -> np.ndarray:
-    """Log pmf of Binomial(ell, 1 - 1/kappa), the stationary law of the class kernel.
+def _log_stationary_law(params: ModelParams, k_max: int | None = None) -> np.ndarray:
+    """Log pmf of Binomial(ell, 1 - 1/kappa), the stationary law of the class
+    kernel, at classes 0..k_max (all ell + 1 classes by default).
 
     p_j = kappa^-ell C(ell, j) (kappa - 1)^j.  Where kappa^-ell is a normal
     float (ell log kappa < 708: ell <= 1022 at kappa = 2) every p_j is one
@@ -339,22 +344,25 @@ def _log_stationary_law(params: ModelParams) -> np.ndarray:
     costs about 0.1 ms more per call.  Beyond that range, log p_j comes
     from Loader's saddle point (``_binom_logpmf``) and the ends from their
     closed forms.  Either way log p_j is within a few ulps of |log p_j|
-    (plus a few 1e-14) of its exact value wherever p_j is a normal float.
+    (plus a few 1e-14) of its exact value wherever p_j is a normal float,
+    and the classes 0..k_max cost O(k_max), the same values as in the full
+    law.
     """
     ell, kappa = params.ell, params.kappa
+    top = ell if k_max is None else min(k_max, ell)
     p_0 = float(kappa) ** -ell
     if p_0 >= np.finfo(float).tiny:
-        law = np.empty(ell + 1)
+        law = np.empty(top + 1)
         law[0] = p_0
-        j = np.arange(1.0, ell + 1)
-        np.divide(j[::-1], j, out=law[1:])   # (ell - j + 1) / j
+        j = np.arange(1.0, top + 1)
+        np.divide(ell - j + 1.0, j, out=law[1:])
         if kappa > 2:
             law[1:] *= kappa - 1
         return np.log(np.cumprod(law, out=law), out=law)
-    log_p = np.empty(ell + 1)
+    log_p = _binom_logpmf(ell, np.arange(top + 1), 1.0 - 1.0 / kappa)
     log_p[0] = -ell * math.log(kappa)
-    log_p[ell] = ell * math.log1p(-1.0 / kappa)
-    log_p[1:ell] = _binom_logpmf(ell, np.arange(1, ell), 1.0 - 1.0 / kappa)
+    if top == ell:
+        log_p[ell] = ell * math.log1p(-1.0 / kappa)
     return log_p
 
 

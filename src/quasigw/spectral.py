@@ -21,12 +21,14 @@ from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _log_stationary_law, k
 __all__ = [
     "ConvergenceError",
     "PerronPair",
+    "PerronHead",
     "ExtinctionReport",
     "BoundsRow",
     "BoundsReport",
     "fitness_vector",
     "mean_matrix",
     "perron",
+    "perron_head",
     "perron_bounds_check",
     "extinction_probabilities",
 ]
@@ -48,6 +50,14 @@ _EPS = float(np.finfo(float).eps)
 # -_DIP * u_k * max(u).
 _RATIO_LO, _RATIO_HI, _RATIO_AGREE = 0.3, 0.9, 0.05
 _DIP = 1e-3
+# Closed-form head: the series is summed to a length doubling from
+# _HEAD_CHUNK terms, at most _HEAD_MAX_TERMS, until the part left out is
+# below exp(_LOG_HEAD_EPS) of each class.
+_HEAD_CHUNK = 64
+_HEAD_MAX_TERMS = 1 << 18
+_HEAD_BLOCK = 1 << 18   # terms times classes summed at a time
+_LOG_HEAD_EPS = math.log(_EPS / 4)
+_LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
 
 
 class ConvergenceError(RuntimeError):
@@ -67,6 +77,23 @@ class PerronPair:
     rho: np.ndarray
     residual: float
     iterations: int
+    method: str
+
+
+@dataclass(frozen=True)
+class PerronHead:
+    """Perron eigenvalue lam = 1 + mu (mu to full relative accuracy, also
+    where lam rounds to 1) and the head rho_0..rho_K of the left
+    eigenvector (unit total mass over all classes), with how the solve got
+    them: steps of the lam solve (``iterations``), series terms
+    (``terms``) and the secular residual |(sigma - 1) x_0(lam) - 1|."""
+
+    lam: float
+    mu: float
+    rho: np.ndarray
+    iterations: int
+    terms: int
+    residual: float
     method: str
 
 
@@ -102,52 +129,289 @@ def mean_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarr
     return w
 
 
-def _secular_root(params: ModelParams, log_p: np.ndarray, lo: float, hi: float) -> float:
-    """Root mu = lam - 1 in [lo, hi] of the closed-form secular equation.
+class _HeadSeries:
+    """Terms of the closed-form head series, for ``perron_head``, in long
+    double (an 80-bit float on x86; where numpy's longdouble is a double
+    the head loses about a decimal digit).
 
-    Loci mutate independently, so (M^n)(0,0) = (1/kappa + (1 - 1/kappa)
-    theta^n)^ell with theta = 1 - q kappa / (kappa - 1), and
-
-        [r (lam I - M)^-1]_0 = sum_j p_j theta^j / (1 + mu - theta^j),
-
-    p_j = exp(log_p[j]) the stationary law.  For theta > 0, the only case
-    this is called for, every term is positive and the sum phi(mu)
-    decreases from +inf at mu = 0; lam solves (sigma - 1) phi = 1.  Newton
-    runs on 1 / phi - (sigma - 1), which the pole at mu = 0 makes nearly
-    linear, inside the bracket [lo, hi] (bisection when a step leaves it).
-    Returns lo when the root lies at or below lo.  Costs O(ell) per step.
+    Loci mutate independently, so M^n(0, k) is the Binomial(ell, p_n) pmf
+    at k, with p_n = (1 - 1/kappa)(1 - theta^n) and theta = 1 - q kappa /
+    (kappa - 1) (p_1 = q exactly).  Each pmf is taken in log space as
+    log C(ell, k) + k log p_n + (ell - k) log(1 - p_n), log C(ell, k) the
+    sum of the logs of (ell - i) / (i + 1), i < k.  The first two terms
+    are each up to k log ell in size, and cancel for small p_n; in long
+    double that costs ~1e-17 relative at k = 10, where a double would
+    lose ~1e-14.
     """
-    kappa, q, sigma = params.kappa, params.q, params.sigma
-    jt = np.arange(1, params.ell + 1) * math.log1p(-q * kappa / (kappa - 1))
-    weight = np.exp(log_p[1:] + jt)            # p_j theta^j, j >= 1
-    gap = -np.expm1(jt)                        # 1 - theta^j
 
-    def excess(mu):  # 1 / phi - (sigma - 1) and its derivative; increasing in mu
-        d = mu + gap
-        pole = math.exp(log_p[0] - math.log(mu))
-        phi = pole + float(np.sum(weight / d))
-        if phi == 0.0:  # every term underflows: the root lies far below mu
-            return math.inf, 1.0
-        slope = pole / mu + float(np.sum(weight / (d * d)))
-        return 1.0 / phi - (sigma - 1.0), slope / phi / phi
+    def __init__(self, params: ModelParams, log_pi: np.ndarray):
+        self.params, self.log_pi = params, log_pi.astype(np.longdouble)
+        kappa = params.kappa
+        c = np.longdouble(params.q) * kappa / (kappa - 1)
+        self.theta = float(1 - c)
+        # log|theta| and 1 - |theta| without cancellation
+        self.log_abs_theta = np.log1p(-c) if c < 1 else np.log(c - 1)
+        self.gap = float(c if c < 1 else 2 - c)
+        self.k = np.arange(log_pi.size)
+        i = self.k[:-1].astype(np.longdouble)
+        self.log_binom = np.concatenate(([0], np.cumsum(np.log((params.ell - i) / (i + 1)))))
+        self.n_terms = _HEAD_CHUNK
+        self._columns = {}
 
-    mu = lo
-    g, dg = excess(mu)
-    if g >= 0.0:
-        return lo
-    for _ in range(200):
-        if g < 0.0:
-            lo = mu
+    def log_pmfs(self, n0: int, n1: int, ks: np.ndarray) -> tuple[np.ndarray, float]:
+        """log M^n(0, k) for n0 <= n < n1 and the classes ks, as a (ks.size,
+        n1 - n0) array, and p_{n1 - 1}.  log p_n and log(1 - p_n) are kept
+        per block, as the lam solve asks for the same blocks at every step."""
+        if (n0, n1) not in self._columns:
+            self._columns[n0, n1] = self._log_probs(n0, n1)
+        log_p, log_keep, p_last = self._columns[n0, n1]
+        k = ks[:, None]
+        return self.log_binom[k] + k * log_p + (self.params.ell - k) * log_keep, p_last
+
+    def _log_probs(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """log p_n and log(1 - p_n) for n0 <= n < n1, and p_{n1 - 1}."""
+        kappa, q = self.params.kappa, np.longdouble(self.params.q)
+        n = np.arange(n0, n1)
+        e = n * self.log_abs_theta                             # log|theta^n|
+        neg = (n % 2 == 1) & (self.theta < 0.0)
+        z = np.where(neg, -np.exp(e), np.exp(e))              # theta^n
+        p = (1 - np.longdouble(1) / kappa) * np.where(neg, 1 - z, -np.expm1(e))
+        # log(1 - p_n) = log(1/kappa + (1 - 1/kappa) theta^n)
+        log_keep = np.where(neg, np.log1p((kappa - 1) * z) - np.log(np.longdouble(kappa)),
+                            np.log1p(-p))
+        if n0 == 1:
+            p[0], log_keep[0] = q, np.log1p(-q)
+        return np.log(p), log_keep, float(p[-1])
+
+    def tail_ok(self, n: int, ks: np.ndarray, log_m_last: np.ndarray, p_last: float,
+                log_x: np.ndarray, t: float) -> np.ndarray:
+        """For each class k in ks, whether sum_{j > n} lam^-j |d_j(k)|, d_j(k)
+        = M^j(0, k) - pi_k, is below exp(_LOG_HEAD_EPS) of x_k = rho_k / mu at
+        mu = exp(t), given log M^n(0, k), p_n and log x_k; or, for a class
+        whose rho_k underflows, of the smallest float over mu.
+
+        |d_j(k)| <= 1, so the sum is at most lam^-n / mu.  It is also bounded
+        by lam^-n |d_n(k)| times r / (1 - r), r = |theta| / lam, in these
+        cases.  For class 0 and theta > 0: d_n(0) = sum_j pi_j theta^(jn)
+        falls by at least theta per step.  For a class k > 0 and theta > 0,
+        once p_n has passed k / ell, the pmf's mode in p, from where d_n(k)
+        falls toward 0.  For theta < 0, where d_n swings in sign, with
+        |d_n(k)| taken as g_k(|theta|^n) - pi_k, g_k(w) = pi_k (1 + w)^k
+        (1 + (kappa - 1) w)^(ell - k) the polynomial of the absolute values of
+        d_n(k)'s coefficients in theta^n, which falls by at least |theta| per
+        step.
+        """
+        ell, kappa = self.params.ell, self.params.kappa
+        mu = math.exp(t)
+        log_pi = self.log_pi[ks].astype(float)
+        if self.theta > 0.0:
+            log_m = log_m_last.astype(float)
+            hi = np.maximum(log_m, log_pi)
+            with np.errstate(divide="ignore"):             # d_n(k) = 0 exactly
+                log_d = hi + np.log(-np.expm1(np.minimum(log_m, log_pi) - hi))
+            past = (ks >= ell * (1.0 - 1.0 / kappa)) | (ell * p_last >= ks)
         else:
-            hi = mu
-        new = mu - g / dg
-        if not lo <= new <= hi:
-            new = math.sqrt(lo * hi)
-        if abs(new - mu) <= 4 * _EPS * new:
-            return new
-        mu = new
-        g, dg = excess(mu)
-    return mu
+            w = math.exp(n * float(self.log_abs_theta))
+            with np.errstate(over="ignore", divide="ignore"):
+                log_d = log_pi + np.log(np.expm1(ks * math.log1p(w)
+                                                 + (ell - ks) * math.log1p((kappa - 1) * w)))
+            past = True
+        decay = -n * math.log1p(mu)
+        geometric = log_d + decay + float(self.log_abs_theta) - math.log(mu + self.gap)
+        level = _LOG_HEAD_EPS + np.maximum(log_x.astype(float), _LOG_TINY - t)
+        return (past & (geometric <= level)) | (decay - t <= level)
+
+    def _add(self, n0: int, n1: int, ks: np.ndarray, rate: np.longdouble, acc: tuple) -> tuple:
+        """acc = (c_k, s_k, m_k) for the classes ks, with the terms lam^-n
+        M^n(0, k), n0 <= n < n1, added: their sum is exp(c_k) s_k and that of
+        n times them exp(c_k) m_k, c_k the log of the largest.  Also
+        log M^(n1 - 1)(0, k) and p_(n1 - 1).  In blocks of at most
+        _HEAD_BLOCK terms in all."""
+        c, s, m = acc
+        width = max(1, _HEAD_BLOCK // ks.size)
+        for b0 in range(n0, n1, width):
+            n = np.arange(b0, min(b0 + width, n1))
+            log_m, p_last = self.log_pmfs(b0, b0 + n.size, ks)
+            a = log_m - n * rate
+            top = np.maximum(c, a.max(axis=1))
+            scaled = np.exp(a - top[:, None])
+            shrink = np.exp(c - top)
+            s, m, c = s * shrink + scaled.sum(axis=1), m * shrink + scaled @ n, top
+        return (c, s, m), log_m[:, -1], p_last
+
+    def sums(self, rows: int, t: np.longdouble) -> tuple[np.ndarray, ...]:
+        """x_k = rho_k / mu at mu = exp(t) for classes k < rows, class k
+        summed to n = N_k as
+
+            x_k = sum_{n <= N_k} lam^-n M^n(0, k) + pi_k lam^-N_k / mu,
+
+        the series with every term from N_k on taken at M^n(0, k) = pi_k,
+        the limit it tends to: every term is positive, and the rest,
+        sum_{n > N_k} lam^-n d_n(k), is what ``tail_ok`` bounds.  N_k
+        doubles from _HEAD_CHUNK, checked from ``n_terms``, class 0's last,
+        on, up to _HEAD_MAX_TERMS for the classes whose rest is not yet
+        small enough (ConvergenceError past that).  In log space, as terms and sums may
+        underflow or overflow: returns c_k, the log of the largest term;
+        divided by exp(c_k), the sum of the terms lam^-n M^n(0, k), of n
+        times them and the last one, pi_k lam^-N_k / mu; then log(pi_k
+        lam^-N_k), log x_k and N_k.  No exponent as large as log mu enters a
+        term but the last.
+        """
+        rate = np.log1p(np.exp(t))
+        c = np.full(rows, -np.inf, dtype=np.longdouble)
+        s, m, log_x = np.zeros((3, rows), dtype=np.longdouble)
+        n = np.zeros(rows, dtype=np.int64)
+        active, done, size = np.arange(rows), 0, _HEAD_CHUNK
+        while True:
+            acc = (c[active], s[active], m[active])
+            (c[active], s[active], m[active]), log_m_last, p_last = self._add(
+                done + 1, size + 1, active, rate, acc)
+            n[active] = size
+            if size < self.n_terms:   # known to fall short: the blocks stay on one grid
+                done, size = size, 2 * size
+                continue
+            log_tail = self.log_pi[active] - size * rate
+            top = np.maximum(c[active], log_tail - t)
+            log_x[active] = top + np.log(s[active] * np.exp(c[active] - top)
+                                         + np.exp(log_tail - t - top))
+            active = active[~self.tail_ok(size, active, log_m_last, p_last, log_x[active],
+                                          float(t))]
+            if not active.size:
+                break
+            if size >= _HEAD_MAX_TERMS:
+                raise ConvergenceError(f"closed-form Perron series did not converge in {size} terms")
+            done, size = size, min(2 * size, _HEAD_MAX_TERMS)
+        self.n_terms = int(n[0])
+        log_tail = self.log_pi[:rows] - n * rate
+        top = np.maximum(c, log_tail - t)
+        scale = np.exp(c - top)
+        return top, s * scale, m * scale, np.exp(log_tail - t - top), log_tail, log_x, n
+
+
+def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
+                max_iter: int = 100) -> PerronHead:
+    """Perron eigenvalue lam = 1 + mu of W and the head rho_0..rho_K
+    (K = min(k_max, ell)) of its left eigenvector, in closed form.
+
+    W = M + (sigma - 1) e_0 r with r = M(0, :), so rho is proportional to
+    x = r (lam I - M)^-1 = sum_{n >= 1} lam^-n M^n(0, :); M is stochastic,
+    so sum x = 1 / mu and rho = mu x exactly.  Loci mutate independently,
+    so M^n(0, k) is the Binomial(ell, p_n) pmf at k with p_n = (1 - 1/kappa)
+    (1 - theta^n), theta = 1 - q kappa / (kappa - 1) (``_HeadSeries``).
+    Every term is positive for every theta >= -1 / (kappa - 1), the whole
+    range of q.  The terms tend to pi_k lam^-n, pi the stationary law
+    (``_log_stationary_law``), so the series is summed to n = N and every
+    term past N is taken at that limit:
+
+        x_k = sum_{n <= N} lam^-n M^n(0, k) + pi_k lam^-N / mu,
+
+    all terms positive, also where rho_k is far below pi_k, and the form
+    holds where lam - 1 lies far below the spacing of floats at 1.  N
+    doubles from _HEAD_CHUNK until the part left out, sum_{n > N} lam^-n
+    (M^n(0, k) - pi_k), is below eps / 4 of each x_k, or of the smallest
+    float where rho_k underflows (``_HeadSeries.tail_ok``); ``terms`` is
+    the N of the head.  Where both
+    mu and 1 - |theta| are tiny (sigma near 1 and q near 0) that part
+    falls by only about a factor 1 - mu - (1 - |theta|) per term, and past
+    _HEAD_MAX_TERMS the solve raises ConvergenceError.  The cost is
+    O(K N), with no ell-sized array: no band and no elimination.
+
+    lam solves the secular equation (sigma - 1) x_0(lam) = 1, x_0
+    decreasing in lam, in t = log mu, so mu keeps its relative accuracy
+    down to the smallest float and below.  It starts at lam = sigma
+    M(0, 0), the root for the first term alone, where that is above 1, and
+    at lam = sigma otherwise, and keeps a bracket, [(sigma - 1) pi_0 /
+    (sigma + 1), sigma - 1] in mu at first (x_0 >= pi_0 / (mu (2 + mu))
+    from the even terms).  Where the pole pi_0 lam^-N / mu moves x_0 more
+    than the rest D_0 does, a step is Newton on x_0 in 1 / mu, exact for
+    x_0 = pi_0 / mu + const; elsewhere Newton on 1 / x_0 in mu, exact for a
+    geometric series, or else the root of the pole with D_0 held, which
+    jumps from where D_0 is flat to where the pole counts.  A step that
+    leaves the bracket gives way to the next, and to the bracket's
+    midpoint.  The solve stops once a step is at most tol in t (relative
+    in mu), or too small to change t; max_iter bounds the steps
+    (``iterations``), and running out raises ConvergenceError.
+    ``residual`` is the secular residual |(sigma - 1) x_0(lam) - 1| at
+    the end.  Near the threshold the root is ill-conditioned (at sigma =
+    2, sigma e^-a = 1.01, one ulp of x_0 moves mu by 50 ulps), so t and
+    the sums are kept in long double, and mu and rho come out within a
+    few ulps.
+
+    Closed forms with no solve (``iterations`` 0): where theta rounds to 1
+    (q = 0, or nearly) M is the identity, so lam = sigma and rho = e_0 (at
+    sigma = 1 too, the limit as sigma falls to 1); at theta = 0 every row
+    of M is pi, so rho = pi and lam = 1 + (sigma - 1) pi_0 (method
+    "closed form (theta = 0)"); at sigma = 1, W = M and (lam, rho) =
+    (1, pi).
+    """
+    sigma, kappa = params.sigma, params.kappa
+    log_pi = _log_stationary_law(params, k_max)
+    theta = 1.0 - params.q * kappa / (kappa - 1)
+    if theta == 1.0:
+        return PerronHead(lam=sigma, mu=sigma - 1.0, rho=np.eye(1, log_pi.size)[0],
+                          iterations=0, terms=0, residual=0.0, method="closed form")
+    if theta == 0.0 or sigma == 1.0:
+        pi = np.exp(log_pi)
+        mu = (sigma - 1.0) * float(pi[0])
+        method = "closed form (theta = 0)" if theta == 0.0 else "closed form"
+        return PerronHead(lam=1.0 + mu, mu=mu, rho=pi, iterations=0, terms=0, residual=0.0,
+                          method=method)
+    series = _HeadSeries(params, log_pi)
+    log_sm1 = np.log(np.longdouble(sigma) - 1)
+    log_pi_0 = series.log_pi[0]
+
+    def secular(t):
+        """h(t) = log((sigma - 1) x_0), h'(t), whether the pole term
+        pi_0 lam^-N / mu of x_0 (N its terms) moves more with t than the
+        rest D_0 does, and the root in t of the pole with D_0 held."""
+        (c,), (rest,), (moment,), (pole,), (log_tail,), (log_x,), (n,) = series.sums(1, t)
+        mu = np.exp(t)
+        # x_0 = exp(c) (pole + rest), dx_0/dt = -exp(c) (pole (1 + N mu / lam) + slope)
+        slope = moment * (mu / (1 + mu))
+        dh = -(pole * (1 + n * mu / (1 + mu)) + slope) / (pole + rest)
+        with np.errstate(divide="ignore", invalid="ignore"):   # none where (sigma - 1) D_0 >= 1
+            t_pole = log_tail + log_sm1 - np.log(-np.expm1(log_sm1 + c + np.log(rest)))
+        return log_sm1 + log_x, dh, pole > slope, t_pole
+
+    t_hi = log_sm1
+    t_lo = log_sm1 + log_pi_0 - np.log1p(np.longdouble(sigma))
+    # start at lam = sigma M(0, 0), the root of the series' first term, where
+    # that lies above 1; at lam = sigma otherwise
+    guess = sigma * math.exp(params.ell * math.log1p(-params.q)) - 1.0
+    t = np.log(np.longdouble(guess)) if guess > 0.0 else t_hi
+    it = 0
+    while True:
+        h, dh, pole_led, t_pole = secular(t)
+        if it == max_iter:
+            residual = float(abs(np.expm1(h)))
+            raise ConvergenceError(
+                f"closed-form Perron solve did not converge in {max_iter} steps "
+                f"(secular residual {residual:.3e})", residual=residual, iterations=it)
+        it += 1
+        if h > 0:
+            t_lo = t
+        else:
+            t_hi = t
+        # the first of the docstring's steps that stays in the bracket
+        with np.errstate(all="ignore"):   # a step that overflows fails the test below
+            pole_step = -np.log1p(-np.expm1(-h) / dh)
+            steps = ((pole_step,) if pole_led else
+                     (np.log1p(-np.expm1(h) / dh), t_pole - t, pole_step))
+        new = (t_lo + t_hi) / 2
+        for step in steps:
+            if t_lo <= t + step <= t_hi:   # a nan step fails this test
+                new = t + step
+                break
+        done = abs(new - t) <= tol or new == t
+        t = new
+        if done:
+            break
+    c, terms, _, _, log_tail, log_x, n = series.sums(log_pi.size, t)
+    rho = np.exp(t + c) * terms + np.exp(log_tail)
+    mu = np.exp(t)
+    return PerronHead(lam=float(1 + mu), mu=float(mu), rho=rho.astype(float), iterations=it,
+                      terms=int(n.max()), residual=float(abs(np.expm1(log_sm1 + log_x[0]))),
+                      method="closed form")
 
 
 def _inverse(t: np.ndarray) -> np.ndarray:
@@ -316,7 +580,9 @@ def perron(
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> PerronPair:
-    """Perron eigenvalue and left eigenvector of the mean matrix W.
+    """Perron eigenvalue and the whole left eigenvector of the mean matrix W,
+    on the numerical kernel: the full-vector solver, and the oracle that
+    ``perron_head``'s closed form is tested against.
 
     W = M + (sigma - 1) e_0 r with r = M(0, :) and M the stochastic class
     kernel, so from rho W = lam rho, rho is proportional to
@@ -330,10 +596,10 @@ def perron(
     method "closed form (theta = 0)"): then rho = pi and
     lam = 1 + (sigma - 1) pi_0 directly, with no elimination.
 
-    Otherwise lam starts at the root of the closed-form secular equation
-    (``_secular_root``); for q > (kappa - 1) / kappa its terms alternate
-    in sign and lam starts at sigma instead.  Newton steps on the
-    numerical kernel refine it: each factors lam I - M once by banded
+    Otherwise lam starts at the closed-form root (``perron_head``, for
+    every theta), or at sigma where its series converges too slowly
+    (sigma near 1 and q near 0).  Newton steps on the numerical kernel
+    refine it: each factors lam I - M once by banded
     block elimination (``_BandSolver``) and gives x and
     y = x (lam I - M)^-1 = -dx/dlam; the step is delta = f x_0 / y_0
     (Newton on 1 / x_0), kept inside the bracket the signs of f give
@@ -413,11 +679,12 @@ def perron(
     margin = _FLOOR_ULPS * _EPS
     floor = lo = pole + margin
     hi = max(sigma - 1.0, lo)
-    if params.q * kappa < kappa - 1:
-        # the closed form's pole is at mu = 0, the numerical kernel's at pole
-        mu = min(pole + _secular_root(params, log_pi, margin, hi - pole), hi)
-    else:
-        mu = hi
+    try:
+        start = perron_head(params, k_max=0).mu
+    except ConvergenceError:   # the closed-form series converges too slowly
+        start = hi
+    # the closed form's pole is at mu = 0, the numerical kernel's at pole
+    mu = min(pole + max(start, margin), hi)
     r = band.block(0, 1, 0, band.n)[0]
     step = residual = np.inf
     it = 0
@@ -493,13 +760,14 @@ class BoundsReport:
 
 
 def perron_bounds_check(
-    pair: PerronPair,
+    pair: PerronPair | PerronHead,
     params: ModelParams,
     band: KernelBand | None = None,
     k_max: int = 10,
     rtol: float = 1e-11,
 ) -> BoundsReport:
-    """Sandwich check on the eigenvalue equations.
+    """Sandwich check on the eigenvalue equations, for the pair's lam and
+    rho_0..rho_k_max (a ``PerronHead`` of at least k_max + 1 classes will do).
 
     For each class k, the eigenvalue equation lam * rho(k) =
     sigma rho(0) M(0,k) + sum_{i>=1} rho(i) M(i,k) is bracketed by

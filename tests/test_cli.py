@@ -272,11 +272,12 @@ class TestPerronCommand:
         assert meta["diagnostics.lambda_in_range"] == "true"
 
     def test_nonconvergence_exit_code(self, capsys):
+        """The lambda solve needs 4 steps here; a budget of 2 runs out."""
         code = main(
             ["perron", "--sigma", "3", "--ell", "30", "--q", "0.8", "--max-iter", "2"]
         )
         assert code == 2
-        assert "converge" in capsys.readouterr().err.lower()
+        assert "closed-form perron solve did not converge in 2 steps" in capsys.readouterr().err.lower()
 
 
 class TestQuasispeciesCommand:
@@ -320,8 +321,9 @@ class TestConvergeCommand:
             assert gaps[2] < gaps[0]
 
     def test_reports_method_and_steps_per_length(self, tmp_path):
-        """sigma e^-a = 0.5: only the longer length needs the stationary limit;
-        each length takes one elimination."""
+        """sigma e^-a = 0.5: each length is solved in closed form, in a few
+        steps of the lambda solve, also at ell = 100 where lambda - 1 is
+        1.2e-30."""
         code, meta, header, rows = run_csv(
             ["converge", "--sigma", "2", "--a", "1.386", "--ell-grid", "10,100"],
             tmp_path / "c.csv",
@@ -329,9 +331,9 @@ class TestConvergeCommand:
         assert code == 0
         assert "diagnostics.method" not in meta
         methods = [r[header.index("method")] for r in rows]
-        assert methods == ["secular Newton", "secular Newton (stationary limit)"]
+        assert methods == ["closed form", "closed form"]
         steps = [int(r[header.index("iterations")]) for r in rows]
-        assert steps == [1, 1]
+        assert steps == [6, 5]
 
     def test_a_zero_grid_is_exact(self, tmp_path):
         code, _, header, rows = run_csv(
@@ -683,7 +685,7 @@ class TestOutputBytes:
         assert ",true," in out.read_text() and ",false," in out.read_text()
         main([*BYTE_CASES["converge"], "--out", str(out)])
         assert "# config.ell_grid=100;200\n" in out.read_text()
-        assert ",secular Newton," in out.read_text()
+        assert ",closed form," in out.read_text()
         main([*BYTE_CASES["kernel-kappa2"], "--out", str(out)])
         m = np.loadtxt(out, delimiter=",", skiprows=1 + out.read_text().count("#"))[:, 1:-1]
         assert (m == 0).sum() > 0 and np.array_equal(m, m[::-1, ::-1])

@@ -480,6 +480,19 @@ class TestPmfAccuracy:
                     worst = max(worst, abs(float((value - ref) / ref)))
         assert worst <= 1e-13
 
+    @pytest.mark.parametrize("n,p", [(1, 0.3), (12, 0.25), (60, 0.1), (300, 0.5), (1000, 0.01)])
+    def test_binom_logpmf_matches_math_comb(self, n, p):
+        """The log pmf at every 0 <= k <= n, the ends included (n log(1 - p)
+        at k = 0, n log p at k = n, no NaN), against the exact
+        C(n, k) p^k (1 - p)^(n - k) in rational arithmetic, p taken exactly."""
+        got = _binom_logpmf(n, np.arange(n + 1), p)
+        f = Fraction(p)
+        for k in range(n + 1):
+            exact = math.comb(n, k) * f**k * (1 - f) ** (n - k)
+            e = exact.numerator.bit_length() - exact.denominator.bit_length()
+            ref = math.log(exact / Fraction(2) ** e) + e * LN2
+            assert abs(got[k] - ref) <= 1e-14 + 8 * np.finfo(float).eps * abs(ref), k
+
     @pytest.mark.parametrize("ell,q", [(ell, q) for ell in (10, 100, 500, 2000)
                                        for q in (1e-4, 1e-2, 0.1, 0.5)]
                              + [(20000, LN2 / 20000)])

@@ -22,6 +22,7 @@ from quasigw import (
     mean_matrix,
     perron,
     perron_bounds_check,
+    perron_head,
 )
 from quasigw.kernel import BAND_FLOOR, _log_stationary_law
 from quasigw.spectral import _classes_reaching_master, _inverse, _solve
@@ -290,11 +291,12 @@ class TestSecularPerron:
 
     @pytest.mark.parametrize("sigma,ell,kappa,q", [(3.0, 30, 2, 0.8), (5.0, 10, 3, 0.9),
                                                    (10.0, 2, 2, 0.95)])
-    def test_alternating_closed_form_starts_at_sigma(self, sigma, ell, kappa, q):
-        """q > (kappa-1)/kappa makes theta < 0; Newton then starts at sigma."""
+    def test_alternating_regime_starts_at_closed_form(self, sigma, ell, kappa, q):
+        """q > (kappa-1)/kappa makes theta < 0; the closed-form series has
+        positive terms there too, so its root is within tol of the numerical one."""
         p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
         pair = perron(p)
-        assert pair.iterations > 1
+        assert pair.iterations == 1
         assert_pairs_agree(pair, power_iteration(mean_matrix(p)))
 
     @pytest.mark.parametrize("ell", [5000, 20000])
@@ -368,7 +370,13 @@ class TestSecularPerron:
         assert np.abs(pair.rho - binom.pmf(np.arange(1001), 1000, 0.5)).sum() < 1e-9
 
     def test_nonconvergence_raises_with_diagnostics(self):
-        p = ModelParams(sigma=3.0, ell=30, kappa=2, q=0.8)
+        """sigma and q near 1 and 0: the closed-form series converges too
+        slowly to give the start, Newton starts at sigma and needs more than
+        two eliminations."""
+        p = ModelParams(sigma=1.00001, ell=5, kappa=4, q=3e-6)
+        with pytest.raises(ConvergenceError):
+            perron_head(p, k_max=0)
+        assert perron(p).iterations > 2
         with pytest.raises(ConvergenceError) as exc:
             perron(p, max_iter=2)
         assert exc.value.iterations == 2
@@ -459,6 +467,163 @@ class TestSecularPerron:
         assert abs(pair.lam - vals[top].real) <= 1e-10 * pair.lam
         assert np.abs(pair.rho - oracle).sum() <= 1e-8
         assert abs(pair.lam - (1.0 + (sigma - 1.0) * pair.rho[0])) <= 1e-12
+
+
+def mpmath_head(sigma, ell, kappa, q, k_max, dps=40):
+    """mu = lam - 1 and rho_0..rho_k_max from the head series in dps-digit
+    arithmetic: rho_k = pi_k + mu sum_n lam^-n (M^n(0, k) - pi_k) with
+    M^n(0, k) the Binomial(ell, (1 - 1/kappa)(1 - theta^n)) pmf, summed
+    until ten terms in a row fall below 10^-(dps + 5) of pi_k / mu plus the
+    sum, and lam the root of (sigma - 1) x_0 = 1 found by bisection in
+    log mu, then the secant method."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        sigma, q = mpmath.mpf(sigma), mpmath.mpf(q)
+        p_inf = 1 - mpmath.mpf(1) / kappa
+        theta = 1 - q * kappa / (kappa - 1)
+        ks = range(k_max + 1)
+        binom_ell = [mpmath.binomial(ell, k) for k in ks]
+        pi = [binom_ell[k] * p_inf**k * (1 - p_inf) ** (ell - k) for k in ks]
+        small = mpmath.mpf(10) ** -(dps + 5)
+        diffs = []
+
+        def head(mu, k):
+            total, n, quiet = mpmath.mpf(0), 0, 0
+            while quiet < 10 or n < 30:
+                n += 1
+                if n > len(diffs):
+                    p = p_inf * (1 - theta**n)
+                    diffs.append([binom_ell[j] * p**j * (1 - p) ** (ell - j) - pi[j] for j in ks])
+                term = (1 + mu) ** -n * diffs[n - 1][k]
+                total += term
+                quiet = quiet + 1 if abs(term) <= small * (pi[k] / mu + abs(total)) else 0
+            return pi[k] + mu * total
+
+        def h(t):
+            mu = mpmath.exp(t)
+            return mpmath.log((sigma - 1) * head(mu, 0) / mu)
+
+        lo = mpmath.log(sigma - 1) + mpmath.log(pi[0]) - mpmath.log(1 + sigma)
+        hi = mpmath.log(sigma - 1)
+        while hi - lo > 1e-6:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if h(mid) > 0 else (lo, mid)
+        mu = mpmath.exp(mpmath.findroot(h, (lo, hi), solver="secant"))
+        return mu, [head(mu, k) for k in ks]
+
+
+class TestPerronHead:
+    """The closed-form head against 40-digit arithmetic and against ``perron``."""
+
+    @pytest.mark.parametrize("ell", [10**3, 10**5, 10**7])
+    @pytest.mark.parametrize("sigma,a", [(4.0, LN2), (2.0, LN2 - 0.005)])
+    def test_matches_mpmath(self, sigma, a, ell):
+        """rho_0..rho_10 within 1e-14 relative of the 40-digit sum, far from
+        the threshold and at sigma e^-a = e^0.005, 0.5% above it."""
+        pytest.importorskip("mpmath")
+        p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
+        head = perron_head(p, k_max=10)
+        mu, rho = mpmath_head(sigma, ell, 2, p.q, 10)
+        assert head.rho.size == 11 and head.residual <= 1e-15
+        assert abs(head.mu / float(mu) - 1.0) <= 1e-14
+        np.testing.assert_allclose(head.rho, [float(x) for x in rho], rtol=1e-14, atol=0.0)
+        assert head.lam == 1.0 + head.mu
+
+    def test_root_far_below_the_spacing_at_one(self):
+        """sigma = 2, a = ln 2, kappa = 4, ell = 400: lam - 1 = 3.77e-238, where
+        the closed-form root in mu, from below 1e-230, stayed at its lower end."""
+        pytest.importorskip("mpmath")
+        p = ModelParams(sigma=2.0, ell=400, kappa=4, q=LN2 / 400)
+        head = perron_head(p, k_max=5)
+        mu, rho = mpmath_head(2.0, 400, 4, p.q, 5)
+        assert head.lam == 1.0 and 3.7e-238 < head.mu < 3.8e-238
+        # the root is ill-conditioned here: pi_0 is 4e-4 of rho_0
+        assert abs(head.mu / float(mu) - 1.0) <= 1e-12
+        np.testing.assert_allclose(head.rho, [float(x) for x in rho], rtol=1e-12, atol=0.0)
+        assert head.rho[0] == pytest.approx(head.mu / (2.0 - 1.0), rel=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sigma=st.floats(min_value=1.5, max_value=8.0),
+        ell=st.integers(min_value=1, max_value=10**4),
+        kappa=st.sampled_from([2, 3, 4]),
+        ordered=st.booleans(),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        q=st.none() | st.floats(min_value=0.01, max_value=0.95),
+    )
+    # theta < 0, disordered
+    @example(sigma=3.0, ell=30, kappa=2, ordered=False, u=0.0, q=0.8)
+    @example(sigma=5.0, ell=10, kappa=3, ordered=False, u=0.0, q=0.9)
+    # theta = 0 at kappa = 4
+    @example(sigma=3.0, ell=40, kappa=4, ordered=False, u=0.0, q=0.75)
+    def test_agrees_with_perron(self, sigma, ell, kappa, ordered, u, q):
+        """Within 1e-13 relative of the band solver in both regimes, away
+        from the threshold where both lose digits: a from sigma e^-a in
+        [1.2, 0.95 sigma] (ordered) or [0.1, 0.8] (disordered) by u, or a
+        given q, which reaches theta < 0.  perron's elimination is accurate
+        to rounding against the whole vector, not each small class, so the
+        bound is 1e-13 relative or 1e-13 of the largest class of rho
+        (``test_small_classes_match_mpmath`` checks the head's own)."""
+        if q is None:
+            ratio = 1.2 + u * (0.95 * sigma - 1.2) if ordered else 0.1 + 0.7 * u
+            q = (math.log(sigma) - math.log(ratio)) / ell
+            assume(q < 0.95)
+        else:
+            assume(ell <= 300)   # fixed q is deep in the disordered regime
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
+        head = perron_head(p, k_max=10)
+        pair = perron(p)
+        assert abs(head.lam - pair.lam) <= 1e-13 * pair.lam
+        np.testing.assert_allclose(head.rho, pair.rho[: head.rho.size], rtol=1e-13,
+                                   atol=1e-13 * pair.rho.max())
+        assert head.residual <= 1e-12
+
+    @pytest.mark.parametrize("sigma,ell,kappa,q", [
+        (5.521646815469769, 51, 2, 0.040053670283987625),
+        (4.999641225049429, 31, 3, 0.07946515219986013),
+        (5.510360131288365, 11, 4, 0.010133695484744269)])
+    def test_small_classes_match_mpmath(self, sigma, ell, kappa, q):
+        """Classes far below the largest, to 1e-14 relative of 40-digit
+        arithmetic, where perron's rho_0 is off by 1.9e-5, 3.6e-8 and 0
+        relative; at ell = 11, kappa = 4 rho_10 = 6.7e-15 against pi_10 =
+        0.16, which the form pi_k + mu sum_n lam^-n (M^n(0, k) - pi_k) would
+        take as a difference."""
+        pytest.importorskip("mpmath")
+        head = perron_head(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q), k_max=10)
+        mu, rho = mpmath_head(sigma, ell, kappa, q, 10)
+        assert abs(head.mu / float(mu) - 1.0) <= 1e-14
+        np.testing.assert_allclose(head.rho, [float(x) for x in rho], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("sigma,q,lam,method", [
+        (3.0, 0.0, 3.0, "closed form"), (1.0, 0.0, 1.0, "closed form"),
+        (1.0, 1e-300, 1.0, "closed form"), (2.0, 0.5, None, "closed form (theta = 0)"),
+        (1.0, 0.15, 1.0, "closed form")])
+    def test_closed_forms_need_no_solve(self, sigma, q, lam, method):
+        """theta rounding to 1: lam = sigma, rho = e_0; theta = 0: rho = pi
+        and lam = 1 + (sigma - 1) pi_0; sigma = 1: (1, pi)."""
+        p = ModelParams(sigma=sigma, ell=20, kappa=2, q=q)
+        head = perron_head(p, k_max=20)
+        pi = binom.pmf(np.arange(21), 20, 0.5)
+        assert head.method == method and head.iterations == 0 and head.terms == 0
+        if q * 2 == 1.0 or (sigma == 1.0 and q > 1e-200):
+            np.testing.assert_allclose(head.rho, pi, rtol=1e-14)
+            assert head.lam == 1.0 + (sigma - 1.0) * head.rho[0]
+        else:
+            assert np.array_equal(head.rho, np.eye(21)[0]) and head.lam == lam
+
+    def test_reports_too_slow_a_series(self):
+        """sigma and q near 1 and 0: the terms fall by a factor of about
+        1 - 1e-5 per step, and the series gives up past its term budget."""
+        with pytest.raises(ConvergenceError, match="terms"):
+            perron_head(ModelParams(sigma=1.00001, ell=5, kappa=4, q=3e-6))
+
+    def test_step_budget(self):
+        p = ModelParams(sigma=3.0, ell=30, kappa=2, q=0.8)
+        assert perron_head(p).iterations > 2
+        with pytest.raises(ConvergenceError, match="2 steps") as exc:
+            perron_head(p, max_iter=2)
+        assert exc.value.iterations == 2 and exc.value.residual > 1e-12
 
 
 class TestPivotBlockSplit:
