@@ -36,6 +36,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from itertools import chain, groupby
 from pathlib import Path
 
@@ -61,10 +62,11 @@ from .simulate import (
 )
 from .spectral import (
     ConvergenceError,
+    SlowSeriesError,
     extinction_probabilities,
     fitness_vector,
     mean_matrix,
-    perron,  # no CLI path calls it; the benchmark's tracer wraps this name (ROADMAP item 3)
+    perron,  # the benchmark's tracer wraps this name (ROADMAP item 3)
     perron_bounds_check,
     perron_head,
 )
@@ -122,8 +124,10 @@ _TABLES = {
     "perron": {
         **_MODEL_OPTS,
         "tol": (float, 1e-12, "tolerance of the closed-form lambda solve: bound on its last "
-                              "Newton step in log(lambda - 1), relative in lambda - 1"),
-        "max_iter": (int, 100, "step budget of the closed-form lambda solve"),
+                              "Newton step in log(lambda - 1), relative in lambda - 1 (and "
+                              "of the band solve, where the closed form's series is too slow)"),
+        "max_iter": (int, 100, "step budget of the closed-form lambda solve (or of the band "
+                               "solve, in banded eliminations)"),
         "k_report": (int, 10, "report classes 0..k_report"),
         **_OUT_OPTS,
     },
@@ -140,8 +144,10 @@ _TABLES = {
         "ell_grid": (_int_list, _REQUIRED, "comma-separated sequence lengths"),
         "k_report": (int, 5, "compare classes 0..k_report"),
         "tol": (float, 1e-12, "tolerance of the closed-form lambda solve per length: bound "
-                              "on its last Newton step in log(lambda - 1)"),
-        "max_iter": (int, 100, "step budget of the closed-form lambda solve per length"),
+                              "on its last Newton step in log(lambda - 1) (and of the band "
+                              "solve, where the closed form's series is too slow)"),
+        "max_iter": (int, 100, "step budget of the closed-form lambda solve per length (or "
+                               "of the band solve, in banded eliminations)"),
         **_OUT_OPTS,
     },
     "simulate": {
@@ -296,12 +302,25 @@ def cmd_kernel(resolved: dict):
     return table, diagnostics
 
 
+def _perron_head(params: ModelParams, k_max: int, resolved: dict, band=None):
+    """lambda and rho_0..rho_k_max in closed form (``perron_head``), or from
+    ``perron`` on the band where the closed form's series is too slow (sigma
+    and q near 1 and 0); pass band = kernel_band(params) to reuse it."""
+    try:
+        return perron_head(params, k_max=k_max, tol=resolved["tol"],
+                           max_iter=resolved["max_iter"])
+    except SlowSeriesError:
+        pair = perron(params, band=band, tol=resolved["tol"], max_iter=resolved["max_iter"])
+        return replace(pair, rho=pair.rho[: min(k_max, params.ell) + 1])
+
+
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
     k_report = _nonnegative(resolved, "k_report")
-    head = perron_head(params, k_max=k_report, tol=resolved["tol"], max_iter=resolved["max_iter"])
-    # the band serves only to check the closed form against the numerical kernel
-    bounds = perron_bounds_check(head, params, band=kernel_band(params), k_max=k_report)
+    # the band checks the head against the numerical kernel (bounds_ok)
+    band = kernel_band(params)
+    head = _perron_head(params, k_report, resolved, band=band)
+    bounds = perron_bounds_check(head, params, band=band, k_max=k_report)
     identity_gap = abs(head.lam - ((params.sigma - 1.0) * float(head.rho[0]) + 1.0))
     table = {"k": np.arange(head.rho.size), "rho": head.rho}
     diagnostics = {
@@ -364,8 +383,7 @@ def cmd_converge(resolved: dict):
         params = ModelParams(sigma=resolved["sigma"], ell=ell, kappa=resolved["kappa"],
                              q=resolved["a"] / ell)
         qs.append(params.q)
-        heads.append(perron_head(params, k_max=k_top, tol=resolved["tol"],
-                                 max_iter=resolved["max_iter"]))
+        heads.append(_perron_head(params, k_top, resolved))
     lam = np.array([head.lam for head in heads])
     rho = np.array([head.rho for head in heads])
     gap = np.abs(rho - q_limit)

@@ -20,6 +20,7 @@ from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _log_stationary_law, k
 
 __all__ = [
     "ConvergenceError",
+    "SlowSeriesError",
     "PerronPair",
     "PerronHead",
     "ExtinctionReport",
@@ -58,6 +59,12 @@ _HEAD_MAX_TERMS = 1 << 18
 _HEAD_BLOCK = 1 << 18   # terms times classes summed at a time
 _LOG_HEAD_EPS = math.log(_EPS / 4)
 _LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
+_CLASS_0 = np.zeros(1, dtype=np.int64)
+# The lam solve sums x_0 from M's spectral expansion, ell + 1 terms, up to
+# this ell (theta > 0), and from the series above it.  Its weights are
+# products of at most this many mantissas in [1/2, 1), so they stay normal
+# floats even where long double is a double.
+_SPECTRAL_MAX_ELL = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -67,6 +74,11 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+class SlowSeriesError(ConvergenceError):
+    """``perron_head``'s series needs more than its term budget (sigma and q
+    near 1 and 0); ``perron`` on the band solves such an instance."""
 
 
 @dataclass(frozen=True)
@@ -85,8 +97,9 @@ class PerronHead:
     """Perron eigenvalue lam = 1 + mu (mu to full relative accuracy, also
     where lam rounds to 1) and the head rho_0..rho_K of the left
     eigenvector (unit total mass over all classes), with how the solve got
-    them: steps of the lam solve (``iterations``), series terms
-    (``terms``) and the secular residual |(sigma - 1) x_0(lam) - 1|."""
+    them: steps of the lam solve (``iterations``), series terms (``terms``,
+    the most any class took; 0 where none took the series) and the
+    secular residual |(sigma - 1) x_0(lam) - 1|."""
 
     lam: float
     mu: float
@@ -130,58 +143,114 @@ def mean_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarr
 
 
 class _HeadSeries:
-    """Terms of the closed-form head series, for ``perron_head``, in long
-    double (an 80-bit float on x86; where numpy's longdouble is a double
-    the head loses about a decimal digit).
+    """Terms of the closed-form head series, for ``perron_head``, in numpy's
+    long double (see ``perron_head`` for what that is per platform).
 
     Loci mutate independently, so M^n(0, k) is the Binomial(ell, p_n) pmf
     at k, with p_n = (1 - 1/kappa)(1 - theta^n) and theta = 1 - q kappa /
     (kappa - 1) (p_1 = q exactly).  Each pmf is taken in log space as
     log C(ell, k) + k log p_n + (ell - k) log(1 - p_n), log C(ell, k) the
     sum of the logs of (ell - i) / (i + 1), i < k.  The first two terms
-    are each up to k log ell in size, and cancel for small p_n; in long
-    double that costs ~1e-17 relative at k = 10, where a double would
-    lose ~1e-14.
+    are each up to k log ell in size, and cancel for small p_n; in 80-bit
+    long double that costs ~1e-17 relative at k = 10, where a double would
+    lose ~1e-14.  The exp of each log term is taken in double, to an ulp
+    of a double at a tenth of the cost, but for class 0, whose sum the lam
+    solve rests on (``x_0``).
     """
 
-    def __init__(self, params: ModelParams, log_pi: np.ndarray):
-        self.params, self.log_pi = params, log_pi.astype(np.longdouble)
-        kappa = params.kappa
+    def __init__(self, params: ModelParams, k_top: int):
+        self.params, kappa = params, params.kappa
         c = np.longdouble(params.q) * kappa / (kappa - 1)
         self.theta = float(1 - c)
         # log|theta| and 1 - |theta| without cancellation
         self.log_abs_theta = np.log1p(-c) if c < 1 else np.log(c - 1)
         self.gap = float(c if c < 1 else 2 - c)
-        self.k = np.arange(log_pi.size)
+        self.k = np.arange(k_top + 1)
         i = self.k[:-1].astype(np.longdouble)
         self.log_binom = np.concatenate(([0], np.cumsum(np.log((params.ell - i) / (i + 1)))))
+        # the stationary law, pi_k = C(ell, k) (kappa - 1)^k / kappa^ell, k <= k_top
+        self.log_pi = (self.log_binom + self.k * np.log(np.longdouble(kappa - 1))
+                       - params.ell * np.log(np.longdouble(kappa)))
         self.n_terms = _HEAD_CHUNK
         self._columns = {}
+        self.spectral = self.theta > 0.0 and params.ell <= _SPECTRAL_MAX_ELL   # see x_0
+        if self.spectral:
+            ell, q = params.ell, np.longdouble(params.q)
+            i = np.arange(ell, dtype=np.longdouble)
+            ratios = (ell - i) / (i + 1) * ((kappa - 1) * (1 - c))   # b_j / b_(j - 1)
+            mant, expo = np.frexp(np.concatenate(([1], ratios)))
+            expo = np.cumsum(expo)
+            b = np.ldexp(np.cumprod(mant), expo - expo.max())
+            # (1 - q)^ell b_j for j >= 1 over exp(_scale), and 1 - theta^j
+            self._scale = ell * np.log1p(-q) - np.log(b.sum())
+            self._weights, self._drops = b[1:], -np.expm1((i + 1) * self.log_abs_theta)
 
-    def log_pmfs(self, n0: int, n1: int, ks: np.ndarray) -> tuple[np.ndarray, float]:
-        """log M^n(0, k) for n0 <= n < n1 and the classes ks, as a (ks.size,
-        n1 - n0) array, and p_{n1 - 1}.  log p_n and log(1 - p_n) are kept
-        per block, as the lam solve asks for the same blocks at every step."""
+    def x_0(self, t: np.longdouble) -> tuple[np.ndarray, ...]:
+        """``sums`` for class 0 alone, for the lam solve.  Where theta > 0
+        and ell <= _SPECTRAL_MAX_ELL, from M's spectral expansion instead of
+        the series:
+        M^n(0, 0) = (1 - p_n)^ell = ((1 + (kappa - 1) theta^n) / kappa)^ell =
+        sum_j w_j theta^(jn), w_j = C(ell, j) (kappa - 1)^j / kappa^ell and
+        w_0 = pi_0, so
+
+            x_0 = pi_0 / mu + sum_{1 <= j <= ell} w_j theta^j / (lam - theta^j),
+
+        ell + 1 positive terms, with no tail to bound: O(ell) per step
+        however slowly the series falls.  The pole is pi_0 / mu (N = 0).
+        w_j theta^j = (1 - q)^ell b_j, b the Binomial(ell, s) pmf with
+        s / (1 - s) = (kappa - 1) theta, is taken as the cumulative products
+        of the ratios b_j / b_(j - 1), normalized by their sum, with powers
+        of 2 split off (exactly) to keep them in range: a few ulps each,
+        where the logs of C(ell, j), up to ell log 2 in size, would carry
+        that many ulps of it."""
+        if not self.spectral:
+            return self.sums(_CLASS_0, t)
+        scale, w, drop = self._scale, self._weights, self._drops
+        log_pi_0, mu = self.log_pi[0], np.exp(t)
+        g = w / (mu + drop)                    # w_j theta^j / (lam - theta^j), over exp(scale)
+        total = g.sum()
+        with np.errstate(divide="ignore"):     # every w_j theta^j underflows: only the pole
+            c = max(scale + np.log(total), log_pi_0 - t)
+        shrink = np.exp(scale - c)
+        rest, pole = total * shrink, np.exp(log_pi_0 - t - c)
+        # the rest's slope, mu sum_j w_j theta^j / (lam - theta^j)^2, is moment mu / lam
+        moment = (1 + mu) * (g / (mu + drop)).sum() * shrink
+        return ((c,), (rest,), (moment,), (pole,), (log_pi_0,), (c + np.log(pole + rest),),
+                (0,))
+
+    def log_terms(self, n0: int, n1: int, ks: np.ndarray, rate: np.longdouble
+                  ) -> tuple[np.ndarray, float]:
+        """log lam^-n M^n(0, k) = log C(ell, k) + k log(p_n / (1 - p_n)) +
+        ell log(1 - p_n) - n log lam, lam = exp(rate), for n0 <= n < n1 and
+        the classes ks, as a (ks.size, n1 - n0) array, and p_{n1 - 1}.  The
+        two logs in p_n are kept per block, as the lam solve asks for the
+        same blocks at every step."""
         if (n0, n1) not in self._columns:
             self._columns[n0, n1] = self._log_probs(n0, n1)
-        log_p, log_keep, p_last = self._columns[n0, n1]
+        log_odds, log_keep, p_last = self._columns[n0, n1]
         k = ks[:, None]
-        return self.log_binom[k] + k * log_p + (self.params.ell - k) * log_keep, p_last
+        return self.log_binom[k] + k * log_odds + (log_keep - np.arange(n0, n1) * rate), p_last
 
     def _log_probs(self, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """log p_n and log(1 - p_n) for n0 <= n < n1, and p_{n1 - 1}."""
+        """log(p_n / (1 - p_n)) and ell log(1 - p_n) for n0 <= n < n1, and
+        p_{n1 - 1}."""
         kappa, q = self.params.kappa, np.longdouble(self.params.q)
         n = np.arange(n0, n1)
         e = n * self.log_abs_theta                             # log|theta^n|
-        neg = (n % 2 == 1) & (self.theta < 0.0)
-        z = np.where(neg, -np.exp(e), np.exp(e))              # theta^n
-        p = (1 - np.longdouble(1) / kappa) * np.where(neg, 1 - z, -np.expm1(e))
-        # log(1 - p_n) = log(1/kappa + (1 - 1/kappa) theta^n)
-        log_keep = np.where(neg, np.log1p((kappa - 1) * z) - np.log(np.longdouble(kappa)),
-                            np.log1p(-p))
+        p_inf = 1 - np.longdouble(1) / kappa
+        if self.theta > 0.0:
+            p = -p_inf * np.expm1(e)
+            log_keep = np.log1p(-p)
+        else:
+            neg = n % 2 == 1
+            z = np.where(neg, -np.exp(e), np.exp(e))              # theta^n
+            p = p_inf * np.where(neg, 1 - z, -np.expm1(e))
+            # log(1 - p_n) = log(1/kappa + (1 - 1/kappa) theta^n)
+            log_keep = np.where(neg, np.log1p((kappa - 1) * z) - np.log(np.longdouble(kappa)),
+                                np.log1p(-p))
         if n0 == 1:
             p[0], log_keep[0] = q, np.log1p(-q)
-        return np.log(p), log_keep, float(p[-1])
+        return np.log(p) - log_keep, self.params.ell * log_keep, float(p[-1])
 
     def tail_ok(self, n: int, ks: np.ndarray, log_m_last: np.ndarray, p_last: float,
                 log_x: np.ndarray, t: float) -> np.ndarray:
@@ -223,25 +292,31 @@ class _HeadSeries:
 
     def _add(self, n0: int, n1: int, ks: np.ndarray, rate: np.longdouble, acc: tuple) -> tuple:
         """acc = (c_k, s_k, m_k) for the classes ks, with the terms lam^-n
-        M^n(0, k), n0 <= n < n1, added: their sum is exp(c_k) s_k and that of
-        n times them exp(c_k) m_k, c_k the log of the largest.  Also
-        log M^(n1 - 1)(0, k) and p_(n1 - 1).  In blocks of at most
-        _HEAD_BLOCK terms in all."""
+        M^n(0, k), n0 <= n < n1, added: their sum is exp(c_k) s_k and, for
+        class 0, that of n times them exp(c_k) m_k, c_k the log of the
+        largest.  Also log M^(n1 - 1)(0, k) and p_(n1 - 1).  In blocks of at
+        most _HEAD_BLOCK terms in all."""
         c, s, m = acc
         width = max(1, _HEAD_BLOCK // ks.size)
         for b0 in range(n0, n1, width):
             n = np.arange(b0, min(b0 + width, n1))
-            log_m, p_last = self.log_pmfs(b0, b0 + n.size, ks)
-            a = log_m - n * rate
+            a, p_last = self.log_terms(b0, b0 + n.size, ks, rate)
+            log_m_last = a[:, -1] + n[-1] * rate
             top = np.maximum(c, a.max(axis=1))
-            scaled = np.exp(a - top[:, None])
+            a -= top[:, None]
+            # exp in double, to an ulp of a double, a tenth of the cost in
+            # long double; class 0, which the lam solve rests on, in long double
+            scaled = np.exp(a.astype(float)).astype(np.longdouble)
             shrink = np.exp(c - top)
-            s, m, c = s * shrink + scaled.sum(axis=1), m * shrink + scaled @ n, top
-        return (c, s, m), log_m[:, -1], p_last
+            if ks[0] == 0:
+                scaled[0] = np.exp(a[0])
+                m[0] = m[0] * shrink[0] + scaled[0] @ n
+            s, c = s * shrink + scaled.sum(axis=1), top
+        return (c, s, m), log_m_last, p_last
 
-    def sums(self, rows: int, t: np.longdouble) -> tuple[np.ndarray, ...]:
-        """x_k = rho_k / mu at mu = exp(t) for classes k < rows, class k
-        summed to n = N_k as
+    def sums(self, ks: np.ndarray, t: np.longdouble) -> tuple[np.ndarray, ...]:
+        """x_k = rho_k / mu at mu = exp(t) for the classes ks (ascending),
+        class k summed to n = N_k as
 
             x_k = sum_{n <= N_k} lam^-n M^n(0, k) + pi_k lam^-N_k / mu,
 
@@ -250,39 +325,39 @@ class _HeadSeries:
         sum_{n > N_k} lam^-n d_n(k), is what ``tail_ok`` bounds.  N_k
         doubles from _HEAD_CHUNK, checked from ``n_terms``, class 0's last,
         on, up to _HEAD_MAX_TERMS for the classes whose rest is not yet
-        small enough (ConvergenceError past that).  In log space, as terms and sums may
-        underflow or overflow: returns c_k, the log of the largest term;
-        divided by exp(c_k), the sum of the terms lam^-n M^n(0, k), of n
-        times them and the last one, pi_k lam^-N_k / mu; then log(pi_k
+        small enough (SlowSeriesError past that).  In log space, as terms
+        and sums may underflow or overflow: returns c_k, the log of the
+        largest term; divided by exp(c_k), the sum of the terms lam^-n
+        M^n(0, k), of n times them (for class 0, which the lam solve's
+        slope needs) and the last one, pi_k lam^-N_k / mu; then log(pi_k
         lam^-N_k), log x_k and N_k.  No exponent as large as log mu enters a
         term but the last.
         """
         rate = np.log1p(np.exp(t))
-        c = np.full(rows, -np.inf, dtype=np.longdouble)
-        s, m, log_x = np.zeros((3, rows), dtype=np.longdouble)
-        n = np.zeros(rows, dtype=np.int64)
-        active, done, size = np.arange(rows), 0, _HEAD_CHUNK
-        while True:
-            acc = (c[active], s[active], m[active])
-            (c[active], s[active], m[active]), log_m_last, p_last = self._add(
-                done + 1, size + 1, active, rate, acc)
-            n[active] = size
+        c = np.full(ks.size, -np.inf, dtype=np.longdouble)
+        s, m, log_x = np.zeros((3, ks.size), dtype=np.longdouble)
+        n = np.zeros(ks.size, dtype=np.int64)
+        live, done, size = np.arange(ks.size), 0, _HEAD_CHUNK   # positions in ks
+        while live.size:
+            acc = (c[live], s[live], m[live])
+            (c[live], s[live], m[live]), log_m_last, p_last = self._add(
+                done + 1, size + 1, ks[live], rate, acc)
+            n[live] = size
             if size < self.n_terms:   # known to fall short: the blocks stay on one grid
                 done, size = size, 2 * size
                 continue
-            log_tail = self.log_pi[active] - size * rate
-            top = np.maximum(c[active], log_tail - t)
-            log_x[active] = top + np.log(s[active] * np.exp(c[active] - top)
-                                         + np.exp(log_tail - t - top))
-            active = active[~self.tail_ok(size, active, log_m_last, p_last, log_x[active],
-                                          float(t))]
-            if not active.size:
-                break
-            if size >= _HEAD_MAX_TERMS:
-                raise ConvergenceError(f"closed-form Perron series did not converge in {size} terms")
+            log_tail = self.log_pi[ks[live]] - size * rate
+            top = np.maximum(c[live], log_tail - t)
+            log_x[live] = top + np.log(s[live] * np.exp(c[live] - top)
+                                       + np.exp(log_tail - t - top))
+            live = live[~self.tail_ok(size, ks[live], log_m_last, p_last, log_x[live],
+                                      float(t))]
+            if live.size and size >= _HEAD_MAX_TERMS:
+                raise SlowSeriesError(f"closed-form Perron series did not converge in {size} terms")
             done, size = size, min(2 * size, _HEAD_MAX_TERMS)
-        self.n_terms = int(n[0])
-        log_tail = self.log_pi[:rows] - n * rate
+        if ks.size and ks[0] == 0:
+            self.n_terms = int(n[0])
+        log_tail = self.log_pi[ks] - n * rate
         top = np.maximum(c, log_tail - t)
         scale = np.exp(c - top)
         return top, s * scale, m * scale, np.exp(log_tail - t - top), log_tail, log_x, n
@@ -310,32 +385,43 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
     doubles from _HEAD_CHUNK until the part left out, sum_{n > N} lam^-n
     (M^n(0, k) - pi_k), is below eps / 4 of each x_k, or of the smallest
     float where rho_k underflows (``_HeadSeries.tail_ok``); ``terms`` is
-    the N of the head.  Where both
-    mu and 1 - |theta| are tiny (sigma near 1 and q near 0) that part
-    falls by only about a factor 1 - mu - (1 - |theta|) per term, and past
-    _HEAD_MAX_TERMS the solve raises ConvergenceError.  The cost is
-    O(K N), with no ell-sized array: no band and no elimination.
+    the largest N of the classes the series sums.  Where both mu and
+    1 - |theta| are tiny (sigma near 1 and q near 0) that part falls by
+    only about a factor 1 - mu - (1 - |theta|) per term, and past
+    _HEAD_MAX_TERMS the solve raises SlowSeriesError; ``perron`` on the
+    band solves such an instance.  The cost is O(K N), with no ell-sized
+    array: no band and no elimination.
 
     lam solves the secular equation (sigma - 1) x_0(lam) = 1, x_0
     decreasing in lam, in t = log mu, so mu keeps its relative accuracy
-    down to the smallest float and below.  It starts at lam = sigma
-    M(0, 0), the root for the first term alone, where that is above 1, and
-    at lam = sigma otherwise, and keeps a bracket, [(sigma - 1) pi_0 /
-    (sigma + 1), sigma - 1] in mu at first (x_0 >= pi_0 / (mu (2 + mu))
-    from the even terms).  Where the pole pi_0 lam^-N / mu moves x_0 more
-    than the rest D_0 does, a step is Newton on x_0 in 1 / mu, exact for
-    x_0 = pi_0 / mu + const; elsewhere Newton on 1 / x_0 in mu, exact for a
-    geometric series, or else the root of the pole with D_0 held, which
-    jumps from where D_0 is flat to where the pole counts.  A step that
-    leaves the bracket gives way to the next, and to the bracket's
-    midpoint.  The solve stops once a step is at most tol in t (relative
-    in mu), or too small to change t; max_iter bounds the steps
-    (``iterations``), and running out raises ConvergenceError.
+    down to the smallest float and below.  Where theta > 0 and ell <=
+    _SPECTRAL_MAX_ELL, x_0 comes from M's spectral expansion instead of
+    the series (``_HeadSeries.x_0``): ell + 1 positive terms with no tail,
+    cheaper than the series at small ell, and exact however slowly the
+    series falls; rho_0 = mu x_0 is reported from it, with K = 0 summing
+    no series at all.  Its pole is pi_0 / mu (N = 0).
+
+    The solve starts at lam = sigma M(0, 0), the root for the first term
+    alone, where that is above 1, and at lam = sigma otherwise, and keeps
+    a bracket, [(sigma - 1) pi_0 / (sigma + 1), sigma - 1] in mu at first
+    (x_0 >= pi_0 / (mu (2 + mu)) from the even terms).  Where the pole
+    pi_0 lam^-N / mu moves x_0 more than the rest D_0 does, a step is
+    Newton on x_0 in 1 / mu, exact for x_0 = pi_0 / mu + const; elsewhere
+    Newton on 1 / x_0 in mu, exact for a geometric series, or else the root
+    of the pole with D_0 held, which jumps from where D_0 is flat to where
+    the pole counts.  A step that leaves the bracket gives way to the next,
+    and to the bracket's midpoint.  The solve stops once a step is at most
+    tol in t (relative in mu), or too small to change t; max_iter bounds
+    the steps (``iterations``), and running out raises ConvergenceError.
     ``residual`` is the secular residual |(sigma - 1) x_0(lam) - 1| at
     the end.  Near the threshold the root is ill-conditioned (at sigma =
     2, sigma e^-a = 1.01, one ulp of x_0 moves mu by 50 ulps), so t and
-    the sums are kept in long double, and mu and rho come out within a
-    few ulps.
+    the sums are kept in numpy's long double.  That is 80-bit extended
+    precision on x86 (Linux, and macOS on Intel), where mu and rho come
+    out within a few ulps of 40-digit arithmetic.  Where long double is a
+    plain double (Windows, macOS on arm64) about a decimal digit of mu is
+    lost near the threshold; on aarch64 Linux it is quad precision done in
+    software, more accurate and slower.
 
     Closed forms with no solve (``iterations`` 0): where theta rounds to 1
     (q = 0, or nearly) M is the identity, so lam = sigma and rho = e_0 (at
@@ -356,7 +442,7 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
         method = "closed form (theta = 0)" if theta == 0.0 else "closed form"
         return PerronHead(lam=1.0 + mu, mu=mu, rho=pi, iterations=0, terms=0, residual=0.0,
                           method=method)
-    series = _HeadSeries(params, log_pi)
+    series = _HeadSeries(params, log_pi.size - 1)
     log_sm1 = np.log(np.longdouble(sigma) - 1)
     log_pi_0 = series.log_pi[0]
 
@@ -364,7 +450,7 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
         """h(t) = log((sigma - 1) x_0), h'(t), whether the pole term
         pi_0 lam^-N / mu of x_0 (N its terms) moves more with t than the
         rest D_0 does, and the root in t of the pole with D_0 held."""
-        (c,), (rest,), (moment,), (pole,), (log_tail,), (log_x,), (n,) = series.sums(1, t)
+        (c,), (rest,), (moment,), (pole,), (log_tail,), (log_x,), (n,) = series.x_0(t)
         mu = np.exp(t)
         # x_0 = exp(c) (pole + rest), dx_0/dt = -exp(c) (pole (1 + N mu / lam) + slope)
         slope = moment * (mu / (1 + mu))
@@ -406,12 +492,19 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
         t = new
         if done:
             break
-    c, terms, _, _, log_tail, log_x, n = series.sums(log_pi.size, t)
+    # class 0 from the spectral expansion where the lam solve used it
+    first = 1 if series.spectral else 0
+    c, terms, _, _, log_tail, log_x, n = series.sums(np.arange(first, log_pi.size), t)
     rho = np.exp(t + c) * terms + np.exp(log_tail)
+    if first:
+        (log_x_0,) = series.x_0(t)[5]
+        rho = np.concatenate(([np.exp(t + log_x_0)], rho))
+    else:
+        log_x_0 = log_x[0]
     mu = np.exp(t)
     return PerronHead(lam=float(1 + mu), mu=float(mu), rho=rho.astype(float), iterations=it,
-                      terms=int(n.max()), residual=float(abs(np.expm1(log_sm1 + log_x[0]))),
-                      method="closed form")
+                      terms=int(n.max(initial=0)),
+                      residual=float(abs(np.expm1(log_sm1 + log_x_0))), method="closed form")
 
 
 def _inverse(t: np.ndarray) -> np.ndarray:

@@ -271,6 +271,28 @@ class TestPerronCommand:
         assert float(meta["diagnostics.lambda"]) == 1.0
         assert meta["diagnostics.lambda_in_range"] == "true"
 
+    @pytest.mark.parametrize("args,column", [
+        (["perron", "--sigma", "1.00001", "--ell", "5", "--kappa", "4", "--q", "3e-6"], "rho"),
+        (["converge", "--sigma", "1.00001", "--a", "1.5e-5", "--kappa", "4", "--ell-grid", "5,10"],
+         "rho2"),
+    ])
+    def test_band_solve_where_the_series_is_too_slow(self, tmp_path, args, column):
+        """sigma and q near 1 and 0: the closed-form series of the classes
+        k >= 1 falls by a factor of about 1 - 1e-5 per term and gives up past
+        its term budget, so these lengths are solved on the band."""
+        code, meta, header, rows = run_csv(args, tmp_path / "out.csv")
+        assert code == 0
+        values = [float(r[header.index(column)]) for r in rows]
+        if args[0] == "perron":
+            assert meta["diagnostics.method"] == "secular Newton"
+            assert meta["diagnostics.bounds_ok"] == "true"
+            pair = quasigw.spectral.perron(ModelParams(sigma=1.00001, ell=5, kappa=4, q=3e-6))
+            assert float(meta["diagnostics.lambda"]) == pair.lam
+            np.testing.assert_allclose(values, pair.rho, rtol=1e-12)
+        else:
+            assert [r[header.index("method")] for r in rows] == ["secular Newton"] * 2
+            assert all(0.0 < v < 1.0 for v in values)
+
     def test_nonconvergence_exit_code(self, capsys):
         """The lambda solve needs 4 steps here; a budget of 2 runs out."""
         code = main(
@@ -322,8 +344,8 @@ class TestConvergeCommand:
 
     def test_reports_method_and_steps_per_length(self, tmp_path):
         """sigma e^-a = 0.5: each length is solved in closed form, in a few
-        steps of the lambda solve, also at ell = 100 where lambda - 1 is
-        1.2e-30."""
+        steps of the lambda solve on the spectral expansion of x_0, also at
+        ell = 100 where lambda - 1 is 1.2e-30."""
         code, meta, header, rows = run_csv(
             ["converge", "--sigma", "2", "--a", "1.386", "--ell-grid", "10,100"],
             tmp_path / "c.csv",
@@ -333,7 +355,7 @@ class TestConvergeCommand:
         methods = [r[header.index("method")] for r in rows]
         assert methods == ["closed form", "closed form"]
         steps = [int(r[header.index("iterations")]) for r in rows]
-        assert steps == [6, 5]
+        assert steps == [5, 3]
 
     def test_a_zero_grid_is_exact(self, tmp_path):
         code, _, header, rows = run_csv(
