@@ -25,6 +25,9 @@ once when the block is large, and format each row of the table with one
 value by value; config and diagnostics go through ``_fmt`` and
 ``json.dumps``.
 
+``main(argv)`` may be called any number of times in one process: it parses
+with one parser, built once at import, which a parse leaves unchanged.
+
 Exit status: 0 on success (including a disordered-regime notice), 2 on bad
 usage or non-convergence, 3 when every simulation replica went extinct.
 """
@@ -66,7 +69,7 @@ from .spectral import (
     extinction_probabilities,
     fitness_vector,
     mean_matrix,
-    perron,  # the benchmark's tracer wraps this name (ROADMAP item 3)
+    perron,  # _perron_head's band solve; the benchmark's tracer wraps this name
     perron_bounds_check,
     perron_head,
 )
@@ -180,38 +183,15 @@ _TABLES = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that adds its options only when argparse hands it
-    arguments: a run builds the options of the one command it selects, and
-    help and usage text come out as if every command had them."""
-
-    def __init__(self, *args, table: dict | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._table = table
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._table is not None:
-            for name, (conv, _default, help_text) in self._table.items():
-                self.add_argument(
-                    "--" + name.replace("_", "-"),
-                    dest=name,
-                    type=conv,
-                    default=None,
-                    help=help_text,
-                )
-            self._table = None
-        return super().parse_known_args(args, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quasigw",
-        description="sharp-peak quasispecies toolkit",
-    )
+    parser = argparse.ArgumentParser(prog="quasigw", description="sharp-peak quasispecies toolkit")
     parser.add_argument("--version", action="version", version=f"quasigw {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    subs = parser.add_subparsers(dest="command", required=True)
     for command, table in _TABLES.items():
-        subs.add_parser(command, table=table)
+        sub = subs.add_parser(command)
+        for name, (conv, _default, help_text) in table.items():
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, type=conv, default=None,
+                             help=help_text)
     return parser
 
 
@@ -359,13 +339,7 @@ def cmd_quasispecies(resolved: dict):
     partial, tail = qs_normalization_check(qp, kmax)
     table = {"k": k, "closed_form": closed, "recurrence": rec, "abs_diff": abs_diff,
              "running_sum": np.cumsum(closed)}
-    diagnostics.update(
-        {
-            "partial_sum": partial,
-            "tail_bound": tail,
-            "max_abs_diff": max(abs_diff.tolist()),
-        }
-    )
+    diagnostics.update(partial_sum=partial, tail_bound=tail, max_abs_diff=max(abs_diff.tolist()))
     return table, diagnostics
 
 
@@ -496,9 +470,7 @@ def _fmt(v) -> str:
 
 
 def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, (np.ndarray, list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
@@ -635,9 +607,11 @@ def render_json(config: dict, table: dict, diagnostics: dict) -> str:
     return "".join((head[:-2], ',\n  "results": ', *results, "\n}\n"))
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         resolved = _resolve(args, _TABLES[args.command])
@@ -651,11 +625,8 @@ def main(argv=None) -> int:
     diagnostics["duration_s"] = time.perf_counter() - started
     config = {"command": args.command, "version": __version__}
     config.update({k: v for k, v in resolved.items() if v is not None})
-    text = (
-        render_csv(config, table, diagnostics)
-        if resolved["format"] == "csv"
-        else render_json(config, table, diagnostics)
-    )
+    render = render_csv if resolved["format"] == "csv" else render_json
+    text = render(config, table, diagnostics)
     if resolved["out"]:
         Path(resolved["out"]).write_text(text)
     else:

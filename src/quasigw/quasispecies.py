@@ -60,7 +60,7 @@ def classify_regime(params: QuasispeciesParams) -> Regime:
     return Regime.QUASISPECIES if params.threshold > 1.0 else Regime.DISORDERED
 
 
-def _log_power_series(n, log_base: float):
+def _log_power_series(n, log_base):
     """log of sum_{i >= 1} i^n * x^i with x = exp(-log_base), for log_base > 0.
 
     Uses the closed form x * A_n(x) / (1 - x)^(n+1), where A_n is the
@@ -75,32 +75,37 @@ def _log_power_series(n, log_base: float):
     is O(n^2) whatever the base; a direct sum would need about
     n / log_base terms, which grows without bound as the base nears 1.
 
-    n may also be a sequence of orders: then one pass over the triangle,
-    up to the largest, gives the array of their values, each equal bit for
-    bit to its own call, since every row is built and summed the same way.
+    n and log_base may also be arrays, broadcast together: the rows do not
+    depend on the base, so one pass over the triangle, up to the largest
+    order, gives the array of the values of every (order, base) pair, each
+    equal bit for bit to its own call, since every row is built and summed
+    the same way.
     """
-    if log_base <= 0.0:
+    orders, bases = np.broadcast_arrays(np.asarray(n, dtype=int), np.asarray(log_base, dtype=float))
+    if (bases <= 0.0).any():
         raise ValueError("series requires log_base > 0")
-    orders = [int(j) for j in np.atleast_1d(n)]
-    size = max([1, *orders])
+    pairs = list(zip(orders.ravel().tolist(), bases.ravel().tolist()))
+    size = max([1, *orders.ravel().tolist()])
     log_m1 = np.log(np.arange(1, size + 1))  # log(m + 1) for m = 0..size-1
     row = np.zeros(size)  # log A(1, 0) in row[:1]; also stands for A_0 = 1
     grown = np.full(size, -np.inf)  # log((m+1) A(j-1, m)), -inf at m = j-1
-    log_one_minus_x = math.log(-math.expm1(-log_base))
-    wanted, values = set(orders), {}
+    wanted, values = {}, {}
+    for j, base in pairs:
+        wanted.setdefault(j, set()).add(base)
     for j in range(size + 1):
         if j >= 2:
             np.add(log_m1[: j - 1], row[: j - 1], out=grown[: j - 1])
             np.logaddexp(grown[:j], grown[j - 1 :: -1], out=row[:j])
-        if j in wanted:
+        for base in wanted.get(j, ()):
             width = max(j, 1)
-            terms = row[:width] - log_base * np.arange(width)
+            terms = row[:width] - base * np.arange(width)
             top = float(terms.max())
             log_eulerian = top + math.log(float(np.exp(terms - top).sum()))
-            values[j] = -log_base + log_eulerian - (j + 1) * log_one_minus_x
-    if np.ndim(n) == 0:
-        return values[orders[0]]
-    return np.array([values[j] for j in orders])
+            log_one_minus_x = math.log(-math.expm1(-base))
+            values[j, base] = -base + log_eulerian - (j + 1) * log_one_minus_x
+    if orders.ndim == 0:
+        return values[pairs[0]]
+    return np.array([values[pair] for pair in pairs]).reshape(orders.shape)
 
 
 def power_sigma_series(k: int, sigma: float) -> float:
@@ -130,13 +135,17 @@ def qs_pmf(params: QuasispeciesParams, k):
     elif params.a == 0.0:
         values = [1.0 if j == 0 else 0.0 for j in classes]
     else:
-        log_series = _log_power_series(classes, math.log(params.sigma)).tolist()
-        log_mass, log_a = math.log(params.threshold - 1.0), math.log(params.a)
-        values = [
-            math.exp(log_mass + j * log_a - math.lgamma(j + 1) + s)
-            for j, s in zip(classes, log_series)
-        ]
+        values = _pmf(params, classes,
+                      _log_power_series(classes, math.log(params.sigma)).tolist())
     return values[0] if np.ndim(k) == 0 else np.array(values)
+
+
+def _pmf(params: QuasispeciesParams, classes, log_series: list) -> list:
+    """pmf(k) for the classes, above the threshold with a > 0, given log
+    sum_i i^k / sigma^i for each (``_log_power_series``)."""
+    log_mass, log_a = math.log(params.threshold - 1.0), math.log(params.a)
+    return [math.exp(log_mass + j * log_a - math.lgamma(j + 1) + s)
+            for j, s in zip(classes, log_series)]
 
 
 def qs_pmf_by_recurrence(params: QuasispeciesParams, k_max: int) -> np.ndarray:
@@ -193,27 +202,31 @@ def qs_normalization_check(params: QuasispeciesParams, k_max: int) -> tuple[floa
 
     The minimum of the two is returned.  It may still exceed the true
     missing mass by a wide margin close to the threshold; it is reported
-    as computed, not clipped.
+    as computed, not clipped.  One pass over the Eulerian triangle gives
+    the series of the pmf and of both bounds.
     """
     if classify_regime(params) is Regime.DISORDERED:
         raise ValueError("normalization check applies to the quasispecies regime only")
-    partial = math.fsum(qs_pmf(params, np.arange(k_max + 1)).tolist())
     if params.a == 0.0:
-        return partial, 0.0
+        return math.fsum(qs_pmf(params, np.arange(k_max + 1)).tolist()), 0.0
     a, thr = params.a, params.threshold
     n = k_max + 1
+    log_sigma = math.log(params.sigma)
+    *log_series, log_plain_series, log_chernoff_series = _log_power_series(
+        [*range(n), n, n], [log_sigma] * n + [math.log(thr), log_sigma]).tolist()
+    partial = math.fsum(_pmf(params, range(n), log_series))
     log_plain = (
         math.log(thr - 1.0)
         + n * math.log(a)
         - math.lgamma(n + 1)
-        + _log_power_series(n, math.log(thr))
+        + log_plain_series
     )
     plain = math.exp(log_plain) if log_plain < 700.0 else math.inf
     i0 = max(1, math.floor(n / (2.0 * a)))
     log_chernoff = (
         math.log(thr - 1.0)
         + n * (1.0 + math.log(a) - math.log(n))
-        + _log_power_series(n, math.log(params.sigma))
+        + log_chernoff_series
     )
     chernoff = (math.exp(log_chernoff) if log_chernoff < 700.0 else math.inf) + thr**-i0
     return partial, min(plain, chernoff)

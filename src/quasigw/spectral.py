@@ -53,9 +53,11 @@ _RATIO_LO, _RATIO_HI, _RATIO_AGREE = 0.3, 0.9, 0.05
 _DIP = 1e-3
 # Closed-form head: the series is summed to a length doubling from
 # _HEAD_CHUNK terms, at most _HEAD_MAX_TERMS, until the part left out is
-# below exp(_LOG_HEAD_EPS) of each class.
+# below exp(_LOG_HEAD_EPS) of each class; from _HEAD_SLOW terms on, it is
+# given up where a class cannot get there within _HEAD_MAX_TERMS.
 _HEAD_CHUNK = 64
 _HEAD_MAX_TERMS = 1 << 18
+_HEAD_SLOW = 1 << 12
 _HEAD_BLOCK = 1 << 18   # terms times classes summed at a time
 _LOG_HEAD_EPS = math.log(_EPS / 4)
 _LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
@@ -290,6 +292,15 @@ class _HeadSeries:
         level = _LOG_HEAD_EPS + np.maximum(log_x.astype(float), _LOG_TINY - t)
         return (past & (geometric <= level)) | (decay - t <= level)
 
+    def within_budget(self, ks: np.ndarray, t: float) -> bool:
+        """Whether every class in ks meets ``tail_ok`` at n = _HEAD_MAX_TERMS
+        with the most lenient level a class can have, that of x_k = 1 / mu
+        (sum x = 1 / mu): the bound only falls with n, so a class that
+        fails this fails at every n up to the budget."""
+        n = _HEAD_MAX_TERMS
+        log_m, p_last = self.log_terms(n, n + 1, ks, np.longdouble(0))
+        return bool(self.tail_ok(n, ks, log_m[:, 0], p_last, np.full(ks.size, -t), t).all())
+
     def _add(self, n0: int, n1: int, ks: np.ndarray, rate: np.longdouble, acc: tuple) -> tuple:
         """acc = (c_k, s_k, m_k) for the classes ks, with the terms lam^-n
         M^n(0, k), n0 <= n < n1, added: their sum is exp(c_k) s_k and, for
@@ -325,7 +336,8 @@ class _HeadSeries:
         sum_{n > N_k} lam^-n d_n(k), is what ``tail_ok`` bounds.  N_k
         doubles from _HEAD_CHUNK, checked from ``n_terms``, class 0's last,
         on, up to _HEAD_MAX_TERMS for the classes whose rest is not yet
-        small enough (SlowSeriesError past that).  In log space, as terms
+        small enough (SlowSeriesError past that, or from _HEAD_SLOW on
+        where ``within_budget`` says it will be).  In log space, as terms
         and sums may underflow or overflow: returns c_k, the log of the
         largest term; divided by exp(c_k), the sum of the terms lam^-n
         M^n(0, k), of n times them (for class 0, which the lam solve's
@@ -352,8 +364,10 @@ class _HeadSeries:
                                        + np.exp(log_tail - t - top))
             live = live[~self.tail_ok(size, ks[live], log_m_last, p_last, log_x[live],
                                       float(t))]
-            if live.size and size >= _HEAD_MAX_TERMS:
-                raise SlowSeriesError(f"closed-form Perron series did not converge in {size} terms")
+            if live.size and (size >= _HEAD_MAX_TERMS or size >= _HEAD_SLOW
+                              and not self.within_budget(ks[live], float(t))):
+                raise SlowSeriesError(f"closed-form Perron series cannot converge in "
+                                      f"{_HEAD_MAX_TERMS} terms")
             done, size = size, min(2 * size, _HEAD_MAX_TERMS)
         if ks.size and ks[0] == 0:
             self.n_terms = int(n[0])
@@ -387,9 +401,10 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
     float where rho_k underflows (``_HeadSeries.tail_ok``); ``terms`` is
     the largest N of the classes the series sums.  Where both mu and
     1 - |theta| are tiny (sigma near 1 and q near 0) that part falls by
-    only about a factor 1 - mu - (1 - |theta|) per term, and past
-    _HEAD_MAX_TERMS the solve raises SlowSeriesError; ``perron`` on the
-    band solves such an instance.  The cost is O(K N), with no ell-sized
+    only about a factor 1 - mu - (1 - |theta|) per term, and where it
+    cannot meet that bound by _HEAD_MAX_TERMS terms the solve raises
+    SlowSeriesError, from _HEAD_SLOW terms on; ``perron`` on the band
+    solves such an instance.  The cost is O(K N), with no ell-sized
     array: no band and no elimination.
 
     lam solves the secular equation (sigma - 1) x_0(lam) = 1, x_0
@@ -801,15 +816,11 @@ def perron(
             return checked(rho, 1.0 + pole + (sigma - 1.0) * float(rho[0]), it,
                            "secular Newton (stationary limit)")
         y = solver.solve(x)
-        mid = pole + math.sqrt((lo - pole) * (hi - pole))
-        if y[0] == 0.0:
-            new = mid   # M(0, 0) underflows, so x_0 = y_0 = 0 and Newton's step is 0/0
-        else:
-            new = mu + f * float(x[0] / y[0])
+        new = mu + f * float(x[0] / y[0])
         if new <= lo and lo == floor:
             new = floor
         elif not lo <= new <= hi:
-            new = mid
+            new = pole + math.sqrt((lo - pole) * (hi - pole))
         step = new - mu
         lam = 1.0 + new
         residual = np.inf

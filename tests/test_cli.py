@@ -18,6 +18,7 @@ import pytest
 
 import quasigw.cli
 import quasigw.kernel
+import quasigw.quasispecies
 import quasigw.spectral
 from quasigw import ModelParams, __version__, kernel_band, lumped_kernel_entry
 from quasigw.kernel import BAND_FLOOR
@@ -315,6 +316,22 @@ class TestQuasispeciesCommand:
         assert closed[1] == pytest.approx(LN2 * 4.0 / 9.0, rel=1e-13)
         assert max(float(r[3]) for r in rows) < 1e-10
 
+    def test_builds_the_eulerian_triangle_twice(self, tmp_path, monkeypatch):
+        """One pass for qs_pmf's column and one for the normalization check's
+        partial sum and both tail bounds."""
+        calls = []
+        series = quasigw.quasispecies._log_power_series
+
+        def counted(n, log_base):
+            calls.append(n)
+            return series(n, log_base)
+
+        monkeypatch.setattr(quasigw.quasispecies, "_log_power_series", counted)
+        code, _, _, _ = run_csv(["quasispecies", "--sigma", "4", "--a", str(LN2), "--kmax", "30"],
+                                tmp_path / "q.csv")
+        assert code == 0
+        assert len(calls) == 2
+
     def test_disordered_regime_notice_and_zero_rows(self, tmp_path, capsys):
         code, meta, _, rows = run_csv(
             ["quasispecies", "--sigma", "2", "--a", str(LN2), "--kmax", "5"],
@@ -524,9 +541,9 @@ class TestExtinctionCommand:
 
 
 def eager_parser():
-    """The parser with every command's options added up front, as main()'s
-    was built before it added only the selected command's: the oracle for
-    its help, version and usage-error output."""
+    """The parser with every command's options added up front, written out
+    apart from ``build_parser``: the oracle for main()'s help, version and
+    usage-error output."""
     parser = argparse.ArgumentParser(prog="quasigw", description="sharp-peak quasispecies toolkit")
     parser.add_argument("--version", action="version", version=f"quasigw {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -558,15 +575,51 @@ class TestParser:
         assert exit_output(main, argv, capsys) == exit_output(eager_parser().parse_args, argv,
                                                               capsys)
 
-    def test_adds_only_the_selected_commands_options(self):
-        parser = quasigw.cli.build_parser()
-        args = parser.parse_args(["perron", "--sigma", "2", "--ell", "10", "--q", "0.1"])
-        assert (args.sigma, args.ell, args.q) == (2.0, 10, 0.1)
-        subparsers = next(action for action in parser._actions
-                          if isinstance(action, argparse._SubParsersAction))
-        options = {command: len(sub._actions) - 1 for command, sub in subparsers.choices.items()}
-        assert options == {command: len(quasigw.cli._TABLES["perron"]) if command == "perron"
-                           else 0 for command in quasigw.cli._TABLES}
+    def test_main_builds_no_parser(self, monkeypatch, capsys, tmp_path):
+        """main() parses with the parser built at import: ~200 calls of mixed
+        commands, usage errors and help construct no ArgumentParser."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        out = ["--out", str(tmp_path / "out")]
+        jobs = [
+            ["kernel", "--sigma", "2", "--ell", "3", "--q", "0.1", *out],
+            ["perron", "--sigma", "2", "--ell", "20", "--a", "0.5", "--k-report", "3", *out],
+            ["quasispecies", "--sigma", "3", "--a", "0.5", "--kmax", "5", *out],
+            ["converge", "--sigma", "3", "--a", "0.5", "--ell-grid", "20,40", "--format", "json",
+             *out],
+            ["simulate", "--sigma", "2", "--ell", "4", "--a", "0.5", "--n-gens", "3", *out],
+            ["extinction", "--sigma", "2", "--ell", "4", "--a", "0.5", *out],
+            ["perron", "--sigma", "2", "--ell", "10"],
+        ]
+        codes = [main(argv) for argv in jobs * 28]
+        for argv in (["perron", "--ell", "x"], ["bogus"], ["perron", "--help"], ["--version"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 0, 0, 0, 2] * 28   # the last job lacks --q and --a
+        assert built == []
+
+    def test_calls_share_no_parse_state(self, tmp_path, capsys):
+        """An option given in one call, or a usage error, does not carry over
+        into the next call's parse: perron with no --k-report reports its
+        default 11 classes."""
+        out = tmp_path / "p.csv"
+        args = ["perron", "--sigma", "2", "--ell", "20", "--a", "0.5"]
+        code, _, _, rows = run_csv([*args, "--k-report", "3"], out)
+        assert code == 0 and len(rows) == 4
+        with pytest.raises(SystemExit):
+            main([*args, "--k-report", "x"])
+        capsys.readouterr()
+        code, meta, _, rows = run_csv(args, out)
+        assert code == 0
+        assert meta["config.k_report"] == "10"
+        assert [int(row[0]) for row in rows] == list(range(11))
 
 
 class TestEntryPoints:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import quasigw.quasispecies
 from quasigw import (
     ModelParams,
     QuasispeciesParams,
@@ -114,6 +115,17 @@ class TestPowerSigmaSeries:
         orders = [7, 0, 200, 7, 1]
         assert _log_power_series(orders, log_base).tolist() == [each[n] for n in orders]
 
+    def test_one_pass_matches_each_base(self):
+        """Orders and bases broadcast together; each (order, base) pair
+        gives its own call's value bit for bit."""
+        orders, bases = [3, 0, 40, 40, 3], [math.log(4.0), 0.5, 1e-4, math.log(4.0), 0.5]
+        got = _log_power_series(orders, bases).tolist()
+        assert got == [_log_power_series(n, b) for n, b in zip(orders, bases)]
+        assert _log_power_series(5, [0.5, 2.0]).tolist() == [
+            _log_power_series(5, 0.5), _log_power_series(5, 2.0)]
+        with pytest.raises(ValueError):
+            _log_power_series([1, 2], [0.5, 0.0])
+
     def test_brute_force_partial_sum(self):
         # direct summation oracle, long enough for the geometric tail to vanish
         total = sum(i**5 * 3.0**-i for i in range(1, 400))
@@ -214,6 +226,24 @@ class TestNormalization:
         partial, tail = qs_normalization_check(QuasispeciesParams(2.0, 0.1), 30)
         assert partial == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= tail < 1e-20
+
+    @pytest.mark.parametrize("sigma,a,k_max", [(4.0, LN2, 30), (2.0, 0.6931, 200)])
+    def test_one_pass_over_the_triangle(self, sigma, a, k_max, monkeypatch):
+        """One _log_power_series call serves the pmf and both tail bounds,
+        and the partial sum is that of qs_pmf's values, bit for bit."""
+        p = QuasispeciesParams(sigma, a)
+        expected = math.fsum(qs_pmf(p, np.arange(k_max + 1)).tolist())
+        calls = []
+        series = quasigw.quasispecies._log_power_series
+
+        def counted(n, log_base):
+            calls.append(n)
+            return series(n, log_base)
+
+        monkeypatch.setattr(quasigw.quasispecies, "_log_power_series", counted)
+        partial, _ = qs_normalization_check(p, k_max)
+        assert partial == expected
+        assert len(calls) == 1
 
     def test_a_zero_exact(self):
         partial, tail = qs_normalization_check(QuasispeciesParams(3.0, 0.0), 0)

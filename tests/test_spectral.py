@@ -390,11 +390,12 @@ class TestSecularPerron:
         assert exc.value.residual > 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_underflowed_master_entry_bisects_without_dividing(self, monkeypatch):
+    def test_underflowed_master_entry_takes_one_elimination(self, monkeypatch):
         """At kappa=3, q=0.5 (theta = 1/4), every M(b, 0) <= 2^-ell is below
         BAND_FLOOR from ell = 512 on, so the elimination drops column 0 and
-        x_0 = y_0 = 0; the step bisects instead of dividing 0 by 0, down to
-        the stationary limit, where lam - 1 ~ 3^-521."""
+        x_0 = 0.  The closed-form start, lam - 1 ~ 3^-521, lies below the
+        floor, so the one elimination, at the floor, gives the stationary
+        limit: no Newton step divides by y_0 = 0."""
         p = ModelParams(sigma=2.0, ell=521, kappa=3, q=0.5)
         band = kernel_band(p)
         assert np.all(band.block(0, band.n, 0, 1) < BAND_FLOOR)
@@ -408,7 +409,8 @@ class TestSecularPerron:
 
         monkeypatch.setattr(quasigw.spectral._BandSolver, "solve", recording_solve)
         pair = perron(p, band=band)
-        assert master and all(x_0 == 0.0 for x_0 in master)
+        assert master == [0.0]
+        assert pair.iterations == 1
         assert pair.method == "secular Newton (stationary limit)"
         assert pair.lam == 1.0
         assert pair.residual <= 1e-12
@@ -634,6 +636,24 @@ class TestPerronHead:
         assert head.terms == 0 and pair.iterations == 1
         assert head.lam == pytest.approx(pair.lam, rel=1e-15)
         assert head.rho[0] == pytest.approx(pair.rho[0], rel=1e-9)
+
+    @pytest.mark.parametrize("sigma,ell,kappa,q", [(1.00001, 5, 4, 3e-6),
+                                                   (1.00001, 2000, 2, 1e-8)])
+    def test_gives_up_before_summing_to_the_budget(self, sigma, ell, kappa, q, monkeypatch):
+        """A series that cannot meet its tail bound by _HEAD_MAX_TERMS terms
+        is given up at _HEAD_SLOW terms: the classes k >= 1 after a spectral
+        lam solve, and class 0 in the lam solve at ell > 1000."""
+        reached = []
+        add = quasigw.spectral._HeadSeries._add
+
+        def recording_add(self, n0, n1, ks, rate, acc):
+            reached.append(n1 - 1)
+            return add(self, n0, n1, ks, rate, acc)
+
+        monkeypatch.setattr(quasigw.spectral._HeadSeries, "_add", recording_add)
+        with pytest.raises(SlowSeriesError, match="terms"):
+            perron_head(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q))
+        assert max(reached) == quasigw.spectral._HEAD_SLOW
 
     def test_step_budget(self):
         p = ModelParams(sigma=3.0, ell=30, kappa=2, q=0.8)
