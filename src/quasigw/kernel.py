@@ -435,39 +435,36 @@ class KernelBand:
             runs.append((max(r0, s2), r1, x[n - width :]))
         return runs
 
-    def _skewed(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """The view values[b, c - b + half_width] over rows r0..r1-1, columns
-        c0..c1-1: M(b, c) for a middle row b and |c - b| <= half_width, and
-        other rows' entries beyond.  Every b, c in 0..ell read inside values,
-        at flat index b (width - 1) + c + half_width <= ell width + half_width."""
-        width = self.values.shape[1]
-        step = self.values.itemsize
-        start = (r0 * (width - 1) + c0 + self.half_width) * step
-        return np.ndarray((r1 - r0, c1 - c0), float, self.values, start, ((width - 1) * step, step))
-
     def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """M[r0:r1, c0:c1] as a dense array."""
+        """M[r0:r1, c0:c1] as a dense array, C-contiguous.
+
+        The rows b0..b1-1 that can reach columns c0..c1-1 (|c - b| <=
+        half_width) are scattered into zeros over the columns their windows
+        and c0..c1-1 span: the clipped first and last rows as slices, the
+        middle rows through one strided view whose rows step one column
+        right per row.  The result is that cut to c0..c1-1, so each stored
+        entry is the band's value bit for bit and every other entry is 0.
+        """
         n, width = self.values.shape
         h = self.half_width
+        b0, b1 = max(r0, c0 - h), min(r1, c1 + h)
+        if b0 >= b1:
+            return np.zeros((r1 - r0, c1 - c0))
+        lo = min(c0, min(max(b0 - h, 0), n - width))            # offsets[b0]
+        hi = max(c1, min(max(b1 - 1 - h, 0), n - width) + width)   # offsets[b1 - 1] + width
+        out = np.zeros((r1 - r0, hi - lo))
         s1, s2 = self._middle
-        out = np.zeros((r1 - r0, c1 - c0))
-        for b0, b1, start in ((r0, min(r1, s1), 0), (max(r0, s2), r1, n - width)):
-            lo, hi = max(c0, start), min(c1, start + width)
-            if b0 < b1 and lo < hi:
-                part = self.values[b0:b1, lo - start : hi - start]
-                out[b0 - r0 : b1 - r0, lo - c0 : hi - c0] = part
-        b0, b1 = max(r0, s1, c0 - h), min(r1, s2, c1 + h)
-        if b0 < b1:
-            lo, hi = max(c0, b0 - h), min(c1, b1 + h)
-            part = self._skewed(b0, b1, lo, hi)
-            # entry (i, j) of part is M(b, c) for c - b = d + j - i in -h..h
-            d = lo - b0
-            if d + hi - lo - 1 > h:
-                part = np.tril(part, h - d)
-            if d - (b1 - b0 - 1) < -h:
-                part = np.triu(part, -h - d)
-            out[b0 - r0 : b1 - r0, lo - c0 : hi - c0] = part
-        return out
+        if b0 < min(b1, s1):
+            out[b0 - r0 : min(b1, s1) - r0, -lo : width - lo] = self.values[b0 : min(b1, s1)]
+        if max(b0, s2) < b1:
+            out[max(b0, s2) - r0 : b1 - r0, n - width - lo : n - lo] = self.values[max(b0, s2) : b1]
+        m0, m1 = max(b0, s1), min(b1, s2)
+        if m0 < m1:
+            step, cols = out.itemsize, hi - lo
+            start = ((m0 - r0) * cols + m0 - h - lo) * step
+            windows = np.ndarray((m1 - m0, width), float, out, start, ((cols + 1) * step, step))
+            windows[:] = self.values[m0:m1]
+        return np.ascontiguousarray(out[:, c0 - lo : c1 - lo])
 
     def _vector(self, x) -> np.ndarray:
         """x as a contiguous float vector of length ell + 1, or ValueError."""
@@ -582,29 +579,26 @@ def kernel_band(params: ModelParams) -> KernelBand:
     return KernelBand(values=values, half_width=half_width)
 
 
-def lumped_kernel_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarray:
-    """Dense (ell+1) x (ell+1) class transition matrix M, row b = parent class.
-
-    The rows of ``kernel_band`` scattered into zeros: each stored entry is
-    the band's value bit for bit, and the entries the band leaves out (all
-    below BAND_FLOOR) are exact zeros, so this is the M the Perron and
-    extinction solves run on.  It takes O(ell^2) memory where the band
-    takes O(ell) at fixed a = ell q.  Pass band = kernel_band(params) to
-    reuse a band already built.
-    """
+def _band_for(params: ModelParams, band: KernelBand | None) -> KernelBand:
+    """band, or kernel_band(params) where it is None; ValueError where it has
+    other than ell + 1 rows, so it cannot be the kernel of params."""
     band = kernel_band(params) if band is None else band
     if band.n != params.ell + 1:
         raise ValueError(f"kernel band must have {params.ell + 1} rows, got {band.n}")
-    n, width = band.values.shape
-    s1, s2 = band._middle
-    m = np.zeros((n, n))
-    m[:s1, :width] = band.values[:s1]
-    m[s2:, n - width :] = band.values[s2:]
-    if s1 < s2:
-        # row b's window, columns b - h .. b + h, as one strided view of m
-        step = m.itemsize
-        start = (s1 * (n + 1) - band.half_width) * step
-        windows = np.ndarray((s2 - s1, width), float, m, start, ((n + 1) * step, step))
-        windows[:] = band.values[s1:s2]
-    return m
+    return band
+
+
+def lumped_kernel_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarray:
+    """Dense (ell+1) x (ell+1) class transition matrix M, row b = parent class.
+
+    ``KernelBand.block`` over the whole matrix, the rows of ``kernel_band``
+    scattered into zeros: each stored entry is the band's value bit for
+    bit, and the entries the band leaves out (all below BAND_FLOOR) are
+    exact zeros, so this is the M the Perron and extinction solves run on.
+    It takes O(ell^2) memory where the band takes O(ell) at fixed
+    a = ell q.  Pass band = kernel_band(params) to reuse a band already
+    built.
+    """
+    band = _band_for(params, band)
+    return band.block(0, band.n, 0, band.n)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _log_stationary_law, kernel_band,
+from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _band_for, _log_stationary_law,
                      lumped_kernel_matrix)
 
 __all__ = [
@@ -67,6 +67,8 @@ _CLASS_0 = np.zeros(1, dtype=np.int64)
 # products of at most this many mantissas in [1/2, 1), so they stay normal
 # floats even where long double is a double.
 _SPECTRAL_MAX_ELL = 1000
+# Slack of the sandwich check, relative to max(1, lam).
+_BOUNDS_RTOL = 1e-11
 
 
 class ConvergenceError(RuntimeError):
@@ -426,8 +428,11 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
     of the pole with D_0 held, which jumps from where D_0 is flat to where
     the pole counts.  A step that leaves the bracket gives way to the next,
     and to the bracket's midpoint.  The solve stops once a step is at most
-    tol in t (relative in mu), or too small to change t; max_iter bounds
-    the steps (``iterations``), and running out raises ConvergenceError.
+    tol in t (relative in mu), or too small to change t: it leaves t where
+    it is, or returns it to the iterate before, a two-cycle of neighbouring
+    long doubles where tol is below their spacing (tol = 0).  max_iter
+    bounds the steps (``iterations``), and running out raises
+    ConvergenceError.
     ``residual`` is the secular residual |(sigma - 1) x_0(lam) - 1| at
     the end.  Near the threshold the root is ill-conditioned (at sigma =
     2, sigma e^-a = 1.01, one ulp of x_0 moves mu by 50 ulps), so t and
@@ -480,6 +485,7 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
     # that lies above 1; at lam = sigma otherwise
     guess = sigma * math.exp(params.ell * math.log1p(-params.q)) - 1.0
     t = np.log(np.longdouble(guess)) if guess > 0.0 else t_hi
+    before = None   # the iterate before t
     it = 0
     while True:
         h, dh, pole_led, t_pole = secular(t)
@@ -503,8 +509,10 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
             if t_lo <= t + step <= t_hi:   # a nan step fails this test
                 new = t + step
                 break
-        done = abs(new - t) <= tol or new == t
-        t = new
+        # a step back to the iterate before is a two-cycle of neighbouring
+        # long doubles: too small to change t
+        done = abs(new - t) <= tol or new == t or new == before
+        before, t = t, new
         if done:
             break
     # class 0 from the spectral expansion where the lam solve used it
@@ -711,8 +719,9 @@ def perron(
     block elimination (``_BandSolver``) and gives x and
     y = x (lam I - M)^-1 = -dx/dlam; the step is delta = f x_0 / y_0
     (Newton on 1 / x_0), kept inside the bracket the signs of f give
-    (bisection otherwise), and the new pair is lam + delta with rho
-    proportional to x - delta y.
+    (bisection in log(lam - 1 - pole) otherwise, which also takes the 0/0
+    step where x_0 and y_0 underflow to 0), and the new pair is
+    lam + delta with rho proportional to x - delta y.
 
     lam is kept above a floor, 1 + pole plus a few ulps: pole = pi (s - 1)
     (s the row sums) is the first-order shift of M's Perron root from 1 by
@@ -754,9 +763,7 @@ def perron(
     half width floats of blocks, O(ell x band width) in all.  At ell = 10^5
     and a = ln 2 that is about 150 + 220 MB, where W alone would take 80 GB.
     """
-    band = kernel_band(params) if band is None else band
-    if band.n != params.ell + 1:
-        raise ValueError(f"kernel band must have {params.ell + 1} rows, got {band.n}")
+    band = _band_for(params, band)
     sigma = params.sigma
 
     def residual_of(v, lam):
@@ -868,7 +875,6 @@ def perron_bounds_check(
     params: ModelParams,
     band: KernelBand | None = None,
     k_max: int = 10,
-    rtol: float = 1e-11,
 ) -> BoundsReport:
     """Sandwich check on the eigenvalue equations, for the pair's lam and
     rho_0..rho_k_max (a ``PerronHead`` of at least k_max + 1 classes will do).
@@ -878,16 +884,16 @@ def perron_bounds_check(
     dropping the i > k terms (lower bound) and by replacing them with
     max_{i>k} M(i,k) (upper bound, since the dropped rho mass is < 1).
     For q = 0 the brackets collapse to equalities, so the comparison
-    allows a small slack proportional to lam.
+    allows a slack of _BOUNDS_RTOL times max(1, lam).
 
     The columns W(:, k) = M(:, k), with W(0,k) = sigma M(0,k), are read
     from M's band (entries below BAND_FLOOR count as 0); pass
     band = kernel_band(params) to reuse the band the Perron pair came from.
     """
-    band = kernel_band(params) if band is None else band
+    band = _band_for(params, band)
     lam = pair.lam
     rho = np.asarray(pair.rho, dtype=float)
-    slack = rtol * max(1.0, lam)
+    slack = _BOUNDS_RTOL * max(1.0, lam)
     k_top = min(k_max, params.ell)
     # rows past k_top + half_width have no entry in columns 0..k_top
     w = band.block(0, min(band.n, k_top + 1 + band.half_width), 0, k_top + 1)
@@ -1035,14 +1041,22 @@ def extinction_probabilities(
     near-critical, and their u, of order tol when the solve stops, may be
     far larger than the true value.
 
+    Where the process is barely supercritical (lam - 1 down to ~1e-12) the
+    Jacobian at the root is nearly singular, and the steps stall at its
+    rounding floor, about eps / (lam - 1), which can lie above tol while
+    the residual is far below it.  So the solve also stops once the
+    residual is at most tol and a plain step is no smaller than the plain
+    step before it (method "..., step floor"): such a solve is accurate to
+    about its last step, not to tol (at sigma = 3.114, ell = 60,
+    a = 1.1358980193121355 the last step is 4.0e-12, and u is within
+    3.7e-12 of a 40-digit Newton on the same kernel).
+
     Everything runs on M's band (``kernel_band``; pass band =
     kernel_band(params) to reuse it), with M u from ``KernelBand.matvec``:
     no dense matrix is built, and the working set is the band plus about
     4 (ell + 1) x w floats of blocks.
     """
-    band = kernel_band(params) if band is None else band
-    if band.n != params.ell + 1:
-        raise ValueError(f"kernel band must have {params.ell + 1} rows, got {band.n}")
+    band = _band_for(params, band)
     a = fitness_vector(params)
     u = np.zeros(band.n)
     if params.sigma > 1.0:
@@ -1054,14 +1068,17 @@ def extinction_probabilities(
     solver = _BandSolver(band)
     mu, f = _residual(band, a, u)
     step = np.inf
+    stalled = False       # the last two moves were plain steps, and the last no smaller
     extrapolations = undone = 0
     last = ratio = None   # per class: the last Newton step, and its ratio to the one before
     fallback = None       # the plain point the last extrapolated point replaced
     for it in range(max_iter + 1):
-        if step <= tol and (residual := float(np.max(np.abs(f)))) <= tol:
+        if (step <= tol or stalled) and (residual := float(np.max(np.abs(f)))) <= tol:
             method = "extrapolated Newton" if extrapolations else "Newton"
             if undone:
                 method += f", {undone} undone"
+            if step > tol:
+                method += ", step floor"
             return ExtinctionReport(s=1.0 - u, iterations=it, extrapolations=extrapolations,
                                     residual=residual, method=method)
         if it == max_iter:
@@ -1070,7 +1087,7 @@ def extinction_probabilities(
         delta = solver.solve_right(a * np.exp(-a * mu) * live, f * live)
         if fallback is not None:
             if np.any((u - delta < 0.0) & live):
-                u, step, fallback = fallback, np.inf, None
+                u, step, stalled, fallback = fallback, np.inf, False, None
                 mu, f = _residual(band, a, u)
                 extrapolations -= 1
                 undone += 1
@@ -1092,8 +1109,9 @@ def extinction_probabilities(
             new, mu, f = extrapolated
             fallback, last, ratio = plain, None, None
             extrapolations += 1
-        step = float(np.max(np.abs(new - u)))
-        u = new
+        moved = float(np.max(np.abs(new - u)))
+        stalled = extrapolated is None and ratio is not None and moved >= step
+        step, u = moved, new
     residual = float(np.max(np.abs(f)))
     raise ConvergenceError(
         f"extinction Newton iteration did not converge in {max_iter} steps "

@@ -294,6 +294,17 @@ class TestPerronCommand:
             assert [r[header.index("method")] for r in rows] == ["secular Newton"] * 2
             assert all(0.0 < v < 1.0 for v in values)
 
+    @pytest.mark.parametrize("command", ["perron", "converge"])
+    def test_zero_tolerance_ends_on_a_two_cycle(self, tmp_path, command):
+        """--tol 0: the lambda solve ends where t returns to the iterate
+        before it (two neighbouring long doubles), not after 100 steps."""
+        grid = ["--ell", "100"] if command == "perron" else ["--ell-grid", "100,200"]
+        code, meta, _, rows = run_csv(
+            [command, "--sigma", "4", "--a", str(LN2), *grid, "--tol", "0"], tmp_path / "p.csv")
+        assert code == 0 and rows
+        if command == "perron":
+            assert int(meta["diagnostics.iterations"]) <= 6
+
     def test_nonconvergence_exit_code(self, capsys):
         """The lambda solve needs 4 steps here; a budget of 2 runs out."""
         code = main(
@@ -458,6 +469,17 @@ class TestExtinctionCommand:
             p_fp, p_mc, se = float(r[1]), float(r[2]), float(r[3])
             assert abs(p_fp - p_mc) < 4.0 * se
 
+    def test_barely_supercritical_ends_at_the_step_floor(self, tmp_path):
+        """lambda - 1 = 4.3e-5: the Newton steps stall at their rounding
+        floor above --tol, and the solve stops there with exit 0, where it
+        ran out of its 100 steps."""
+        code, meta, _, rows = run_csv(
+            ["extinction", "--sigma", "3.114", "--ell", "60", "--a", "1.1358980193121355"],
+            tmp_path / "e.csv")
+        assert code == 0 and len(rows) == 61
+        assert int(meta["diagnostics.newton_steps"]) <= 50
+        assert float(meta["diagnostics.fixed_point_residual"]) <= 1e-12
+
     def test_critical_classes_solved_at_defaults(self, tmp_path):
         # at q = 0 classes k >= 1 never reach the master class: extinction is certain
         code, _, _, rows = run_csv(
@@ -508,7 +530,7 @@ class TestExtinctionCommand:
 
         monkeypatch.setattr(quasigw.cli, "lumped_kernel_matrix", counting)
         monkeypatch.setattr(quasigw.spectral, "lumped_kernel_matrix", counting)
-        for module in (quasigw.cli, quasigw.spectral, quasigw.kernel):
+        for module in (quasigw.cli, quasigw.kernel):
             monkeypatch.setattr(module, "kernel_band", counting_band)
         code, _, header, _ = run_csv(
             ["extinction", "--sigma", "4", "--ell", "20", "--a", "0.6931",

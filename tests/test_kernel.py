@@ -627,6 +627,38 @@ class TestKernelBand:
             gap = np.abs(band.values - direct)
             assert np.all(gap <= terms[:, None] * np.finfo(float).eps * direct)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=400),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.sampled_from([0.0, 1e-300, 0.99]) | st.floats(min_value=1e-300, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(ell=400, kappa=2, q=0.5, seed=0)    # width = ell + 1: no middle rows
+    @example(ell=400, kappa=3, q=0.01, seed=1)   # a narrow band: long middle run
+    @example(ell=1, kappa=4, q=0.99, seed=2)
+    def test_block_is_the_row_by_row_scatter_property(self, ell, kappa, q, seed):
+        """``block`` on random ranges, empty, single-row and single-column
+        ones among them, and ``lumped_kernel_matrix`` equal, bit for bit, the
+        dense matrix built one row at a time: values[b] at columns
+        offsets[b] .. offsets[b] + width - 1, zeros elsewhere."""
+        p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
+        band = kernel_band(p)
+        n, width = band.values.shape
+        dense = np.zeros((n, n))
+        for b, c0 in enumerate(band.offsets.tolist()):
+            dense[b, c0 : c0 + width] = band.values[b]
+        m = lumped_kernel_matrix(p, band)
+        assert m.shape == (n, n) and m.tobytes() == dense.tobytes()
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            (r0, c0), (r_len, c_len) = rng.integers(0, n + 1, 2), rng.choice(
+                [0, 1, int(rng.integers(0, n + 1))], 2)
+            r1, c1 = min(r0 + r_len, n), min(c0 + c_len, n)
+            got = band.block(r0, r1, c0, c1)
+            assert got.shape == (r1 - r0, c1 - c0) and got.flags.c_contiguous
+            assert got.tobytes() == dense[r0:r1, c0:c1].tobytes(), (r0, r1, c0, c1)
+
     def test_q_zero_band_is_the_diagonal(self):
         band = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))
         assert np.array_equal(band.values, np.ones((8, 1)))

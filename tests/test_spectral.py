@@ -295,6 +295,34 @@ class TestSecularPerron:
             assert pair.lam == 1.0
             assert np.array_equal(pair.rho, np.eye(6)[0])
 
+    def test_step_too_small_to_change_lam_raises(self):
+        """tol = 1e-17 lies below the spacing of floats at lam = 2: the first
+        step leaves lam where it is, the next elimination would repeat this
+        one, so the solve raises after one, with the residual it reached."""
+        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
+        with pytest.raises(ConvergenceError, match="in 1 steps") as exc:
+            perron(p, tol=1e-17)
+        assert exc.value.iterations == 1
+        assert exc.value.residual <= 1e-15
+
+    def test_nan_step_takes_the_bracket_mean(self, monkeypatch):
+        """From sigma, the start where the closed form's series is too slow:
+        at kappa = 20, q = 0.868 every M(b, 0) is below BAND_FLOOR, so x_0 =
+        y_0 = 0 and each Newton step is 0/0; the geometric mean of the
+        bracket takes it, six times, and the solve ends within tol of the
+        closed-form root, which lies below the floor."""
+        p = ModelParams(sigma=1.4191258409619323, ell=253, kappa=20, q=0.8680661876357015)
+
+        def too_slow(*args, **kwargs):
+            raise SlowSeriesError("closed-form Perron series cannot converge")
+
+        monkeypatch.setattr(quasigw.spectral, "perron_head", too_slow)
+        with np.errstate(invalid="ignore"):
+            pair = perron(p)
+        assert pair.method == "secular Newton" and pair.iterations == 6
+        monkeypatch.undo()
+        assert abs(pair.lam - perron_head(p, k_max=0).lam) <= 1e-12 * pair.lam
+
     @pytest.mark.parametrize("sigma,ell,kappa,q", [(3.0, 30, 2, 0.8), (5.0, 10, 3, 0.9),
                                                    (10.0, 2, 2, 0.95)])
     def test_alternating_regime_starts_at_closed_form(self, sigma, ell, kappa, q):
@@ -655,6 +683,17 @@ class TestPerronHead:
             perron_head(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q))
         assert max(reached) == quasigw.spectral._HEAD_SLOW
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-19, -1.0])
+    def test_tolerance_below_the_spacing_ends_on_a_two_cycle(self, tol):
+        """At tol = 0 (or below the spacing of long doubles at t) the solve
+        ends where a step returns t to the iterate before it: here t
+        alternates between two neighbouring long doubles, with the secular
+        residual at 1.1e-19, and a budget of 100 steps ran out."""
+        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
+        head = perron_head(p, tol=tol)
+        assert head.iterations <= 6 and head.residual <= 1e-18
+        assert head.mu == pytest.approx(perron_head(p).mu, rel=1e-14)
+
     def test_step_budget(self):
         p = ModelParams(sigma=3.0, ell=30, kappa=2, q=0.8)
         assert perron_head(p).iterations > 2
@@ -764,6 +803,15 @@ class TestPerronBoundsCheck:
         band = kernel_band(p)
         pair = perron(p, band=band)
         assert perron_bounds_check(pair, p, band=band) == perron_bounds_check(pair, p)
+
+    def test_rejects_a_band_of_another_length(self):
+        """A band for ell = 60 is not the kernel of an ell = 100 pair: the
+        check raises, as perron and extinction_probabilities do, where it
+        reported passed = False."""
+        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
+        band = kernel_band(dataclasses.replace(p, ell=60))
+        with pytest.raises(ValueError, match="kernel band must have 101 rows, got 61"):
+            perron_bounds_check(perron_head(p), p, band=band)
 
     def test_failure_injection(self):
         """A distorted eigenvector must be caught by at least one inequality."""
@@ -960,6 +1008,21 @@ class TestExtinctionProbabilities:
         assert report.method.endswith(" undone")
         assert report.residual <= 1e-12
         assert np.max(np.abs(report.s - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("sigma,ell,a,method", [
+        (3.114, 60, 1.1358980193121355, "extrapolated Newton, step floor"),   # lam - 1 = 4.3e-5
+        (3.137, 55, 1.1432668251811657, "Newton, step floor")])               # lam - 1 = 1.75e-12
+    def test_barely_supercritical_ends_at_the_step_floor(self, sigma, ell, a, method):
+        """The Jacobian at the root is nearly singular, and the steps stall
+        at its rounding floor, 2-5e-12 > tol, with the residual below 1e-19:
+        the solve stops there, where it ran out of its 100 steps, and is
+        accurate to about that last step (against dense Newton to 1e-11)."""
+        p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
+        report = extinction_probabilities(p)
+        assert report.method == method
+        assert report.iterations <= 50 and report.residual <= 1e-19
+        oracle, _ = dense_newton_extinction(p, tol=1e-11, max_iter=300)
+        assert np.max(np.abs(report.s - oracle)) <= 1e-11
 
     def test_report(self):
         p = ModelParams(sigma=2.0, ell=200, kappa=2, q=0.1 / 200)
