@@ -282,25 +282,25 @@ def cmd_kernel(resolved: dict):
     return table, diagnostics
 
 
-def _perron_head(params: ModelParams, k_max: int, resolved: dict, band=None):
+def _perron_head(params: ModelParams, k_max: int, resolved: dict):
     """lambda and rho_0..rho_k_max in closed form (``perron_head``), or from
     ``perron`` on the band where the closed form's series is too slow (sigma
-    and q near 1 and 0); pass band = kernel_band(params) to reuse it."""
+    and q near 1 and 0); only that fallback builds the band."""
     try:
         return perron_head(params, k_max=k_max, tol=resolved["tol"],
                            max_iter=resolved["max_iter"])
     except SlowSeriesError:
-        pair = perron(params, band=band, tol=resolved["tol"], max_iter=resolved["max_iter"])
+        pair = perron(params, tol=resolved["tol"], max_iter=resolved["max_iter"])
         return replace(pair, rho=pair.rho[: min(k_max, params.ell) + 1])
 
 
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
     k_report = _nonnegative(resolved, "k_report")
-    # the band checks the head against the numerical kernel (bounds_ok)
-    band = kernel_band(params)
-    head = _perron_head(params, k_report, resolved, band=band)
-    bounds = perron_bounds_check(head, params, band=band, k_max=k_report)
+    head = _perron_head(params, k_report, resolved)
+    # bounds_ok checks the head against the numerical kernel, on the rows
+    # that reach classes 0..k_report only: no band is built for it
+    bounds = perron_bounds_check(head, params, k_max=k_report)
     identity_gap = abs(head.lam - ((params.sigma - 1.0) * float(head.rho[0]) + 1.0))
     table = {"k": np.arange(head.rho.size), "rho": head.rho}
     diagnostics = {
@@ -423,6 +423,7 @@ def cmd_extinction(resolved: dict):
     table = {"k": np.arange(params.ell + 1), "p_extinct": s}
     diagnostics = {
         "fixed_point_residual": residual,
+        "method": report.method,
         "newton_steps": report.iterations,
         "extrapolated_steps": report.extrapolations,
     }

@@ -366,6 +366,41 @@ def _log_stationary_law(params: ModelParams, k_max: int | None = None) -> np.nda
     return log_p
 
 
+def _middle_rows(n: int, width: int, half_width: int) -> tuple[int, int]:
+    """Rows s1..s2-1 of a band of n classes (``KernelBand``), whose windows
+    start at b - half_width; the rows before them start at column 0 and
+    those after at n - width."""
+    s1 = min(half_width + 1, n)
+    return s1, max(n - width + half_width, s1)
+
+
+def _scatter(values: np.ndarray, n: int, half_width: int, r0: int, r1: int, c0: int, c1: int
+             ) -> np.ndarray:
+    """M[r0:r1, c0:c1] from the rows of a band of n classes stored as in
+    ``KernelBand`` (``KernelBand.block``); values may hold only the band's
+    first rows, if rows 0..r1-1 are among them."""
+    width = values.shape[1]
+    h = half_width
+    b0, b1 = max(r0, c0 - h), min(r1, c1 + h)
+    if b0 >= b1:
+        return np.zeros((r1 - r0, c1 - c0))
+    lo = min(c0, min(max(b0 - h, 0), n - width))            # offsets[b0]
+    hi = max(c1, min(max(b1 - 1 - h, 0), n - width) + width)   # offsets[b1 - 1] + width
+    out = np.zeros((r1 - r0, hi - lo))
+    s1, s2 = _middle_rows(n, width, h)
+    if b0 < min(b1, s1):
+        out[b0 - r0 : min(b1, s1) - r0, -lo : width - lo] = values[b0 : min(b1, s1)]
+    if max(b0, s2) < b1:
+        out[max(b0, s2) - r0 : b1 - r0, n - width - lo : n - lo] = values[max(b0, s2) : b1]
+    m0, m1 = max(b0, s1), min(b1, s2)
+    if m0 < m1:
+        step, cols = out.itemsize, hi - lo
+        start = ((m0 - r0) * cols + m0 - h - lo) * step
+        windows = np.ndarray((m1 - m0, width), float, out, start, ((cols + 1) * step, step))
+        windows[:] = values[m0:m1]
+    return np.ascontiguousarray(out[:, c0 - lo : c1 - lo])
+
+
 @dataclass(frozen=True, eq=False)
 class KernelBand:
     """The class kernel M on its band, stored by diagonal: M(b, offsets[b] + j) = values[b, j].
@@ -411,11 +446,8 @@ class KernelBand:
 
     @property
     def _middle(self) -> tuple[int, int]:
-        """Rows s1..s2-1, whose windows start at b - half_width; the rows before
-        them start at column 0 and those after at ell + 1 - width."""
-        n, width = self.values.shape
-        s1 = min(self.half_width + 1, n)
-        return s1, max(n - width + self.half_width, s1)
+        """Rows s1..s2-1, whose windows start at b - half_width (``_middle_rows``)."""
+        return _middle_rows(*self.values.shape, self.half_width)
 
     def _windows(self, x: np.ndarray, r0: int, r1: int) -> list:
         """Rows r0..r1-1 in at most three runs (b0, b1, windows), windows[i]
@@ -445,26 +477,7 @@ class KernelBand:
         right per row.  The result is that cut to c0..c1-1, so each stored
         entry is the band's value bit for bit and every other entry is 0.
         """
-        n, width = self.values.shape
-        h = self.half_width
-        b0, b1 = max(r0, c0 - h), min(r1, c1 + h)
-        if b0 >= b1:
-            return np.zeros((r1 - r0, c1 - c0))
-        lo = min(c0, min(max(b0 - h, 0), n - width))            # offsets[b0]
-        hi = max(c1, min(max(b1 - 1 - h, 0), n - width) + width)   # offsets[b1 - 1] + width
-        out = np.zeros((r1 - r0, hi - lo))
-        s1, s2 = self._middle
-        if b0 < min(b1, s1):
-            out[b0 - r0 : min(b1, s1) - r0, -lo : width - lo] = self.values[b0 : min(b1, s1)]
-        if max(b0, s2) < b1:
-            out[max(b0, s2) - r0 : b1 - r0, n - width - lo : n - lo] = self.values[max(b0, s2) : b1]
-        m0, m1 = max(b0, s1), min(b1, s2)
-        if m0 < m1:
-            step, cols = out.itemsize, hi - lo
-            start = ((m0 - r0) * cols + m0 - h - lo) * step
-            windows = np.ndarray((m1 - m0, width), float, out, start, ((cols + 1) * step, step))
-            windows[:] = self.values[m0:m1]
-        return np.ascontiguousarray(out[:, c0 - lo : c1 - lo])
+        return _scatter(self.values, self.n, self.half_width, r0, r1, c0, c1)
 
     def _vector(self, x) -> np.ndarray:
         """x as a contiguous float vector of length ell + 1, or ValueError."""
@@ -522,10 +535,12 @@ def kernel_band(params: ModelParams) -> KernelBand:
     the sum of lumped_kernel_entry.  M(b, c) sums at most ell + 1 products
     P(G = k) P(L = l) with k - l = c - b, so an entry >= BAND_FLOOR has a
     term >= BAND_FLOOR / (ell + 1), and both its factors are at least that.
-    So each pmf is kept on its window at that level (``_binom_windows``),
-    the windows of all rows are evaluated in one pass
-    (``_binom_window_pmfs``, to a few ulps relative), and row b is the
-    convolution of its two windows; so the rows sum to 1 within a few ulps
+    So each pmf is kept on its window at that level (``_binom_windows``, for
+    all rows at once in ``_kernel_windows``), the windows of all rows are
+    evaluated in one pass (``_binom_window_pmfs``, to a few ulps relative),
+    and row b is the convolution of its two windows (``_kernel_rows``, which
+    also builds a leading run of rows alone, bit for bit the same:
+    ``_leading_columns``); so the rows sum to 1 within a few ulps
     (max |fsum - 1| <= 1.1e-15 on acceptance 02's grid and at a = ln 2 up
     to ell = 10^5).  The terms left out sum to at most
     2 BAND_FLOOR / (ell + 1) per entry, and every entry outside the rows'
@@ -547,36 +562,89 @@ def kernel_band(params: ModelParams) -> KernelBand:
     and the band takes O(ell) memory and time where the dense matrix takes
     O(ell^2): about 148 MB at ell = 10^5 against 80 GB.
     """
+    windows = _kernel_windows(params)
+    return KernelBand(values=_kernel_rows(params, windows, params.ell + 1),
+                      half_width=windows.half_width)
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelWindows:
+    """Where each row of M lies: in row b, G is kept on g_lo[b]..g_hi[b], L on
+    l_lo[b]..l_hi[b], and M(b, .) starts at column lo[b] = b + g_lo[b] - l_hi[b];
+    half_width is the band's (``KernelBand``)."""
+
+    g_lo: np.ndarray
+    g_hi: np.ndarray
+    l_lo: np.ndarray
+    l_hi: np.ndarray
+    lo: np.ndarray
+    half_width: int
+
+
+def _kernel_windows(params: ModelParams) -> _KernelWindows:
+    """The pmf windows of every row (``_binom_windows``, all rows at once), at
+    the level of ``kernel_band``; at kappa = 2 the windows of L are those of G
+    reversed, L in row b being G in row ell - b."""
     ell, kappa, q = params.ell, params.kappa, params.q
     q_back = q / (kappa - 1)
     log_fact = _log_factorials(ell)
     log_min = math.log(BAND_FLOOR) - math.log(ell + 1)
     classes = np.arange(ell + 1)
     g_lo, g_hi = _binom_windows(ell - classes, q, log_fact, log_min)
-    gains = _binom_window_pmfs(ell - classes, q, g_lo, g_hi)
-    reflected = q_back == q   # kappa = 2 (or q = 0)
-    if reflected:
-        # L in row b is G in row ell - b, window and pmf alike.
-        l_lo, l_hi, losses = g_lo[::-1], g_hi[::-1], gains[::-1]
+    if q_back == q:   # kappa = 2 (or q = 0)
+        l_lo, l_hi = g_lo[::-1], g_hi[::-1]
     else:
         l_lo, l_hi = _binom_windows(classes, q_back, log_fact, log_min)
-        losses = _binom_window_pmfs(classes, q_back, l_lo, l_hi)
     # conv(gain, loss[::-1])[j] = sum P(G=k) P(L=l) over k - l = j + g_lo - l_hi,
-    # which lands in class c = b + k - l: row b's support is lo[b]..hi[b].
+    # which lands in class c = b + k - l: row b's support is lo..hi.
     lo, hi = classes + g_lo - l_hi, classes + g_hi - l_lo
     half_width = int(max(np.max(classes - lo), np.max(hi - classes)))
-    width = min(2 * half_width + 1, ell + 1)
-    starts = lo - np.clip(classes - half_width, 0, ell + 1 - width)
-    values = np.zeros((ell + 1, width))
-    n_direct = (ell + 2) // 2 if reflected else ell + 1
-    bounds = zip(starts[:n_direct].tolist(), (g_hi - g_lo + 1)[:n_direct].tolist(),
-                 (l_hi - l_lo + 1)[:n_direct].tolist())
+    return _KernelWindows(g_lo, g_hi, l_lo, l_hi, lo, half_width)
+
+
+def _kernel_rows(params: ModelParams, windows: _KernelWindows, n_rows: int) -> np.ndarray:
+    """Rows 0..n_rows-1 of ``kernel_band(params).values``, bit for bit.
+
+    Each direct row is its two pmfs on their windows (``_binom_window_pmfs``,
+    the rows' pmfs in one pass) and one ``np.convolve``; at kappa = 2 the
+    rows from (ell + 2) // 2 on are their mirror rows ell - b reversed, which
+    lie before them.  A row's pmfs are the same bits whichever rows share
+    the pass, so any leading run of rows is the band's.
+    """
+    ell, q = params.ell, params.q
+    q_back = q / (params.kappa - 1)
+    h = windows.half_width
+    width = min(2 * h + 1, ell + 1)
+    n_direct = min(n_rows, (ell + 2) // 2 if q_back == q else ell + 1)
+    direct = np.arange(n_direct)
+    g_lo, g_hi = windows.g_lo[:n_direct], windows.g_hi[:n_direct]
+    l_lo, l_hi = windows.l_lo[:n_direct], windows.l_hi[:n_direct]
+    gains = _binom_window_pmfs(ell - direct, q, g_lo, g_hi)
+    losses = _binom_window_pmfs(direct, q_back, l_lo, l_hi)
+    starts = windows.lo[:n_direct] - np.clip(direct - h, 0, ell + 1 - width)
+    values = np.zeros((n_rows, width))
+    bounds = zip(starts.tolist(), (g_hi - g_lo + 1).tolist(), (l_hi - l_lo + 1).tolist())
     for b, (start, g_size, l_size) in enumerate(bounds):
         row = np.convolve(gains[b, :g_size], losses[b, l_size - 1 :: -1])
         values[b, start : start + row.size] = row
-    if reflected:
-        values[n_direct:] = values[ell - n_direct :: -1, ::-1]
-    return KernelBand(values=values, half_width=half_width)
+    values[n_direct:] = values[ell + 1 - n_rows : ell + 1 - n_direct][::-1, ::-1]
+    return values
+
+
+def _leading_columns(params: ModelParams, n_cols: int) -> np.ndarray:
+    """M[0:r, 0:n_cols] for 1 <= n_cols <= ell + 1, bit for bit
+    ``kernel_band(params).block(0, r, 0, n_cols)``: r covers every row whose
+    support starts below column n_cols, and at least n_cols rows, so the rows
+    past r are 0 there.  Only those r rows are built (``_kernel_rows``) and
+    scattered (``_scatter``), beside the windows of all ell + 1 rows: at
+    a = ln 2 and n_cols = 11 that is 54 rows at ell = 5000 and 43 at
+    ell = 10^5, where the band has ell + 1.
+    """
+    windows = _kernel_windows(params)
+    reach = np.flatnonzero(windows.lo < n_cols)
+    r = max(n_cols, int(reach[-1]) + 1 if reach.size else 0)
+    values = _kernel_rows(params, windows, r)
+    return _scatter(values, params.ell + 1, windows.half_width, 0, r, 0, n_cols)
 
 
 def _band_for(params: ModelParams, band: KernelBand | None) -> KernelBand:

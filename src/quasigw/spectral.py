@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _band_for, _log_stationary_law,
-                     lumped_kernel_matrix)
+from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _band_for, _leading_columns,
+                     _log_stationary_law, lumped_kernel_matrix)
 
 __all__ = [
     "ConvergenceError",
@@ -873,7 +873,6 @@ class BoundsReport:
 def perron_bounds_check(
     pair: PerronPair | PerronHead,
     params: ModelParams,
-    band: KernelBand | None = None,
     k_max: int = 10,
 ) -> BoundsReport:
     """Sandwich check on the eigenvalue equations, for the pair's lam and
@@ -886,17 +885,16 @@ def perron_bounds_check(
     For q = 0 the brackets collapse to equalities, so the comparison
     allows a slack of _BOUNDS_RTOL times max(1, lam).
 
-    The columns W(:, k) = M(:, k), with W(0,k) = sigma M(0,k), are read
-    from M's band (entries below BAND_FLOOR count as 0); pass
-    band = kernel_band(params) to reuse the band the Perron pair came from.
+    The columns W(:, k) = M(:, k), with W(0,k) = sigma M(0,k), are those of
+    M's band (entries below BAND_FLOOR count as 0), built only for the rows
+    that reach columns 0..k_max (``_leading_columns``): 54 rows at
+    ell = 5000, a = ln 2, k_max = 10, where the whole band has 5001.
     """
-    band = _band_for(params, band)
     lam = pair.lam
     rho = np.asarray(pair.rho, dtype=float)
     slack = _BOUNDS_RTOL * max(1.0, lam)
     k_top = min(k_max, params.ell)
-    # rows past k_top + half_width have no entry in columns 0..k_top
-    w = band.block(0, min(band.n, k_top + 1 + band.half_width), 0, k_top + 1)
+    w = _leading_columns(params, k_top + 1)
     w[0] *= params.sigma
     rows = []
     for k in range(k_top + 1):

@@ -262,6 +262,21 @@ class TestPerronCommand:
         assert code == 0 and rows
         assert calls == []
 
+    def test_closed_form_path_builds_no_band(self, tmp_path, monkeypatch):
+        """At ell = 5000, lambda and rho come from the closed form, and
+        bounds_ok from the kernel rows that reach classes 0..10: no band."""
+        def no_band(*args, **kwargs):
+            raise AssertionError("built a kernel band")
+
+        for module in (quasigw.cli, quasigw.kernel):
+            monkeypatch.setattr(module, "kernel_band", no_band)
+        monkeypatch.setattr(quasigw.kernel.KernelBand, "__post_init__", no_band)
+        code, meta, _, rows = run_csv(["perron", "--sigma", "4", "--ell", "5000", "--a", str(LN2)],
+                                      tmp_path / "p.csv")
+        assert code == 0 and len(rows) == 11
+        assert meta["diagnostics.method"] == "closed form"
+        assert meta["diagnostics.bounds_ok"] == "true"
+
     def test_lambda_in_range_where_lambda_rounds_to_one(self, tmp_path):
         """At kappa = 2, q = 0.5, ell = 600, lambda - 1 = rho_0 = 2^-600 is far
         below the spacing of floats at 1, so lambda prints as 1; it still lies
@@ -293,6 +308,24 @@ class TestPerronCommand:
         else:
             assert [r[header.index("method")] for r in rows] == ["secular Newton"] * 2
             assert all(0.0 < v < 1.0 for v in values)
+
+    def test_band_solve_builds_one_band(self, tmp_path, monkeypatch):
+        """Where the series is too slow, only the band solve builds a band:
+        the bounds check builds none of its own."""
+        bands = []
+
+        def counting_band(params, _build=quasigw.kernel.kernel_band):
+            bands.append(params)
+            return _build(params)
+
+        for module in (quasigw.cli, quasigw.kernel):
+            monkeypatch.setattr(module, "kernel_band", counting_band)
+        code, meta, _, _ = run_csv(
+            ["perron", "--sigma", "1.00001", "--ell", "5", "--kappa", "4", "--q", "3e-6"],
+            tmp_path / "p.csv")
+        assert code == 0 and meta["diagnostics.method"] == "secular Newton"
+        assert meta["diagnostics.bounds_ok"] == "true"
+        assert len(bands) == 1
 
     @pytest.mark.parametrize("command", ["perron", "converge"])
     def test_zero_tolerance_ends_on_a_two_cycle(self, tmp_path, command):
@@ -477,6 +510,7 @@ class TestExtinctionCommand:
             ["extinction", "--sigma", "3.114", "--ell", "60", "--a", "1.1358980193121355"],
             tmp_path / "e.csv")
         assert code == 0 and len(rows) == 61
+        assert meta["diagnostics.method"] == "extrapolated Newton, step floor"
         assert int(meta["diagnostics.newton_steps"]) <= 50
         assert float(meta["diagnostics.fixed_point_residual"]) <= 1e-12
 
@@ -547,6 +581,7 @@ class TestExtinctionCommand:
             ["extinction", "--sigma", "2", "--ell", "200", "--a", "0.1"], tmp_path / "e.csv"
         )
         assert code == 0
+        assert meta["diagnostics.method"] == "extrapolated Newton"
         assert int(meta["diagnostics.newton_steps"]) == 14
         assert 0 < int(meta["diagnostics.extrapolated_steps"]) < 14
         assert float(meta["diagnostics.fixed_point_residual"]) <= 1e-12

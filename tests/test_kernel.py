@@ -16,6 +16,7 @@ from quasigw.kernel import (
     _binom_logpmf,
     _binom_window_pmfs,
     _binom_windows,
+    _leading_columns,
     _log_factorials,
     kernel_band,
 )
@@ -503,18 +504,29 @@ class TestPmfAccuracy:
         assert max(abs(math.fsum(row) - 1.0) for row in band.values.tolist()) <= 1e-14
 
 
+def scattered_rows(band):
+    """The dense matrix built one row at a time from the band: values[b] at
+    columns offsets[b] .. offsets[b] + width - 1, zeros elsewhere."""
+    n, width = band.values.shape
+    dense = np.zeros((n, n))
+    for b, c0 in enumerate(band.offsets.tolist()):
+        dense[b, c0 : c0 + width] = band.values[b]
+    return dense
+
+
 def assert_dense_is_the_band_scattered(p):
-    """The dense build is the band's rows scattered into zeros, bit for bit,
-    every window lies inside 0..ell and starts at b - half_width where it
-    can, and the full-length entries next to each window are below
-    BAND_FLOOR (rows are log-concave, so the entries further out are too)."""
+    """The dense build is the band's rows scattered into zeros, bit for bit
+    (``scattered_rows``), every window lies inside 0..ell and starts at
+    b - half_width where it can, and the full-length entries next to each
+    window are below BAND_FLOOR (rows are log-concave, so the entries
+    further out are too)."""
     m = lumped_kernel_matrix(p)
     band = kernel_band(p)
     n, width = band.values.shape
     assert n == p.ell + 1 and width == min(2 * band.half_width + 1, n)
     assert np.all((band.offsets >= 0) & (band.offsets + width <= n))
     assert np.array_equal(band.offsets, np.clip(np.arange(n) - band.half_width, 0, n - width))
-    assert np.array_equal(m, band.block(0, n, 0, n))
+    assert m.tobytes() == scattered_rows(band).tobytes()
     log_fact = _log_factorials(p.ell)
     for b, c0 in enumerate(band.offsets.tolist()):
         pmfs = log_factorial_pmfs(b, p, log_fact)
@@ -605,21 +617,21 @@ class TestKernelBand:
     @example(ell=299, kappa=3, q=0.3, seed=2)
     @example(ell=200, kappa=2, q=1e-300, seed=3)
     def test_layout_property(self, ell, kappa, q, seed):
-        """``block`` on random rectangles is the dense scatter bit for bit; the
-        storage is never larger than the dense matrix; at kappa = 2 the band
-        equals its reflection bit for bit, and each reflected row is within
-        the rounding of its direct convolution: both sum the same k
-        products, in two orders, so they differ by at most k eps relative,
-        k the row's longest sum."""
+        """``block`` on random rectangles is the row-by-row scatter
+        (``scattered_rows``) bit for bit; the storage is never larger than
+        the dense matrix; at kappa = 2 the band equals its reflection bit for
+        bit, and each reflected row is within the rounding of its direct
+        convolution: both sum the same k products, in two orders, so they
+        differ by at most k eps relative, k the row's longest sum."""
         p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
         band = kernel_band(p)
-        dense = lumped_kernel_matrix(p)
+        dense = scattered_rows(band)
         n = ell + 1
         assert band.values.size <= n * n
         rng = np.random.default_rng(seed)
         for _ in range(8):
             (r0, r1), (c0, c1) = np.sort(rng.integers(0, n + 1, (2, 2)), axis=1).tolist()
-            assert np.array_equal(band.block(r0, r1, c0, c1), dense[r0:r1, c0:c1])
+            assert band.block(r0, r1, c0, c1).tobytes() == dense[r0:r1, c0:c1].tobytes()
         if kappa == 2:
             assert np.array_equal(band.values, band.values[::-1, ::-1])
             direct, _, _ = per_row_band(p, reflect=False)
@@ -644,10 +656,8 @@ class TestKernelBand:
         offsets[b] .. offsets[b] + width - 1, zeros elsewhere."""
         p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
         band = kernel_band(p)
-        n, width = band.values.shape
-        dense = np.zeros((n, n))
-        for b, c0 in enumerate(band.offsets.tolist()):
-            dense[b, c0 : c0 + width] = band.values[b]
+        n = band.n
+        dense = scattered_rows(band)
         m = lumped_kernel_matrix(p, band)
         assert m.shape == (n, n) and m.tobytes() == dense.tobytes()
         rng = np.random.default_rng(seed)
@@ -658,6 +668,31 @@ class TestKernelBand:
             got = band.block(r0, r1, c0, c1)
             assert got.shape == (r1 - r0, c1 - c0) and got.flags.c_contiguous
             assert got.tobytes() == dense[r0:r1, c0:c1].tobytes(), (r0, r1, c0, c1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=3000),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.sampled_from([0.0, 1e-300, 0.99]) | st.floats(min_value=1e-300, max_value=0.99),
+        k=st.integers(min_value=0, max_value=25),
+    )
+    @example(ell=7, kappa=2, q=0.1, k=25)      # every row read, rows 4..7 reflected
+    @example(ell=30, kappa=2, q=0.3, k=20)     # reflected rows among the rows read
+    @example(ell=247, kappa=2, q=0.0865, k=10)  # and the rows read stop before ell
+    @example(ell=300, kappa=4, q=0.9, k=10)    # row 0's support starts at class 76, past k
+    @example(ell=3000, kappa=2, q=LN2 / 3000, k=10)
+    def test_leading_columns_are_the_bands_property(self, ell, kappa, q, k):
+        """``_leading_columns`` builds the rows that reach columns 0..k and
+        gives ``block(0, r, 0, k + 1)`` of the whole band bit for bit, for
+        its r >= k + 1 rows; every row past r is 0 in those columns."""
+        p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
+        n_cols = min(k, ell) + 1
+        got = _leading_columns(p, n_cols)
+        band = kernel_band(p)
+        r = got.shape[0]
+        assert n_cols <= r <= band.n and got.shape == (r, n_cols) and got.flags.c_contiguous
+        assert got.tobytes() == band.block(0, r, 0, n_cols).tobytes()
+        assert not band.block(r, band.n, 0, n_cols).any()
 
     def test_q_zero_band_is_the_diagonal(self):
         band = kernel_band(ModelParams(sigma=2.0, ell=7, kappa=2, q=0.0))

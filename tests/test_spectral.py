@@ -9,9 +9,11 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+import quasigw.kernel
 import quasigw.spectral
 
 from quasigw import (
+    BoundsRow,
     ConvergenceError,
     ModelParams,
     PerronPair,
@@ -264,7 +266,7 @@ class TestSecularPerron:
         assert np.abs(pair.rho @ w - pair.lam * pair.rho).sum() <= 1e-12 * pair.lam
         assert 1 <= pair.iterations <= 2
         assert abs(pair.lam - (1.0 + (sigma - 1.0) * pair.rho[0])) < 1e-11
-        assert perron_bounds_check(pair, p, band=band).passed
+        assert perron_bounds_check(pair, p).passed
         assert_pairs_agree(pair, power_iteration(w))
 
     def test_builds_the_mean_matrix_when_not_given(self):
@@ -798,20 +800,41 @@ class TestPerronBoundsCheck:
         row0 = report.rows[0]
         assert row0.value == pytest.approx(row0.lower, abs=1e-9)
 
-    def test_reuses_the_mean_matrix(self):
-        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        band = kernel_band(p)
-        pair = perron(p, band=band)
-        assert perron_bounds_check(pair, p, band=band) == perron_bounds_check(pair, p)
+    def test_is_the_check_on_the_whole_band(self):
+        """The rows the check builds give the report that columns 0..10 of
+        the whole band give: every row past them is 0 in those columns."""
+        for sigma, a, ell, kappa in [
+            (4.0, LN2, 100, 2), (2.0, 0.69, 1000, 2), (3.0, 0.5, 300, 3),
+            (4.0, LN2, 7, 2),         # every row is one the check reads
+            (4.0, 270.0, 300, 4),     # q = 0.9: row 0's support starts at class 76
+        ]:
+            p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=a / ell)
+            pair = perron(p)
+            band = kernel_band(p)
+            k_top = min(10, ell)
+            w = band.block(0, band.n, 0, k_top + 1)
+            w[0] *= sigma
+            slack = 1e-11 * max(1.0, pair.lam)
+            rows = []
+            for k in range(k_top + 1):
+                lower = pair.rho[0] * w[0, k] + float(pair.rho[1 : k + 1] @ w[1 : k + 1, k])
+                upper = lower + (float(w[k + 1 :, k].max()) if k < ell else 0.0)
+                value = pair.lam * pair.rho[k]
+                ok = lower - slack <= value <= upper + slack
+                rows.append(BoundsRow(k=k, lower=lower, value=value, upper=upper, ok=ok))
+            report = perron_bounds_check(pair, p)
+            assert report.rows == rows and report.passed, (sigma, a, ell, kappa)
 
-    def test_rejects_a_band_of_another_length(self):
-        """A band for ell = 60 is not the kernel of an ell = 100 pair: the
-        check raises, as perron and extinction_probabilities do, where it
-        reported passed = False."""
-        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        band = kernel_band(dataclasses.replace(p, ell=60))
-        with pytest.raises(ValueError, match="kernel band must have 101 rows, got 61"):
-            perron_bounds_check(perron_head(p), p, band=band)
+    def test_builds_no_band(self, monkeypatch):
+        """The check builds the rows it reads, and no ``KernelBand``."""
+        def no_band(*args, **kwargs):
+            raise AssertionError("built a kernel band")
+
+        monkeypatch.setattr(quasigw.kernel, "kernel_band", no_band)
+        monkeypatch.setattr(quasigw.kernel.KernelBand, "__post_init__", no_band)
+        for ell in (100, 5000):
+            p = ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell)
+            assert perron_bounds_check(perron_head(p), p).passed
 
     def test_failure_injection(self):
         """A distorted eigenvector must be caught by at least one inequality."""
