@@ -476,8 +476,13 @@ class KernelBand:
         middle rows through one strided view whose rows step one column
         right per row.  The result is that cut to c0..c1-1, so each stored
         entry is the band's value bit for bit and every other entry is 0.
+        ValueError where the ranges do not lie in 0..ell.
         """
-        return _scatter(self.values, self.n, self.half_width, r0, r1, c0, c1)
+        n = self.n
+        if not (0 <= r0 <= r1 <= n and 0 <= c0 <= c1 <= n):
+            raise ValueError(f"block rows {r0}:{r1} and columns {c0}:{c1} must be "
+                             f"ascending ranges in 0:{n}")
+        return _scatter(self.values, n, self.half_width, r0, r1, c0, c1)
 
     def _vector(self, x) -> np.ndarray:
         """x as a contiguous float vector of length ell + 1, or ValueError."""

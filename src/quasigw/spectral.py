@@ -9,9 +9,9 @@ class-frequency profile on survival.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ConvergenceError",
     "SlowSeriesError",
     "PerronPair",
-    "PerronHead",
     "ExtinctionReport",
     "BoundsRow",
     "BoundsReport",
@@ -87,23 +86,15 @@ class SlowSeriesError(ConvergenceError):
 
 @dataclass(frozen=True)
 class PerronPair:
-    """Perron eigenvalue and left eigenvector (unit total mass)."""
-
-    lam: float
-    rho: np.ndarray
-    residual: float
-    iterations: int
-    method: str
-
-
-@dataclass(frozen=True)
-class PerronHead:
-    """Perron eigenvalue lam = 1 + mu (mu to full relative accuracy, also
-    where lam rounds to 1) and the head rho_0..rho_K of the left
-    eigenvector (unit total mass over all classes), with how the solve got
-    them: steps of the lam solve (``iterations``), series terms (``terms``,
-    the most any class took; 0 where none took the series) and the
-    secular residual |(sigma - 1) x_0(lam) - 1|."""
+    """Perron eigenvalue lam = 1 + mu of W (mu to full relative accuracy,
+    also where lam rounds to 1) and its left eigenvector rho, unit total
+    mass over all classes: rho_0..rho_K from ``perron_head``, every class
+    from ``perron``.  With how the solve got them: steps of the lam solve
+    (``iterations``; for ``perron`` the eliminations), series terms
+    (``terms``, the most any class took; 0 where none took the series, as
+    for ``perron``), a residual (``perron_head``: the secular residual
+    |(sigma - 1) x_0(lam) - 1|; ``perron``: ||rho W - lam rho||_1) and the
+    method."""
 
     lam: float
     mu: float
@@ -380,7 +371,7 @@ class _HeadSeries:
 
 
 def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
-                max_iter: int = 100) -> PerronHead:
+                max_iter: int = 100) -> PerronPair:
     """Perron eigenvalue lam = 1 + mu of W and the head rho_0..rho_K
     (K = min(k_max, ell)) of its left eigenvector, in closed form.
 
@@ -454,13 +445,13 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
     log_pi = _log_stationary_law(params, k_max)
     theta = 1.0 - params.q * kappa / (kappa - 1)
     if theta == 1.0:
-        return PerronHead(lam=sigma, mu=sigma - 1.0, rho=np.eye(1, log_pi.size)[0],
+        return PerronPair(lam=sigma, mu=sigma - 1.0, rho=np.eye(1, log_pi.size)[0],
                           iterations=0, terms=0, residual=0.0, method="closed form")
     if theta == 0.0 or sigma == 1.0:
         pi = np.exp(log_pi)
         mu = (sigma - 1.0) * float(pi[0])
         method = "closed form (theta = 0)" if theta == 0.0 else "closed form"
-        return PerronHead(lam=1.0 + mu, mu=mu, rho=pi, iterations=0, terms=0, residual=0.0,
+        return PerronPair(lam=1.0 + mu, mu=mu, rho=pi, iterations=0, terms=0, residual=0.0,
                           method=method)
     series = _HeadSeries(params, log_pi.size - 1)
     log_sm1 = np.log(np.longdouble(sigma) - 1)
@@ -525,7 +516,7 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
     else:
         log_x_0 = log_x[0]
     mu = np.exp(t)
-    return PerronHead(lam=float(1 + mu), mu=float(mu), rho=rho.astype(float), iterations=it,
+    return PerronPair(lam=float(1 + mu), mu=float(mu), rho=rho.astype(float), iterations=it,
                       terms=int(n.max(initial=0)),
                       residual=float(abs(np.expm1(log_sm1 + log_x_0))), method="closed form")
 
@@ -579,27 +570,21 @@ def _flush(a: np.ndarray) -> None:
 
 
 class _BandSolver:
-    """Solves with A = c I - diag(d) M, M the class kernel on its band.
+    """Solves A x = f for A = I - diag(d) M, M the class kernel on its band
+    (``solve_right``), or its transpose (``transposed``).
 
     A is block tridiagonal for blocks as wide as the band's half width
     (``KernelBand.half_width``), at least _MIN_BLOCK; a remainder shorter
-    than _MIN_BLOCK joins the last block.  The blocks of M next to the
-    diagonal are copied once from strided views of the band
-    (``KernelBand.block``), and those on it once per
-    factorisation or, for ``solve_right``, once in all; their entries below
-    BAND_FLOOR are set to 0, as are those of the blocks the eliminations
-    store (``_flush``).  With the band itself that is O(ell x band width)
-    floats in all.  Two eliminations run on them, both without pivoting
-    across blocks and with no pivot block above _MAX_INV rows reaching
-    numpy.linalg unsplit:
-
-    * ``factor(c)`` then ``solve(b)``, for d = 1 (Perron: c = 1 + mu):
-      block LU that keeps the inverse pivot blocks (``_inverse``), so that
-      each left solve x A = b costs two sweeps of block products.
-    * ``solve_right(d, f)``, for c = 1 (extinction: d = A exp(-A M u)): one
-      block Thomas sweep for A x = f, one solve per pivot block with the
-      coupling block as extra right-hand sides, O(ell x width^2) flops and
-      O(ell x width) floats.
+    than _MIN_BLOCK joins the last block.  The blocks of M on and next to
+    the diagonal are copied once from strided views of the band
+    (``KernelBand.block``), with their entries below BAND_FLOOR set to 0,
+    as are those of the blocks the elimination stores (``_flush``).  With
+    the band itself that is O(ell x band width) floats in all.  One
+    elimination runs on them, a block Thomas sweep without pivoting across
+    blocks and with no pivot block above _MAX_INV rows reaching
+    numpy.linalg unsplit: extinction's Newton steps (d = A exp(-A M u))
+    and, on the transposed blocks, ``perron``'s left solves
+    x (lam I - M) = b, as (I - M^T / lam) x^T = b^T / lam.
     """
 
     def __init__(self, band: KernelBand):
@@ -609,53 +594,26 @@ class _BandSolver:
         if len(self.edges) > 1 and self.n - self.edges[-1] < _MIN_BLOCK:
             self.edges.pop()   # a short last block joins the one before it
         self.edges.append(self.n)
-        self.band = band
         n_blocks = len(self.edges) - 1
-        self.upper = [self.block(i, i + 1) for i in range(n_blocks - 1)]   # M(i, i+1)
-        self.lower = [self.block(i + 1, i) for i in range(n_blocks - 1)]   # M(i+1, i)
-        self.inv: list[np.ndarray] = []
-        self.row_excess = band.values.sum(axis=1) - 1.0
+        self.upper = [self._block(band, i, i + 1) for i in range(n_blocks - 1)]   # M(i, i+1)
+        self.lower = [self._block(band, i + 1, i) for i in range(n_blocks - 1)]   # M(i+1, i)
+        self.diag = [self._block(band, i, i) for i in range(n_blocks)]            # M(i, i)
 
-    def block(self, i: int, k: int) -> np.ndarray:
+    def _block(self, band: KernelBand, i: int, k: int) -> np.ndarray:
         """Block (i, k) of M with entries below BAND_FLOOR set to 0."""
         e = self.edges
-        b = self.band.block(e[i], e[i + 1], e[k], e[k + 1])
+        b = band.block(e[i], e[i + 1], e[k], e[k + 1])
         b[b < BAND_FLOOR] = 0.0
         return b
 
-    @cached_property
-    def diag(self) -> list[np.ndarray]:
-        """The blocks M(i, i), formed on first use: ``solve_right`` takes them
-        at every Newton step, ``factor`` forms its own once per factorisation."""
-        return [self.block(i, i) for i in range(len(self.edges) - 1)]
-
-    def factor(self, c: float) -> None:
-        """Factor A = c I - M for ``solve``."""
-        self.inv = []
-        for i in range(len(self.edges) - 1):
-            t = -self.block(i, i)
-            t.flat[:: t.shape[0] + 1] += c
-            if i:
-                t -= self.lower[i - 1] @ (self.inv[-1] @ self.upper[i - 1])
-            inv = _inverse(t)
-            _flush(inv)
-            self.inv.append(inv)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with x A = b, from the last factor()."""
-        e, n_blocks = self.edges, len(self.edges) - 1
-        x = np.empty(self.n)
-        v = np.zeros(0)
-        for i in range(n_blocks):
-            rhs = b[e[i] : e[i + 1]].copy()
-            if i:
-                rhs += v @ self.upper[i - 1]   # A(i-1, i) = -M(i-1, i)
-            v = rhs @ self.inv[i]
-            x[e[i] : e[i + 1]] = v
-        for i in range(n_blocks - 2, -1, -1):
-            below = x[e[i + 1] : e[i + 2]] @ self.lower[i]
-            x[e[i] : e[i + 1]] += below @ self.inv[i]
-        return x
+    def transposed(self) -> _BandSolver:
+        """The solver for M^T on the same edges, its blocks transposed views
+        of these: block (i, i+1) of M^T is M(i+1, i)^T."""
+        t = copy.copy(self)
+        t.upper = [b.T for b in self.lower]
+        t.lower = [b.T for b in self.upper]
+        t.diag = [b.T for b in self.diag]
+        return t
 
     def solve_right(self, d: np.ndarray, f: np.ndarray) -> np.ndarray:
         """x with A x = f for A = I - diag(d) M.
@@ -690,12 +648,7 @@ class _BandSolver:
         return x
 
 
-def perron(
-    params: ModelParams,
-    band: KernelBand | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> PerronPair:
+def perron(params: ModelParams, tol: float = 1e-12, max_iter: int = 100) -> PerronPair:
     """Perron eigenvalue and the whole left eigenvector of the mean matrix W,
     on the numerical kernel: the full-vector solver, and the oracle that
     ``perron_head``'s closed form is tested against.
@@ -715,13 +668,14 @@ def perron(
     Otherwise lam starts at the closed-form root (``perron_head``, for
     every theta), or at sigma where its series converges too slowly
     (sigma near 1 and q near 0).  Newton steps on the numerical kernel
-    refine it: each factors lam I - M once by banded
-    block elimination (``_BandSolver``) and gives x and
-    y = x (lam I - M)^-1 = -dx/dlam; the step is delta = f x_0 / y_0
-    (Newton on 1 / x_0), kept inside the bracket the signs of f give
-    (bisection in log(lam - 1 - pole) otherwise, which also takes the 0/0
-    step where x_0 and y_0 underflow to 0), and the new pair is
-    lam + delta with rho proportional to x - delta y.
+    refine it: each gives x and y = x (lam I - M)^-1 = -dx/dlam, each one
+    block sweep of ``_BandSolver.solve_right`` on M's transposed blocks
+    (``_BandSolver.transposed``), as (I - M^T / lam) x^T = r^T / lam; the
+    step is delta = f x_0 / y_0 (Newton on 1 / x_0), kept inside the
+    bracket the signs of f give (bisection in log(lam - 1 - pole)
+    otherwise, which also takes the 0/0 step where x_0 and y_0 underflow
+    to 0), and the new pair is lam + delta with rho proportional to
+    x - delta y.  ``mu`` is the last iterate of lam - 1, and ``terms`` 0.
 
     lam is kept above a floor, 1 + pole plus a few ulps: pole = pi (s - 1)
     (s the row sums) is the first-order shift of M's Perron root from 1 by
@@ -746,24 +700,28 @@ def perron(
     Newton stops once |delta| <= tol * lam, |delta| ||y||_1 <= ||x||_1 / 2
     (the step stays within half the distance to the pole of x, about
     ||x|| / ||y||, where x - delta y is a first-order update), and the
-    residual ||rho W - lam rho||_1 is at most tol * lam; a step too small
-    to change lam in floating point also ends the solve.  The closed form
-    and the stationary limit are only checked against the band: on every
-    path, a residual above tol * lam raises ConvergenceError.
-    ``iterations`` counts the eliminations (one per Newton step, and the
-    one at the floor for the stationary limit), and max_iter bounds it.
+    residual ||rho W - lam rho||_1 is at most tol * lam.  A step too small
+    to change lam in floating point, or one back to the lam of the
+    elimination before (a two-cycle of neighbouring floats, where tol is
+    below their spacing), ends the solve too, and it then raises
+    ConvergenceError.  The closed form and the stationary limit are only
+    checked against the band: on every path, a residual above tol * lam
+    raises ConvergenceError.  ``iterations`` counts the eliminations, one
+    per lam: the two sweeps of a Newton step, or the one at the floor for
+    the stationary limit; max_iter bounds it.
 
-    Everything runs on M's band (``kernel_band``; pass band =
-    kernel_band(params) to reuse it): r is its row 0, the elimination
-    blocks are formed from it, and the residual is the banded product
-    rho W = rho M + (sigma - 1) rho_0 r, taken against the band.  The
-    entries of M the band leaves out are below BAND_FLOOR and move rho W by
-    less than 1e-150.  No dense matrix is built: the working set is the
-    band, (ell + 1) x (2 half width + 1) floats, plus about 3 (ell + 1) x
-    half width floats of blocks, O(ell x band width) in all.  At ell = 10^5
-    and a = ln 2 that is about 150 + 220 MB, where W alone would take 80 GB.
+    Everything runs on M's band (``kernel_band``): r is its row 0, the
+    sweep's blocks are formed from it, and the residual is the banded
+    product rho W = rho M + (sigma - 1) rho_0 r, taken against the band.
+    The entries of M the band leaves out are below BAND_FLOOR and move
+    rho W by less than 1e-150.  No dense matrix is built: the working set
+    is the band, (ell + 1) x (2 half width + 1) floats, plus about 4
+    (ell + 1) x half width floats of blocks (M's three block sets, which
+    the transposed solver views, and one sweep's), O(ell x band width) in
+    all.  At ell = 10^5 and a = ln 2 that is about 150 + 300 MB (a peak
+    RSS of 461 MB on a 2-vCPU x86 host), where W alone would take 80 GB.
     """
-    band = _band_for(params, band)
+    band = _band_for(params, None)
     sigma = params.sigma
 
     def residual_of(v, lam):
@@ -772,25 +730,26 @@ def perron(
         weight[0] *= sigma   # W = M with row 0 scaled by sigma
         return rho, float(np.abs(band.rmatvec(weight) - lam * rho).sum())
 
-    def checked(v, lam, iterations, method):
+    def checked(v, mu, iterations, method):
+        lam = 1.0 + mu
         rho, residual = residual_of(v, lam)
         if residual > tol * lam:
             raise ConvergenceError(f"{method} misses the band (residual {residual:.3e})",
                                    residual=residual, iterations=iterations)
-        return PerronPair(lam=lam, rho=rho, residual=residual, iterations=iterations,
-                          method=method)
+        return PerronPair(lam=lam, mu=mu, rho=rho, iterations=iterations, terms=0,
+                          residual=residual, method=method)
 
     log_pi = _log_stationary_law(params)
     pi = np.exp(log_pi)
     kappa = params.kappa
     theta = 1.0 - params.q * kappa / (kappa - 1)
     if theta == 0.0:
-        return checked(pi, 1.0 + (sigma - 1.0) * float(pi[0] / pi.sum()), 0,
+        return checked(pi, (sigma - 1.0) * float(pi[0] / pi.sum()), 0,
                        "closed form (theta = 0)")
-    solver = _BandSolver(band)
+    solver = _BandSolver(band).transposed()
     # M is stochastic, so its Perron root is 1; pole, its first-order shift by
     # the row sums' rounding, may come out below 0, and is kept at 0 or above
-    pole = max(float(pi @ solver.row_excess), 0.0)
+    pole = max(float(pi @ (band.values.sum(axis=1) - 1.0)), 0.0)
     margin = _FLOOR_ULPS * _EPS
     floor = lo = pole + margin
     hi = max(sigma - 1.0, lo)
@@ -802,13 +761,14 @@ def perron(
     mu = min(pole + max(start, margin), hi)
     r = band.block(0, 1, 0, band.n)[0]
     step = residual = np.inf
+    lam_before = None   # lam of the elimination before this one
     it = 0
 
     while it < max_iter:
         it += 1
         lam_x = 1.0 + mu
-        solver.factor(lam_x)
-        x = solver.solve(r)
+        d = np.full(band.n, 1.0 / lam_x)
+        x = solver.solve_right(d, r / lam_x)   # x (lam_x I - M) = r
         f = (sigma - 1.0) * float(x[0]) - 1.0
         if f > 0.0:
             lo = mu
@@ -820,9 +780,9 @@ def perron(
             t = x - x.sum() * pi
             k = (sigma - 1.0) * pi[0] / (1.0 - (sigma - 1.0) * t[0])
             rho = np.maximum(pi + k * t, 0.0)
-            return checked(rho, 1.0 + pole + (sigma - 1.0) * float(rho[0]), it,
+            return checked(rho, pole + (sigma - 1.0) * float(rho[0]), it,
                            "secular Newton (stationary limit)")
-        y = solver.solve(x)
+        y = solver.solve_right(d, x / lam_x)
         new = mu + f * float(x[0] / y[0])
         if new <= lo and lo == floor:
             new = floor
@@ -837,11 +797,11 @@ def perron(
         if abs(step) <= tol * lam and 2.0 * abs(step) * y.sum() <= x.sum():
             rho, residual = residual_of(np.maximum(x - step * y, 0.0), lam)
             if residual <= tol * lam:
-                return PerronPair(lam=lam, rho=rho, residual=residual, iterations=it,
-                                  method="secular Newton")
-        if lam == lam_x:
-            break   # the next elimination would repeat this one
-        mu = new
+                return PerronPair(lam=lam, mu=new, rho=rho, iterations=it, terms=0,
+                                  residual=residual, method="secular Newton")
+        if lam in (lam_x, lam_before):
+            break   # the next elimination would repeat this one, or the one before
+        lam_before, mu = lam_x, new
     if it and math.isinf(residual):
         residual = residual_of(x, lam_x)[1]
     raise ConvergenceError(
@@ -871,12 +831,13 @@ class BoundsReport:
 
 
 def perron_bounds_check(
-    pair: PerronPair | PerronHead,
+    pair: PerronPair,
     params: ModelParams,
     k_max: int = 10,
 ) -> BoundsReport:
     """Sandwich check on the eigenvalue equations, for the pair's lam and
-    rho_0..rho_k_max (a ``PerronHead`` of at least k_max + 1 classes will do).
+    rho_0..rho_k_max (a head from ``perron_head`` of at least k_max + 1
+    classes will do).
 
     For each class k, the eigenvalue equation lam * rho(k) =
     sigma rho(0) M(0,k) + sum_{i>=1} rho(i) M(i,k) is bracketed by

@@ -309,6 +309,41 @@ class TestPerronCommand:
             assert [r[header.index("method")] for r in rows] == ["secular Newton"] * 2
             assert all(0.0 < v < 1.0 for v in values)
 
+    @pytest.mark.parametrize("sigma,ell,kappa,q", [(1.0001, 20, 2, 0.99999),
+                                                   (1.00001, 5, 4, 3e-6)])
+    def test_band_solve_matches_mpmath(self, tmp_path, sigma, ell, kappa, q):
+        """Where the series is too slow, the printed rho_0..rho_K are within
+        1e-8 relative of W's Perron vector from 50-digit mpmath, and lambda
+        within 2 ulps: the band solve gives rho to about 1e-9 there, not to
+        the head's 1e-16 (1.7e-9 and 2.1e-11 relative in rho_0 here)."""
+        mpmath = pytest.importorskip("mpmath")
+        code, meta, header, rows = run_csv(
+            ["perron", "--sigma", str(sigma), "--ell", str(ell), "--kappa", str(kappa),
+             "--q", str(q)], tmp_path / "p.csv")
+        assert code == 0 and meta["diagnostics.method"] == "secular Newton"
+        rho = np.array([float(r[header.index("rho")]) for r in rows])
+        with mpmath.workdps(50):
+            q_mp = mpmath.mpf(q)
+
+            def pmf(n, k, p):
+                return mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k)
+
+            w = mpmath.matrix(ell + 1, ell + 1)
+            for b in range(ell + 1):   # b + G - L, G ~ Bin(ell - b, q), L ~ Bin(b, q / (kappa - 1))
+                for g in range(ell - b + 1):
+                    for back in range(b + 1):
+                        w[b, b + g - back] += (pmf(ell - b, g, q_mp)
+                                               * pmf(b, back, q_mp / (kappa - 1)))
+            for c in range(ell + 1):
+                w[0, c] *= mpmath.mpf(sigma)
+            values, vectors = mpmath.eig(w.T)
+            top = max(range(ell + 1), key=lambda i: mpmath.re(values[i]))
+            v = [mpmath.re(vectors[i, top]) for i in range(ell + 1)]
+            lam = float(mpmath.re(values[top]))
+            ref = np.array([float(x / sum(v)) for x in v[: rho.size]])
+        np.testing.assert_allclose(rho, ref, rtol=1e-8, atol=0.0)
+        assert abs(float(meta["diagnostics.lambda"]) - lam) <= 2 * math.ulp(lam)
+
     def test_band_solve_builds_one_band(self, tmp_path, monkeypatch):
         """Where the series is too slow, only the band solve builds a band:
         the bounds check builds none of its own."""

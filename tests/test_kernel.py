@@ -557,6 +557,22 @@ class TestKernelBand:
     def test_matches_dense_build_property(self, ell, kappa, q):
         assert_dense_is_the_band_scattered(ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q))
 
+    @pytest.mark.parametrize("r0,r1,c0,c1", [
+        (0, 120, 0, 101),    # rows past n
+        (0, 101, 0, 120),    # columns past n
+        (-1, 101, 0, 101),   # a negative row
+        (0, 101, -5, 10),    # a negative column
+        (60, 50, 0, 101),    # rows in descending order
+        (0, 101, 30, 20),    # columns in descending order
+    ])
+    def test_block_rejects_ranges_outside_the_matrix(self, r0, r1, c0, c1):
+        """At ell = 100 (n = 101) a range past 0..n raises a ValueError that
+        names it, not a broadcast error or a block padded with zeros."""
+        band = kernel_band(ModelParams(sigma=2.0, ell=100, kappa=2, q=LN2 / 100))
+        with pytest.raises(ValueError, match=rf"rows {r0}:{r1} and columns {c0}:{c1} .* 0:101"):
+            band.block(r0, r1, c0, c1)
+        assert band.block(0, 0, 101, 101).shape == (0, 0)
+
     @settings(max_examples=40, deadline=None)
     @given(
         ell=st.integers(min_value=1, max_value=300),

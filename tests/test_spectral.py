@@ -64,8 +64,8 @@ def power_iteration(w, tol=1e-12, max_iter=10**6):
             raise ValueError("power iteration hit a zero vector; matrix has a zero row sum")
         residual = float(np.abs(y - lam * v).sum())
         if residual < tol * lam and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            return PerronPair(lam=lam, rho=v, residual=residual, iterations=it,
-                              method="power iteration")
+            return PerronPair(lam=lam, mu=lam - 1.0, rho=v, iterations=it, terms=0,
+                              residual=residual, method="power iteration")
         lam_prev = lam
         v = y / lam
     raise ConvergenceError(
@@ -259,8 +259,7 @@ class TestSecularPerron:
     def test_matches_power_iteration_on_benchmark_instances(self, sigma, a, ell):
         p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
         w = mean_matrix(p)
-        band = kernel_band(p)
-        pair = perron(p, band=band)
+        pair = perron(p)
         assert pair.method == "secular Newton"
         assert pair.residual <= 1e-12 * pair.lam
         assert np.abs(pair.rho @ w - pair.lam * pair.rho).sum() <= 1e-12 * pair.lam
@@ -268,12 +267,6 @@ class TestSecularPerron:
         assert abs(pair.lam - (1.0 + (sigma - 1.0) * pair.rho[0])) < 1e-11
         assert perron_bounds_check(pair, p).passed
         assert_pairs_agree(pair, power_iteration(w))
-
-    def test_builds_the_mean_matrix_when_not_given(self):
-        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        built, given = perron(p), perron(p, band=kernel_band(p))
-        assert built.lam == given.lam
-        assert np.array_equal(built.rho, given.rho)
 
     @pytest.mark.parametrize("kappa", [2, 3])
     def test_neutral_sigma_gives_stationary_binomial(self, kappa):
@@ -298,13 +291,15 @@ class TestSecularPerron:
             assert np.array_equal(pair.rho, np.eye(6)[0])
 
     def test_step_too_small_to_change_lam_raises(self):
-        """tol = 1e-17 lies below the spacing of floats at lam = 2: the first
-        step leaves lam where it is, the next elimination would repeat this
-        one, so the solve raises after one, with the residual it reached."""
+        """tol = 1e-17 lies below the spacing of floats at lam = 2: the second
+        step takes lam back to where the first started, a two-cycle of
+        neighbouring floats, so the next elimination would repeat the one
+        before, and the solve raises after two, with the residual it
+        reached."""
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        with pytest.raises(ConvergenceError, match="in 1 steps") as exc:
+        with pytest.raises(ConvergenceError, match="in 2 steps") as exc:
             perron(p, tol=1e-17)
-        assert exc.value.iterations == 1
+        assert exc.value.iterations == 2
         assert exc.value.residual <= 1e-15
 
     def test_nan_step_takes_the_bracket_mean(self, monkeypatch):
@@ -430,15 +425,15 @@ class TestSecularPerron:
         band = kernel_band(p)
         assert np.all(band.block(0, band.n, 0, 1) < BAND_FLOOR)
         master = []
-        solve = quasigw.spectral._BandSolver.solve
+        solve_right = quasigw.spectral._BandSolver.solve_right
 
-        def recording_solve(self, b):
-            x = solve(self, b)
+        def recording_solve(self, d, f):
+            x = solve_right(self, d, f)
             master.append(float(x[0]))
             return x
 
-        monkeypatch.setattr(quasigw.spectral._BandSolver, "solve", recording_solve)
-        pair = perron(p, band=band)
+        monkeypatch.setattr(quasigw.spectral._BandSolver, "solve_right", recording_solve)
+        pair = perron(p)
         assert master == [0.0]
         assert pair.iterations == 1
         assert pair.method == "secular Newton (stationary limit)"
@@ -461,13 +456,6 @@ class TestSecularPerron:
         with pytest.raises(ConvergenceError) as err:
             perron(p, tol=1e-300)
         assert err.value.iterations == 0 and err.value.residual == pair.residual
-
-    def test_theta_zero_checks_the_band(self):
-        """The closed form is checked against the band it is given: a band of
-        another q, where the rows are not pi, fails the residual test."""
-        p = ModelParams(sigma=3.0, ell=4, kappa=2, q=0.5)
-        with pytest.raises(ConvergenceError):
-            perron(p, band=kernel_band(dataclasses.replace(p, q=0.1)))
 
     @pytest.mark.parametrize("sigma,kappa,q,ell", [
         (2.0, 2, 0.9, 200), (2.0, 2, 0.9, 521), (2.0, 2, 0.5, 521), (2.0, 2, 0.5, 600),
@@ -496,7 +484,7 @@ class TestSecularPerron:
         p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
         w = mean_matrix(p)
         tol = 1e-12
-        pair = perron(p, band=kernel_band(p), tol=tol)
+        pair = perron(p, tol=tol)
         assert pair.residual <= tol * pair.lam
         assert np.all(pair.rho >= 0.0) and pair.rho.sum() == pytest.approx(1.0, abs=1e-14)
         vals, vecs = np.linalg.eig(w.T)
@@ -716,16 +704,17 @@ class TestPivotBlockSplit:
         assert np.max(np.abs(_inverse(t) @ t - np.eye(250))) < 1e-11
 
     def test_no_inv_call_reaches_100_rows(self, monkeypatch):
-        """sigma=2, ell=300, a=2 ln 2: the band, and so each pivot block, is 101 wide."""
+        """sigma=2, ell=300, a=2 ln 2: the band, and so each pivot block but
+        the last (99 rows), is 101 wide; unsplit, the sweep solves them with
+        numpy.linalg.solve."""
         p = ModelParams(sigma=2.0, ell=300, kappa=2, q=2.0 * LN2 / 300)
         sizes = []
-        inv = np.linalg.inv
+        for name in ("solve", "inv"):
+            def recording(a, *args, _fn=getattr(np.linalg, name)):
+                sizes.append(a.shape[0])
+                return _fn(a, *args)
 
-        def recording(a):
-            sizes.append(a.shape[0])
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         split = perron(p)
         assert sizes and max(sizes) <= 99
         sizes.clear()
@@ -779,6 +768,50 @@ class TestPivotBlockSplit:
         s = extinction_probabilities(p, max_iter=1, tol=1.0).s
         assert sizes and max(sizes) <= 99
         assert np.all((s >= 0.0) & (s <= 1.0))
+
+
+class TestBandSolver:
+    """The one banded elimination, on M and on its transpose."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ell=st.integers(min_value=1, max_value=400),
+        kappa=st.sampled_from([2, 3, 4]),
+        q=st.just(0.0) | st.floats(min_value=1e-6, max_value=0.99)
+          | st.floats(min_value=-6.0, max_value=-1.0).map(lambda e: 10.0**e),
+        gap=st.floats(min_value=1e-6, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(ell=10, kappa=2, q=0.3, gap=0.5, seed=0)         # ell < 16: one block
+    @example(ell=60, kappa=2, q=1e-6, gap=0.01, seed=1)       # edges [0, 28, 61]: 5 rows join
+    @example(ell=397, kappa=4, q=0.002, gap=1e-3, seed=2)     # five blocks, the last 34 rows
+    def test_transposed_sweep_is_the_dense_solve_property(self, ell, kappa, q, gap, seed):
+        """``transposed().solve_right(1 / c, r / c)`` is x with
+        (c I - M^T) x = r, the left solve x (c I - M) = r that ``perron``
+        takes, for c = 1 + gap in (1, 2]: within 1e-13 of the dense solve
+        relative to its largest entry, plus the eps / (c - 1) that either
+        solve's rounding can move it by, as cond(c I - M) ~ 2 / (c - 1)."""
+        p = ModelParams(sigma=2.0, ell=ell, kappa=kappa, q=q)
+        band = kernel_band(p)
+        c = 1.0 + gap
+        r = np.random.default_rng(seed).random(band.n)
+        x = quasigw.spectral._BandSolver(band).transposed().solve_right(
+            np.full(band.n, 1.0 / c), r / c)
+        ref = np.linalg.solve(c * np.eye(band.n) - lumped_kernel_matrix(p).T, r)
+        tol = 1e-13 + 2.0 * np.finfo(float).eps / (c - 1.0)
+        assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
+
+    def test_transposed_blocks_are_views(self):
+        """The transposed solver's blocks are views of M's blocks,
+        transposed, on the same edges: no copy."""
+        band = kernel_band(ModelParams(sigma=2.0, ell=300, kappa=2, q=0.004))
+        solver = quasigw.spectral._BandSolver(band)
+        t = solver.transposed()
+        assert t.edges == solver.edges and len(solver.diag) == 3
+        for got, of in [(t.upper, solver.lower), (t.lower, solver.upper), (t.diag, solver.diag)]:
+            assert len(got) == len(of)
+            for view, block in zip(got, of):
+                assert view.base is block and np.array_equal(view, block.T)
 
 
 class TestPerronBoundsCheck:
