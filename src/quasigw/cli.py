@@ -39,7 +39,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from itertools import chain, groupby
 from pathlib import Path
 
@@ -65,13 +64,11 @@ from .simulate import (
 )
 from .spectral import (
     ConvergenceError,
-    SlowSeriesError,
     extinction_probabilities,
     fitness_vector,
     mean_matrix,
-    perron,  # _perron_head's band solve; the benchmark's tracer wraps this name
+    perron,  # the Perron solve of every perron and converge job; the benchmark's tracer wraps it
     perron_bounds_check,
-    perron_head,
 )
 
 _REQUIRED = object()
@@ -282,22 +279,10 @@ def cmd_kernel(resolved: dict):
     return table, diagnostics
 
 
-def _perron_head(params: ModelParams, k_max: int, resolved: dict):
-    """lambda and rho_0..rho_k_max in closed form (``perron_head``), or from
-    ``perron`` on the band where the closed form's series is too slow (sigma
-    and q near 1 and 0); only that fallback builds the band."""
-    try:
-        return perron_head(params, k_max=k_max, tol=resolved["tol"],
-                           max_iter=resolved["max_iter"])
-    except SlowSeriesError:
-        pair = perron(params, tol=resolved["tol"], max_iter=resolved["max_iter"])
-        return replace(pair, rho=pair.rho[: min(k_max, params.ell) + 1])
-
-
 def cmd_perron(resolved: dict):
     params = _model_params(resolved)
     k_report = _nonnegative(resolved, "k_report")
-    head = _perron_head(params, k_report, resolved)
+    head = perron(params, k_report, resolved["tol"], resolved["max_iter"])
     # bounds_ok checks the head against the numerical kernel, on the rows
     # that reach classes 0..k_report only: no band is built for it
     bounds = perron_bounds_check(head, params, k_max=k_report)
@@ -357,7 +342,7 @@ def cmd_converge(resolved: dict):
         params = ModelParams(sigma=resolved["sigma"], ell=ell, kappa=resolved["kappa"],
                              q=resolved["a"] / ell)
         qs.append(params.q)
-        heads.append(_perron_head(params, k_top, resolved))
+        heads.append(perron(params, k_top, resolved["tol"], resolved["max_iter"]))
     lam = np.array([head.lam for head in heads])
     rho = np.array([head.rho for head in heads])
     gap = np.abs(rho - q_limit)

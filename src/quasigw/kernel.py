@@ -416,9 +416,9 @@ class KernelBand:
     ell = 10^5.  half_width bounds |c - b| over the row supports.  Entries
     of M outside the windows are below BAND_FLOOR and count as 0; entries
     inside them but outside the row's support are stored as 0.  ``matvec``
-    and ``rmatvec`` give M x and x M, and ``block`` dense pieces of M, all
-    on strided views of values without forming M: the Perron and
-    extinction solves run on these alone.
+    gives M x and ``block`` dense pieces of M, both on strided views of
+    values without forming M: the Perron and extinction solves run on these
+    alone.
     """
 
     values: np.ndarray
@@ -444,17 +444,12 @@ class KernelBand:
         n, width = self.values.shape
         return np.clip(np.arange(n) - self.half_width, 0, n - width)
 
-    @property
-    def _middle(self) -> tuple[int, int]:
-        """Rows s1..s2-1, whose windows start at b - half_width (``_middle_rows``)."""
-        return _middle_rows(*self.values.shape, self.half_width)
-
     def _windows(self, x: np.ndarray, r0: int, r1: int) -> list:
         """Rows r0..r1-1 in at most three runs (b0, b1, windows), windows[i]
         the view x[offsets[b] : offsets[b] + width] for row b = b0 + i, or
         one such view (1-D) shared by the run's rows; x is contiguous."""
         n, width = self.values.shape
-        s1, s2 = self._middle
+        s1, s2 = _middle_rows(n, width, self.half_width)
         runs = []
         if r0 < min(r1, s1):
             runs.append((r0, min(r1, s1), x[:width]))
@@ -484,50 +479,15 @@ class KernelBand:
                              f"ascending ranges in 0:{n}")
         return _scatter(self.values, n, self.half_width, r0, r1, c0, c1)
 
-    def _vector(self, x) -> np.ndarray:
-        """x as a contiguous float vector of length ell + 1, or ValueError."""
-        x = np.ascontiguousarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
-        return x
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """M @ x, in O(ell x width)."""
-        x = self._vector(x)
+        """M @ x, in O(ell x width); ValueError where x is not a vector of length ell + 1."""
         n = self.n
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"x must have shape ({n},), got {x.shape}")
         out = np.empty(n)
         for b0, b1, windows in self._windows(x, 0, n):
             np.vecdot(self.values[b0:b1], windows, out=out[b0:b1])
-        return out
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """x @ M, in O(ell x width).
-
-        Columns h..ell-h (h = half_width) sum the middle rows' entries along
-        a skewed view, values[c - h + k, 2h - k] x[c - h + k] over k, with x
-        zeroed outside the middle rows; the first and last rows, and the
-        middle rows' entries in the first and last h columns, are added from
-        values and from ``block``.
-        """
-        x = self._vector(x)
-        n, width = self.values.shape
-        h = self.half_width
-        s1, s2 = self._middle
-        out = np.zeros(n)
-        if s1 < s2:   # then width = 2h + 1 and 2h < ell
-            middle = np.zeros(n)
-            middle[s1:s2] = x[s1:s2]
-            step = x.itemsize
-            skew = np.ndarray((n - 2 * h, width), float, self.values, 2 * h * step,
-                              (width * step, (width - 1) * step))
-            windows = np.ndarray((n - 2 * h, width), float, middle, 0, (step, step))
-            np.vecdot(skew, windows, out=out[h : n - h])
-            edge = max(min(2 * h, s2), s1)   # rows s1..edge-1 reach columns below h
-            out[:h] += np.einsum("i,ij->j", x[s1:edge], self.block(s1, edge, 0, h))
-            edge = min(max(n - 2 * h, s1), s2)
-            out[n - h :] += np.einsum("i,ij->j", x[edge:s2], self.block(edge, s2, n - h, n))
-        out[:width] += np.einsum("i,ij->j", x[:s1], self.values[:s1])
-        out[n - width :] += np.einsum("i,ij->j", x[s2:], self.values[s2:])
         return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .kernel import (BAND_FLOOR, KernelBand, ModelParams, _band_for, _leading_co
 
 __all__ = [
     "ConvergenceError",
-    "SlowSeriesError",
     "PerronPair",
     "ExtinctionReport",
     "BoundsRow",
@@ -28,7 +27,6 @@ __all__ = [
     "fitness_vector",
     "mean_matrix",
     "perron",
-    "perron_head",
     "perron_bounds_check",
     "extinction_probabilities",
 ]
@@ -79,22 +77,25 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-class SlowSeriesError(ConvergenceError):
-    """``perron_head``'s series needs more than its term budget (sigma and q
-    near 1 and 0); ``perron`` on the band solves such an instance."""
+class _SlowSeriesError(ConvergenceError):
+    """``_perron_head``'s series needs more than its term budget (sigma and q
+    near 1 and 0); ``perron`` then runs the band solve from mu, the head's
+    lam - 1 where its lam solve had finished, or from sigma (mu None)."""
+
+    mu: float | None = None
 
 
 @dataclass(frozen=True)
 class PerronPair:
     """Perron eigenvalue lam = 1 + mu of W (mu to full relative accuracy,
     also where lam rounds to 1) and its left eigenvector rho, unit total
-    mass over all classes: rho_0..rho_K from ``perron_head``, every class
-    from ``perron``.  With how the solve got them: steps of the lam solve
-    (``iterations``; for ``perron`` the eliminations), series terms
-    (``terms``, the most any class took; 0 where none took the series, as
-    for ``perron``), a residual (``perron_head``: the secular residual
-    |(sigma - 1) x_0(lam) - 1|; ``perron``: ||rho W - lam rho||_1) and the
-    method."""
+    mass over all classes: rho_0..rho_K from ``perron(params, k_max=K)``,
+    every class from ``perron(params)``.  With how the solve got them:
+    steps of the lam solve (``iterations``; for the band solve the
+    eliminations), series terms (``terms``, the most any class took; 0
+    where none took the series, as for the band solve), a residual (closed
+    form: the secular residual |(sigma - 1) x_0(lam) - 1|; band solve:
+    ||rho W - lam rho||_1) and the method."""
 
     lam: float
     mu: float
@@ -138,8 +139,8 @@ def mean_matrix(params: ModelParams, band: KernelBand | None = None) -> np.ndarr
 
 
 class _HeadSeries:
-    """Terms of the closed-form head series, for ``perron_head``, in numpy's
-    long double (see ``perron_head`` for what that is per platform).
+    """Terms of the closed-form head series, for ``_perron_head``, in numpy's
+    long double (see ``_perron_head`` for what that is per platform).
 
     Loci mutate independently, so M^n(0, k) is the Binomial(ell, p_n) pmf
     at k, with p_n = (1 - 1/kappa)(1 - theta^n) and theta = 1 - q kappa /
@@ -329,7 +330,7 @@ class _HeadSeries:
         sum_{n > N_k} lam^-n d_n(k), is what ``tail_ok`` bounds.  N_k
         doubles from _HEAD_CHUNK, checked from ``n_terms``, class 0's last,
         on, up to _HEAD_MAX_TERMS for the classes whose rest is not yet
-        small enough (SlowSeriesError past that, or from _HEAD_SLOW on
+        small enough (_SlowSeriesError past that, or from _HEAD_SLOW on
         where ``within_budget`` says it will be).  In log space, as terms
         and sums may underflow or overflow: returns c_k, the log of the
         largest term; divided by exp(c_k), the sum of the terms lam^-n
@@ -359,7 +360,7 @@ class _HeadSeries:
                                       float(t))]
             if live.size and (size >= _HEAD_MAX_TERMS or size >= _HEAD_SLOW
                               and not self.within_budget(ks[live], float(t))):
-                raise SlowSeriesError(f"closed-form Perron series cannot converge in "
+                raise _SlowSeriesError(f"closed-form Perron series cannot converge in "
                                       f"{_HEAD_MAX_TERMS} terms")
             done, size = size, min(2 * size, _HEAD_MAX_TERMS)
         if ks.size and ks[0] == 0:
@@ -370,16 +371,16 @@ class _HeadSeries:
         return top, s * scale, m * scale, np.exp(log_tail - t - top), log_tail, log_x, n
 
 
-def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
-                max_iter: int = 100) -> PerronPair:
-    """Perron eigenvalue lam = 1 + mu of W and the head rho_0..rho_K
-    (K = min(k_max, ell)) of its left eigenvector, in closed form.
+def _perron_head(params: ModelParams, k_max: int, tol: float = 1e-12,
+                 max_iter: int = 100) -> PerronPair:
+    """``perron``'s closed form: lam = 1 + mu and the head rho_0..rho_K
+    (K = min(k_max, ell)) of W's left eigenvector.
 
-    W = M + (sigma - 1) e_0 r with r = M(0, :), so rho is proportional to
-    x = r (lam I - M)^-1 = sum_{n >= 1} lam^-n M^n(0, :); M is stochastic,
-    so sum x = 1 / mu and rho = mu x exactly.  Loci mutate independently,
-    so M^n(0, k) is the Binomial(ell, p_n) pmf at k with p_n = (1 - 1/kappa)
-    (1 - theta^n), theta = 1 - q kappa / (kappa - 1) (``_HeadSeries``).
+    x = r (lam I - M)^-1 (``perron``) = sum_{n >= 1} lam^-n M^n(0, :); M is
+    stochastic, so sum x = 1 / mu and rho = mu x exactly.  Loci mutate
+    independently, so M^n(0, k) is the Binomial(ell, p_n) pmf at k with
+    p_n = (1 - 1/kappa) (1 - theta^n), theta = 1 - q kappa / (kappa - 1)
+    (``_HeadSeries``).
     Every term is positive for every theta >= -1 / (kappa - 1), the whole
     range of q.  The terms tend to pi_k lam^-n, pi the stationary law
     (``_log_stationary_law``), so the series is summed to n = N and every
@@ -396,18 +397,17 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
     1 - |theta| are tiny (sigma near 1 and q near 0) that part falls by
     only about a factor 1 - mu - (1 - |theta|) per term, and where it
     cannot meet that bound by _HEAD_MAX_TERMS terms the solve raises
-    SlowSeriesError, from _HEAD_SLOW terms on; ``perron`` on the band
-    solves such an instance.  The cost is O(K N), with no ell-sized
-    array: no band and no elimination.
+    _SlowSeriesError, from _HEAD_SLOW terms on, carrying mu where only the
+    classes after the lam solve are too slow.  The cost is O(K N), with no
+    ell-sized array: no band and no elimination.
 
-    lam solves the secular equation (sigma - 1) x_0(lam) = 1, x_0
-    decreasing in lam, in t = log mu, so mu keeps its relative accuracy
-    down to the smallest float and below.  Where theta > 0 and ell <=
-    _SPECTRAL_MAX_ELL, x_0 comes from M's spectral expansion instead of
-    the series (``_HeadSeries.x_0``): ell + 1 positive terms with no tail,
-    cheaper than the series at small ell, and exact however slowly the
-    series falls; rho_0 = mu x_0 is reported from it, with K = 0 summing
-    no series at all.  Its pole is pi_0 / mu (N = 0).
+    lam solves the secular equation, x_0 decreasing in lam, in t = log mu,
+    so mu keeps its relative accuracy down to the smallest float and below.
+    Where theta > 0 and ell <= _SPECTRAL_MAX_ELL, x_0 comes from M's
+    spectral expansion instead of the series (``_HeadSeries.x_0``): ell + 1
+    positive terms with no tail, cheaper than the series at small ell, and
+    exact however slowly the series falls; rho_0 = mu x_0 is reported from
+    it, with K = 0 summing no series at all.  Its pole is pi_0 / mu (N = 0).
 
     The solve starts at lam = sigma M(0, 0), the root for the first term
     alone, where that is above 1, and at lam = sigma otherwise, and keeps
@@ -508,7 +508,11 @@ def perron_head(params: ModelParams, k_max: int = 10, tol: float = 1e-12,
             break
     # class 0 from the spectral expansion where the lam solve used it
     first = 1 if series.spectral else 0
-    c, terms, _, _, log_tail, log_x, n = series.sums(np.arange(first, log_pi.size), t)
+    try:
+        c, terms, _, _, log_tail, log_x, n = series.sums(np.arange(first, log_pi.size), t)
+    except _SlowSeriesError as e:   # lam is solved: its mu starts the band solve
+        e.mu = float(np.exp(t))
+        raise
     rho = np.exp(t + c) * terms + np.exp(log_tail)
     if first:
         (log_x_0,) = series.x_0(t)[5]
@@ -583,7 +587,7 @@ class _BandSolver:
     elimination runs on them, a block Thomas sweep without pivoting across
     blocks and with no pivot block above _MAX_INV rows reaching
     numpy.linalg unsplit: extinction's Newton steps (d = A exp(-A M u))
-    and, on the transposed blocks, ``perron``'s left solves
+    and, on the transposed blocks, the band Perron solve's left solves
     x (lam I - M) = b, as (I - M^T / lam) x^T = b^T / lam.
     """
 
@@ -614,6 +618,21 @@ class _BandSolver:
         t.lower = [b.T for b in self.upper]
         t.diag = [b.T for b in self.diag]
         return t
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """M x on the blocks (x M for the ``transposed`` solver), entries of M
+        below BAND_FLOOR taken as 0: block i of M x is M(i, i-1) x_(i-1) +
+        M(i, i) x_i + M(i, i+1) x_(i+1)."""
+        e = self.edges
+        y = np.empty(self.n)
+        for i, diag in enumerate(self.diag):
+            y_i = diag @ x[e[i] : e[i + 1]]
+            if i:
+                y_i += self.lower[i - 1] @ x[e[i - 1] : e[i]]
+            if i < len(self.upper):
+                y_i += self.upper[i] @ x[e[i + 1] : e[i + 2]]
+            y[e[i] : e[i + 1]] = y_i
+        return y
 
     def solve_right(self, d: np.ndarray, f: np.ndarray) -> np.ndarray:
         """x with A x = f for A = I - diag(d) M.
@@ -648,27 +667,22 @@ class _BandSolver:
         return x
 
 
-def perron(params: ModelParams, tol: float = 1e-12, max_iter: int = 100) -> PerronPair:
-    """Perron eigenvalue and the whole left eigenvector of the mean matrix W,
-    on the numerical kernel: the full-vector solver, and the oracle that
-    ``perron_head``'s closed form is tested against.
-
-    W = M + (sigma - 1) e_0 r with r = M(0, :) and M the stochastic class
-    kernel, so from rho W = lam rho, rho is proportional to
-    x = r (lam I - M)^-1 and lam is the root in (1, sigma] of the secular
-    equation f(lam) = (sigma - 1) x_0 - 1 = 0 (Golub 1973).  f decreases
-    in lam, and its root does not get harder to find as the spectral gap
-    closes near the threshold sigma e^-a = 1.
+def _band_perron(params: ModelParams, tol: float, max_iter: int,
+                 start: float | None) -> PerronPair:
+    """``perron``'s band solve: lam and every class of rho on the numerical
+    kernel, and the oracle that the closed form is tested against.  lam is
+    the root of f(lam) = (sigma - 1) x_0 - 1, which decreases in lam, and
+    it does not get harder to find as the spectral gap closes near the
+    threshold sigma e^-a = 1.
 
     At theta = 1 - q kappa / (kappa - 1) = 0 every locus forgets its
     letter, so every row of M is the stationary law pi (``iterations`` 0,
     method "closed form (theta = 0)"): then rho = pi and
     lam = 1 + (sigma - 1) pi_0 directly, with no elimination.
 
-    Otherwise lam starts at the closed-form root (``perron_head``, for
-    every theta), or at sigma where its series converges too slowly
-    (sigma near 1 and q near 0).  Newton steps on the numerical kernel
-    refine it: each gives x and y = x (lam I - M)^-1 = -dx/dlam, each one
+    Otherwise lam starts at 1 + start (the closed-form root; sigma where
+    start is None), and Newton steps on the numerical kernel refine it:
+    each gives x and y = x (lam I - M)^-1 = -dx/dlam, each one
     block sweep of ``_BandSolver.solve_right`` on M's transposed blocks
     (``_BandSolver.transposed``), as (I - M^T / lam) x^T = r^T / lam; the
     step is delta = f x_0 / y_0 (Newton on 1 / x_0), kept inside the
@@ -711,24 +725,25 @@ def perron(params: ModelParams, tol: float = 1e-12, max_iter: int = 100) -> Perr
     the stationary limit; max_iter bounds it.
 
     Everything runs on M's band (``kernel_band``): r is its row 0, the
-    sweep's blocks are formed from it, and the residual is the banded
-    product rho W = rho M + (sigma - 1) rho_0 r, taken against the band.
-    The entries of M the band leaves out are below BAND_FLOOR and move
-    rho W by less than 1e-150.  No dense matrix is built: the working set
-    is the band, (ell + 1) x (2 half width + 1) floats, plus about 4
-    (ell + 1) x half width floats of blocks (M's three block sets, which
-    the transposed solver views, and one sweep's), O(ell x band width) in
-    all.  At ell = 10^5 and a = ln 2 that is about 150 + 300 MB (a peak
-    RSS of 461 MB on a 2-vCPU x86 host), where W alone would take 80 GB.
+    sweep's blocks are formed from it, and the residual is the product
+    rho W = rho M + (sigma - 1) rho_0 r on the transposed blocks
+    (``_BandSolver.product``).  The entries of M below BAND_FLOOR, which
+    the band leaves out and the blocks hold as 0, move rho W by less than
+    1e-150.  No dense matrix is built: the working set is the band,
+    (ell + 1) x (2 half width + 1) floats, plus about 4 (ell + 1) x half
+    width floats of blocks (M's three block sets, which the transposed
+    solver views, and one sweep's): about 150 + 300 MB at ell = 10^5,
+    a = ln 2.
     """
     band = _band_for(params, None)
+    solver = _BandSolver(band).transposed()
     sigma = params.sigma
 
     def residual_of(v, lam):
         rho = v / v.sum()
         weight = rho.copy()
         weight[0] *= sigma   # W = M with row 0 scaled by sigma
-        return rho, float(np.abs(band.rmatvec(weight) - lam * rho).sum())
+        return rho, float(np.abs(solver.product(weight) - lam * rho).sum())
 
     def checked(v, mu, iterations, method):
         lam = 1.0 + mu
@@ -746,19 +761,14 @@ def perron(params: ModelParams, tol: float = 1e-12, max_iter: int = 100) -> Perr
     if theta == 0.0:
         return checked(pi, (sigma - 1.0) * float(pi[0] / pi.sum()), 0,
                        "closed form (theta = 0)")
-    solver = _BandSolver(band).transposed()
     # M is stochastic, so its Perron root is 1; pole, its first-order shift by
     # the row sums' rounding, may come out below 0, and is kept at 0 or above
     pole = max(float(pi @ (band.values.sum(axis=1) - 1.0)), 0.0)
     margin = _FLOOR_ULPS * _EPS
     floor = lo = pole + margin
     hi = max(sigma - 1.0, lo)
-    try:
-        start = perron_head(params, k_max=0).mu
-    except ConvergenceError:   # the closed-form series converges too slowly
-        start = hi
     # the closed form's pole is at mu = 0, the numerical kernel's at pole
-    mu = min(pole + max(start, margin), hi)
+    mu = hi if start is None else min(pole + max(start, margin), hi)
     r = band.block(0, 1, 0, band.n)[0]
     step = residual = np.inf
     lam_before = None   # lam of the elimination before this one
@@ -812,6 +822,51 @@ def perron(params: ModelParams, tol: float = 1e-12, max_iter: int = 100) -> Perr
     )
 
 
+def perron(params: ModelParams, k_max: int | None = None, tol: float = 1e-12,
+           max_iter: int = 100) -> PerronPair:
+    """Perron eigenvalue lam = 1 + mu of the mean matrix W and its left
+    eigenvector rho, unit total mass: rho_0..rho_K (K = min(k_max, ell))
+    for k_max = K, every class for k_max = None.
+
+    W = M + (sigma - 1) e_0 r with r = M(0, :), so rho is proportional to
+    x = r (lam I - M)^-1, and lam is the root in (1, sigma] of the secular
+    equation (sigma - 1) x_0(lam) = 1 (Golub 1973).
+
+    * The head is in closed form (``_perron_head``): x_k is a series of
+      binomial pmfs, summed in long double with no band, no elimination and
+      no ell-sized array, O(K N) for N terms (about 0.5 ms at any ell; rho
+      within a few ulps of 40-digit arithmetic).  tol bounds the lam solve's
+      last Newton step in log mu, and max_iter its steps.
+    * Where that series falls too slowly (sigma - 1 and a both tiny), the
+      head is the first K + 1 classes of the band solve, started at the
+      head's mu where its lam solve had finished and at sigma otherwise:
+      the series runs once per call.  rho is then accurate to about 1e-9.
+    * The whole vector is the band solve (``_band_perron``): Newton steps
+      from the head's root (K = 0, at its default tol and max_iter), each
+      two block eliminations on M's band, O(ell w^2) for half width w (at
+      ell = 10^5, a = ln 2: one step, ~2 s and a 460 MB peak on a 2-vCPU
+      host, where a dense W would take 80 GB).  tol bounds the step and the
+      residual ||rho W - lam rho||_1 relative to lam, max_iter the
+      eliminations.
+
+    ValueError where k_max < 0; ConvergenceError where a solve runs out of
+    steps or misses its tolerance.
+    """
+    if k_max is None:
+        try:
+            start = _perron_head(params, 0).mu
+        except ConvergenceError:   # no closed-form root (its series is too slow): start at sigma
+            start = None
+        return _band_perron(params, tol, max_iter, start)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0 or None, got {k_max}")
+    try:
+        return _perron_head(params, k_max, tol, max_iter)
+    except _SlowSeriesError as e:
+        pair = _band_perron(params, tol, max_iter, e.mu)
+    return replace(pair, rho=pair.rho[: min(k_max, params.ell) + 1])
+
+
 @dataclass(frozen=True)
 class BoundsRow:
     k: int
@@ -830,14 +885,10 @@ class BoundsReport:
         return all(r.ok for r in self.rows)
 
 
-def perron_bounds_check(
-    pair: PerronPair,
-    params: ModelParams,
-    k_max: int = 10,
-) -> BoundsReport:
+def perron_bounds_check(pair: PerronPair, params: ModelParams, k_max: int = 10) -> BoundsReport:
     """Sandwich check on the eigenvalue equations, for the pair's lam and
-    rho_0..rho_k_max (a head from ``perron_head`` of at least k_max + 1
-    classes will do).
+    rho_0..rho_K, K = min(k_max, ell) (``perron(params, k_max)`` will do;
+    ValueError where rho has fewer classes).
 
     For each class k, the eigenvalue equation lam * rho(k) =
     sigma rho(0) M(0,k) + sum_{i>=1} rho(i) M(i,k) is bracketed by
@@ -855,6 +906,8 @@ def perron_bounds_check(
     rho = np.asarray(pair.rho, dtype=float)
     slack = _BOUNDS_RTOL * max(1.0, lam)
     k_top = min(k_max, params.ell)
+    if rho.size <= k_top:
+        raise ValueError(f"k_max = {k_max} needs {k_top + 1} classes of rho, got {rho.size}")
     w = _leading_columns(params, k_top + 1)
     w[0] *= params.sigma
     rows = []

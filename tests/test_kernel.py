@@ -33,6 +33,7 @@ from quasigw import (
     master_sequence,
     mutation_prob_genotype,
 )
+from quasigw.spectral import _BandSolver
 
 LN2 = math.log(2.0)
 
@@ -519,7 +520,8 @@ def assert_dense_is_the_band_scattered(p):
     (``scattered_rows``), every window lies inside 0..ell and starts at
     b - half_width where it can, and the full-length entries next to each
     window are below BAND_FLOOR (rows are log-concave, so the entries
-    further out are too)."""
+    further out are too).  The band solver's block products give M x and
+    x M (``_BandSolver.product``, and on ``transposed``)."""
     m = lumped_kernel_matrix(p)
     band = kernel_band(p)
     n, width = band.values.shape
@@ -534,7 +536,9 @@ def assert_dense_is_the_band_scattered(p):
             if 0 <= c < n:
                 assert np.dot(*convolution_factors(*pmfs, b, c)) < BAND_FLOOR, (b, c)
     x = np.random.default_rng(p.ell).random(n)
-    assert np.allclose(band.rmatvec(x), x @ m, rtol=1e-13, atol=BAND_FLOOR * x.sum())
+    solver = _BandSolver(band)
+    for got, want in ((solver.transposed().product(x), x @ m), (solver.product(x), m @ x)):
+        assert np.allclose(got, want, rtol=1e-13, atol=BAND_FLOOR * x.sum())
 
 
 class TestKernelBand:
@@ -596,11 +600,6 @@ class TestKernelBand:
     def test_rejects_values_that_break_the_layout(self, values, half_width):
         with pytest.raises(ValueError, match="values must be"):
             KernelBand(values=values, half_width=half_width)
-
-    def test_rmatvec_rejects_a_vector_of_another_length(self):
-        band = kernel_band(ModelParams(sigma=2.0, ell=50, kappa=2, q=0.02))
-        with pytest.raises(ValueError, match=r"x must have shape \(51,\)"):
-            band.rmatvec(np.ones(52))
 
     def test_band_is_narrow_at_fixed_mutation_pressure(self):
         """At a = ln 2 the band stays about +-90 wide as ell grows, and its

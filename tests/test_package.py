@@ -25,3 +25,14 @@ def test_no_oracle_or_uncalled_kernel_is_public():
         assert name not in quasigw.__all__
         assert not hasattr(quasigw, name)
         assert not any(hasattr(module, name) for module in MODULES)
+
+
+def test_perron_is_the_one_public_perron_solve():
+    """perron(params, k_max) runs the closed-form head and its band
+    fallback, so neither the head nor its slow-series error is public, and
+    the band has no left product: the band solve's residual is a block
+    product of its solver."""
+    for name in ("perron_head", "SlowSeriesError"):
+        assert name not in quasigw.__all__
+        assert not hasattr(quasigw, name) and not hasattr(spectral, name)
+    assert not hasattr(kernel.KernelBand, "rmatvec")

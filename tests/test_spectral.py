@@ -17,7 +17,6 @@ from quasigw import (
     ConvergenceError,
     ModelParams,
     PerronPair,
-    SlowSeriesError,
     extinction_probabilities,
     fitness_vector,
     kernel_band,
@@ -25,14 +24,14 @@ from quasigw import (
     mean_matrix,
     perron,
     perron_bounds_check,
-    perron_head,
 )
 from quasigw.kernel import BAND_FLOOR, _log_stationary_law
-from quasigw.spectral import _classes_reaching_master, _inverse, _solve
+from quasigw.spectral import (_band_perron, _classes_reaching_master, _inverse, _perron_head,
+                              _SlowSeriesError, _solve)
 
 LN2 = math.log(2.0)
 # The head's accuracy bounds hold where numpy's long double is wider than a
-# double (80-bit on x86); where it is a double they do not (perron_head).
+# double (80-bit on x86); where it is a double they do not (``_perron_head``).
 EXTENDED_LONG_DOUBLE = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
     reason="long double is a double here: the head loses about a digit")
@@ -302,23 +301,18 @@ class TestSecularPerron:
         assert exc.value.iterations == 2
         assert exc.value.residual <= 1e-15
 
-    def test_nan_step_takes_the_bracket_mean(self, monkeypatch):
-        """From sigma, the start where the closed form's series is too slow:
-        at kappa = 20, q = 0.868 every M(b, 0) is below BAND_FLOOR, so x_0 =
-        y_0 = 0 and each Newton step is 0/0; the geometric mean of the
-        bracket takes it, six times, and the solve ends within tol of the
-        closed-form root, which lies below the floor."""
+    def test_nan_step_takes_the_bracket_mean(self):
+        """From sigma, the band solve's start where the closed form's series
+        is too slow (no start): at kappa = 20, q = 0.868 every M(b, 0) is
+        below BAND_FLOOR, so x_0 = y_0 = 0 and each Newton step is 0/0; the
+        geometric mean of the bracket takes it, six times, and the solve
+        ends within tol of the closed-form root, which lies below the
+        floor."""
         p = ModelParams(sigma=1.4191258409619323, ell=253, kappa=20, q=0.8680661876357015)
-
-        def too_slow(*args, **kwargs):
-            raise SlowSeriesError("closed-form Perron series cannot converge")
-
-        monkeypatch.setattr(quasigw.spectral, "perron_head", too_slow)
         with np.errstate(invalid="ignore"):
-            pair = perron(p)
+            pair = _band_perron(p, 1e-12, 100, None)
         assert pair.method == "secular Newton" and pair.iterations == 6
-        monkeypatch.undo()
-        assert abs(pair.lam - perron_head(p, k_max=0).lam) <= 1e-12 * pair.lam
+        assert abs(pair.lam - perron(p, k_max=0).lam) <= 1e-12 * pair.lam
 
     @pytest.mark.parametrize("sigma,ell,kappa,q", [(3.0, 30, 2, 0.8), (5.0, 10, 3, 0.9),
                                                    (10.0, 2, 2, 0.95)])
@@ -407,7 +401,7 @@ class TestSecularPerron:
         needs more than two eliminations."""
         p = ModelParams(sigma=1.0001, ell=20, kappa=2, q=0.99999)
         with pytest.raises(ConvergenceError):
-            perron_head(p, k_max=0)
+            _perron_head(p, 0)
         assert perron(p).iterations > 2
         with pytest.raises(ConvergenceError) as exc:
             perron(p, max_iter=2)
@@ -551,7 +545,7 @@ class TestPerronHead:
         the threshold and at sigma e^-a = e^0.005, 0.5% above it."""
         pytest.importorskip("mpmath")
         p = ModelParams(sigma=sigma, ell=ell, kappa=2, q=a / ell)
-        head = perron_head(p, k_max=10)
+        head = perron(p, k_max=10)
         mu, rho = mpmath_head(sigma, ell, 2, p.q, 10)
         assert head.rho.size == 11 and head.residual <= 1e-15
         assert abs(head.mu / float(mu) - 1.0) <= 1e-14
@@ -564,7 +558,7 @@ class TestPerronHead:
         the closed-form root in mu, from below 1e-230, stayed at its lower end."""
         pytest.importorskip("mpmath")
         p = ModelParams(sigma=2.0, ell=400, kappa=4, q=LN2 / 400)
-        head = perron_head(p, k_max=5)
+        head = perron(p, k_max=5)
         mu, rho = mpmath_head(2.0, 400, 4, p.q, 5)
         assert head.lam == 1.0 and 3.7e-238 < head.mu < 3.8e-238
         # the root is ill-conditioned here: pi_0 is 4e-4 of rho_0
@@ -601,7 +595,7 @@ class TestPerronHead:
         else:
             assume(ell <= 300)   # fixed q is deep in the disordered regime
         p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
-        head = perron_head(p, k_max=10)
+        head = perron(p, k_max=10)
         pair = perron(p)
         assert abs(head.lam - pair.lam) <= 1e-13 * pair.lam
         np.testing.assert_allclose(head.rho, pair.rho[: head.rho.size], rtol=1e-13,
@@ -620,7 +614,7 @@ class TestPerronHead:
         0.16, which the form pi_k + mu sum_n lam^-n (M^n(0, k) - pi_k) would
         take as a difference."""
         pytest.importorskip("mpmath")
-        head = perron_head(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q), k_max=10)
+        head = perron(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q), k_max=10)
         mu, rho = mpmath_head(sigma, ell, kappa, q, 10)
         assert abs(head.mu / float(mu) - 1.0) <= 1e-14
         np.testing.assert_allclose(head.rho, [float(x) for x in rho], rtol=1e-14, atol=0.0)
@@ -633,7 +627,7 @@ class TestPerronHead:
         """theta rounding to 1: lam = sigma, rho = e_0; theta = 0: rho = pi
         and lam = 1 + (sigma - 1) pi_0; sigma = 1: (1, pi)."""
         p = ModelParams(sigma=sigma, ell=20, kappa=2, q=q)
-        head = perron_head(p, k_max=20)
+        head = perron(p, k_max=20)
         pi = binom.pmf(np.arange(21), 20, 0.5)
         assert head.method == method and head.iterations == 0 and head.terms == 0
         if q * 2 == 1.0 or (sigma == 1.0 and q > 1e-200):
@@ -648,9 +642,10 @@ class TestPerronHead:
         past its term budget.  Class 0 and lam come from the spectral
         expansion, which has no tail, and agree with perron."""
         p = ModelParams(sigma=1.00001, ell=5, kappa=4, q=3e-6)
-        with pytest.raises(SlowSeriesError, match="terms"):
-            perron_head(p)
-        head, pair = perron_head(p, k_max=0), perron(p)
+        with pytest.raises(_SlowSeriesError, match="terms") as exc:
+            _perron_head(p, 10)
+        head, pair = perron(p, k_max=0), perron(p)
+        assert exc.value.mu == head.mu   # the band solve's start
         assert head.terms == 0 and pair.iterations == 1
         assert head.lam == pytest.approx(pair.lam, rel=1e-15)
         assert head.rho[0] == pytest.approx(pair.rho[0], rel=1e-9)
@@ -669,8 +664,8 @@ class TestPerronHead:
             return add(self, n0, n1, ks, rate, acc)
 
         monkeypatch.setattr(quasigw.spectral._HeadSeries, "_add", recording_add)
-        with pytest.raises(SlowSeriesError, match="terms"):
-            perron_head(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q))
+        with pytest.raises(_SlowSeriesError, match="terms"):
+            _perron_head(ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q), 10)
         assert max(reached) == quasigw.spectral._HEAD_SLOW
 
     @pytest.mark.parametrize("tol", [0.0, 1e-19, -1.0])
@@ -680,16 +675,52 @@ class TestPerronHead:
         alternates between two neighbouring long doubles, with the secular
         residual at 1.1e-19, and a budget of 100 steps ran out."""
         p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
-        head = perron_head(p, tol=tol)
+        head = perron(p, k_max=10, tol=tol)
         assert head.iterations <= 6 and head.residual <= 1e-18
-        assert head.mu == pytest.approx(perron_head(p).mu, rel=1e-14)
+        assert head.mu == pytest.approx(perron(p, k_max=10).mu, rel=1e-14)
 
     def test_step_budget(self):
         p = ModelParams(sigma=3.0, ell=30, kappa=2, q=0.8)
-        assert perron_head(p).iterations > 2
+        assert perron(p, k_max=10).iterations > 2
         with pytest.raises(ConvergenceError, match="2 steps") as exc:
-            perron_head(p, max_iter=2)
+            perron(p, k_max=10, max_iter=2)
         assert exc.value.iterations == 2 and exc.value.residual > 1e-12
+
+
+class TestPerronSolve:
+    """``perron``'s choice between the closed-form head and the band solve."""
+
+    @pytest.mark.parametrize("sigma,ell,kappa,q,eliminations", [
+        (1.0001, 20, 2, 0.99999, 5), (1.00001, 5, 4, 3e-6, 1)])
+    def test_slow_series_runs_the_head_once(self, sigma, ell, kappa, q, eliminations,
+                                            monkeypatch):
+        """Where the head's series is too slow, perron(p, k_max=10) is the
+        head of the band solve, which starts where the head's lam solve
+        ended (ell = 5) or at sigma (ell = 20): the series runs once per call,
+        as it does for perron(p), and the two give the same pair."""
+        runs = []
+        init = quasigw.spectral._HeadSeries.__init__
+
+        def counting_init(self, *args):
+            runs.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(quasigw.spectral._HeadSeries, "__init__", counting_init)
+        p = ModelParams(sigma=sigma, ell=ell, kappa=kappa, q=q)
+        head = perron(p, k_max=10)
+        assert len(runs) == 1
+        whole = perron(p)
+        assert len(runs) == 2
+        assert head.method == whole.method == "secular Newton"
+        assert head.iterations == whole.iterations == eliminations
+        assert head.lam == whole.lam and head.rho.size == min(10, ell) + 1
+        assert np.array_equal(head.rho, whole.rho[: head.rho.size])
+
+    @pytest.mark.parametrize("k_max", [-1, -5])
+    def test_negative_k_max_is_rejected(self, k_max):
+        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
+        with pytest.raises(ValueError, match=f"k_max must be >= 0 or None, got {k_max}"):
+            perron(p, k_max=k_max)
 
 
 class TestPivotBlockSplit:
@@ -867,7 +898,14 @@ class TestPerronBoundsCheck:
         monkeypatch.setattr(quasigw.kernel.KernelBand, "__post_init__", no_band)
         for ell in (100, 5000):
             p = ModelParams(sigma=4.0, ell=ell, kappa=2, q=LN2 / ell)
-            assert perron_bounds_check(perron_head(p), p).passed
+            assert perron_bounds_check(perron(p, k_max=10), p).passed
+
+    def test_rejects_a_head_shorter_than_k_max(self):
+        """A 6-class head checked to k_max = 10 raises a ValueError that names
+        both sizes, not a dimension mismatch in matmul."""
+        p = ModelParams(sigma=4.0, ell=100, kappa=2, q=LN2 / 100)
+        with pytest.raises(ValueError, match="k_max = 10 needs 11 classes of rho, got 6"):
+            perron_bounds_check(perron(p, k_max=5), p, k_max=10)
 
     def test_failure_injection(self):
         """A distorted eigenvector must be caught by at least one inequality."""
